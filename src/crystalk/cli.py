@@ -167,7 +167,7 @@ def run_verify(cfg: CliConfig) -> int:
 
 def _oracle_payload(G: GammaDescriptor) -> dict:
     p, k, n = G.p, G.k, G.n
-    r_closed = list(repring.r_vector(p, k))
+    r_closed = list(G.r())
     r_rank = [zpmod.fixed_rank(G.exterior(m)) for m in range(n + 1)]
     tate_table = {}
     for j in range(n + 1):
@@ -179,8 +179,8 @@ def _oracle_payload(G: GammaDescriptor) -> dict:
                        "rho": G.rho_rows()},
         "r_closed_form": r_closed,
         "r_fixed_rank_oracle": r_rank,
-        "a": [repring.a_j(p, k, j) for j in range(n + 1)],
-        "s": [repring.s_m(p, k, m) for m in range(n + 2)],
+        "a": list(repring.a_vector(p, k)),
+        "s": list(repring.s_vector(p, k)),
         "tate": tate_table,
         "coker_invariant_factors": [int(x) for x in coker],
     }

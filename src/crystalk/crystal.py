@@ -105,7 +105,11 @@ class GammaDescriptor:
         return rv
 
     def s(self, m: int) -> int:
-        return repring.s_m(self.p, self.k, m)
+        sv = self._cache.get("s")
+        if sv is None:
+            sv = repring.s_vector(self.p, self.k)
+            self._cache["s"] = sv
+        return repring.s_at(sv, m)
 
     def r_even_sum(self) -> int:
         return sum(self.r()[0::2])
@@ -126,10 +130,8 @@ def validate_gamma(p: int, rho) -> GammaDescriptor:
         raise BadRankError("action matrix must be square and nonempty")
     n = rho.shape[0]
     ident = la.eye(n)
-    power = ident
-    for _ in range(p):
-        power = power @ rho
-    if np.any(power != ident):
+    # repeated squaring: O(log p) exact products on the object array
+    if np.any(np.linalg.matrix_power(rho, p) != ident):
         raise WrongOrderError(f"matrix does not have order {p}: rho^{p} != id")
     if not np.any(rho != ident):
         raise WrongOrderError("matrix is the identity, order 1")
@@ -182,10 +184,16 @@ def finite_subgroup_data(G: GammaDescriptor) -> FiniteSubgroupData:
     return FiniteSubgroupData(cok, count, count)
 
 
-def abelianization(G: GammaDescriptor) -> FGAbelianGroup:
-    """Largest abelian quotient; always elementary of rank k + 1."""
-    ab = direct_sum(finite_subgroup_data(G).cokernel,
-                    FGAbelianGroup.cyclic(G.p))
+def abelianization(G: GammaDescriptor,
+                    cokernel: FGAbelianGroup | None = None) -> FGAbelianGroup:
+    """Largest abelian quotient; always elementary of rank k + 1.
+
+    `cokernel` is finite_subgroup_data(G).cokernel when the caller already
+    holds it.
+    """
+    if cokernel is None:
+        cokernel = finite_subgroup_data(G).cokernel
+    ab = direct_sum(cokernel, FGAbelianGroup.cyclic(G.p))
     expected = FGAbelianGroup.elementary(G.p, G.k + 1)
     if ab != expected:
         raise CokernelMismatchError(f"abelianization {ab} != {expected}")
@@ -195,7 +203,7 @@ def abelianization(G: GammaDescriptor) -> FGAbelianGroup:
 def euler_characteristic_quotient(G: GammaDescriptor) -> int:
     """Euler characteristic of the orbit space of the torus action."""
     value = (G.p - 1) * G.p ** (G.k - 1)
-    alt = repring.r_sum_identities(G.p, G.k)["alternating"]
+    alt = repring.r_sum_identities(G.p, G.k, G.r())["alternating"]
     if value != alt:
         raise ArithmeticError(
             f"Euler characteristic {value} disagrees with alternating "
@@ -566,7 +574,7 @@ def build_report(G: GammaDescriptor, window: tuple[int, int] | None = None,
     is recorded as a warning rather than an error.
     """
     fsd = finite_subgroup_data(G)
-    abelianization(G)
+    abelianization(G, fsd.cokernel)
     scalars = {
         "d_ev": d_even(G),
         "d_odd": d_odd(G),

@@ -109,25 +109,37 @@ def lambda_class(p: int, l: int) -> RepClass:
     return RepClass(p, Fraction(sign), reg)
 
 
-def lambda_class_total(p: int, k: int, m: int) -> RepClass:
-    """Class of the m-th exterior power of k cyclotomic constituents.
+def lambda_classes(p: int, k: int) -> tuple[RepClass, ...]:
+    """Classes of the 0th to nth exterior powers of k cyclotomic constituents.
 
-    Convolution over bounded compositions of m into k parts in [0, p-1].
+    One convolution over bounded compositions into k parts in [0, p-1],
+    with n = k(p-1).  It runs on integer pairs (q, reg): every single
+    class is integral (lambda_class checks it) and the ring product has
+    integer structure constants, so no denominator can arise.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    singles = [(int(c.q_coeff), int(c.reg_coeff))
+               for c in (lambda_class(p, l) for l in range(p))]
+    # classes[j] = class of Lambda^j of the constituents taken so far
+    classes = [(1, 0)]
+    for _ in range(k):
+        nxt = [(0, 0)] * (len(classes) + p - 1)
+        for j, (a, b) in enumerate(classes):
+            for l, (c, d) in enumerate(singles):
+                q, reg = nxt[j + l]
+                # [Q] is the unit, [Q[Z/p]]^2 = p*[Q[Z/p]]
+                nxt[j + l] = (q + a * c, reg + a * d + b * c + b * d * p)
+        classes = nxt
+    return tuple(RepClass(p, Fraction(q), Fraction(reg)) for q, reg in classes)
+
+
+def lambda_class_total(p: int, k: int, m: int) -> RepClass:
+    """Class of the m-th exterior power of k cyclotomic constituents."""
     if m < 0:
         raise ValueError("negative exterior degree")
-    singles = [lambda_class(p, l) for l in range(p)]
-    # classes_j = class of Lambda^j of the first i constituents
-    classes = [RepClass.unit(p)] + [RepClass.zero(p)] * m
-    for _ in range(k):
-        nxt = [RepClass.zero(p)] * (m + 1)
-        for j in range(m + 1):
-            for l in range(min(j, p - 1) + 1):
-                nxt[j] = nxt[j] + classes[j - l] * singles[l]
-        classes = nxt
-    return classes[m]
+    classes = lambda_classes(p, k)
+    return classes[m] if m < len(classes) else RepClass.zero(p)
 
 
 def r_m(p: int, k: int, m: int) -> int:
@@ -137,23 +149,25 @@ def r_m(p: int, k: int, m: int) -> int:
 
 def r_vector(p: int, k: int) -> tuple[int, ...]:
     """(r_0, ..., r_n) for n = k(p-1); r vanishes above n."""
-    n = k * (p - 1)
-    return tuple(r_m(p, k, m) for m in range(n + 1))
+    return tuple(c.fixed_rank() for c in lambda_classes(p, k))
+
+
+def a_vector(p: int, k: int) -> tuple[int, ...]:
+    """(a_0, ..., a_n): a_j counts compositions of j into k parts in [0, p-1]."""
+    counts = [1]
+    for _ in range(k):
+        nxt = [0] * (len(counts) + p - 1)
+        for t, c in enumerate(counts):
+            for l in range(p):
+                nxt[t + l] += c
+        counts = nxt
+    return tuple(counts)
 
 
 def a_j(p: int, k: int, j: int) -> int:
     """Number of compositions of j into k parts each within [0, p-1]."""
-    if j < 0:
-        return 0
-    counts = [1] + [0] * j
-    for _ in range(k):
-        nxt = [0] * (j + 1)
-        for t in range(j + 1):
-            if counts[t]:
-                for l in range(min(p - 1, j - t) + 1):
-                    nxt[t + l] += counts[t]
-        counts = nxt
-    return counts[j]
+    counts = a_vector(p, k)
+    return counts[j] if 0 <= j < len(counts) else 0
 
 
 def a_j_inclusion_exclusion(p: int, k: int, j: int) -> int:
@@ -169,21 +183,37 @@ def a_j_inclusion_exclusion(p: int, k: int, j: int) -> int:
     return total
 
 
+def s_vector(p: int, k: int) -> tuple[int, ...]:
+    """(s_0, ..., s_{n+1}): prefix sums of the a_j, from 0 up to p^k."""
+    out = [0]
+    for a in a_vector(p, k):
+        out.append(out[-1] + a)
+    return tuple(out)
+
+
+def s_at(table: tuple[int, ...], m: int) -> int:
+    """s_m read from an s_vector table: 0 for m <= 0, p^k above n + 1."""
+    return table[min(max(m, 0), len(table) - 1)]
+
+
 def s_m(p: int, k: int, m: int) -> int:
     """Prefix sum s_m = a_0 + ... + a_{m-1}; stabilizes at p^k."""
-    return sum(a_j(p, k, j) for j in range(m))
+    return s_at(s_vector(p, k), m)
 
 
-def r_sum_identities(p: int, k: int) -> dict[str, int]:
+def r_sum_identities(p: int, k: int,
+                     rv: tuple[int, ...] | None = None) -> dict[str, int]:
     """Closed-form totals of the r_m, each checked against direct summation.
 
     Returns sum_all, sum_even, sum_odd and the alternating sum.  A mismatch
     between a closed form and the direct sum is an internal consistency
-    failure and raises.
+    failure and raises.  `rv` is r_vector(p, k) when the caller already
+    holds it.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    rv = r_vector(p, k)
+    if rv is None:
+        rv = r_vector(p, k)
     direct_all = sum(rv)
     direct_even = sum(rv[0::2])
     direct_odd = sum(rv[1::2])

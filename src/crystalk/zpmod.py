@@ -53,10 +53,10 @@ class ZpModule:
     def validate(self) -> None:
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        if self.rank:
-            pth = self.power(self.p - 1) @ self.action
-            if np.any(pth != la.eye(self.rank)):
-                raise ValueError("action does not have order dividing p")
+        # repeated squaring: O(log p) exact products on the object array
+        if self.rank and np.any(np.linalg.matrix_power(self.action, self.p)
+                                != la.eye(self.rank)):
+            raise ValueError("action does not have order dividing p")
 
     def power(self, j: int) -> np.ndarray:
         """Action matrix of the j-th power of the generator."""

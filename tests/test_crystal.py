@@ -56,6 +56,9 @@ def test_validate_not_prime():
 def test_validate_wrong_power():
     with pytest.raises(WrongOrderError):
         validate_gamma(3, [[-1]])
+    # -rho has order 2p: rho^p = id, so (-rho)^p = -id
+    with pytest.raises(WrongOrderError):
+        validate_gamma(61, -canonical_gamma(61, 1).rho)
 
 
 def test_canonical_gamma_shapes():

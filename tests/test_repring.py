@@ -4,11 +4,42 @@ from math import comb
 import pytest
 
 from crystalk.repring import (RepClass, a_j, a_j_inclusion_exclusion,
-                              lambda_class, lambda_class_total, r_m,
-                              r_sum_identities, r_vector, s_m)
+                              a_vector, lambda_class, lambda_class_total,
+                              lambda_classes, r_m, r_sum_identities, r_vector,
+                              s_m, s_vector)
 
 PRIMES = (2, 3, 5, 7)
 GRID = [(p, k) for p in PRIMES for k in (1, 2)]
+# shapes whose one-pass tables are certified against per-degree references
+TABLE_GRID = [(2, 1), (2, 12), (3, 8), (5, 4), (7, 2), (13, 3), (31, 1),
+              (61, 1)]
+
+
+def naive_lambda_class_total(p, k, m):
+    """Class of Lambda^m by its own convolution up to degree m, in RepClass."""
+    singles = [lambda_class(p, l) for l in range(p)]
+    classes = [RepClass.unit(p)] + [RepClass.zero(p)] * m
+    for _ in range(k):
+        nxt = [RepClass.zero(p)] * (m + 1)
+        for j in range(m + 1):
+            for l in range(min(j, p - 1) + 1):
+                nxt[j] = nxt[j] + classes[j - l] * singles[l]
+        classes = nxt
+    return classes[m]
+
+
+def naive_a_j(p, k, j):
+    """Compositions of j into k parts in [0, p-1], by a DP up to degree j."""
+    if j < 0:
+        return 0
+    counts = [1] + [0] * j
+    for _ in range(k):
+        nxt = [0] * (j + 1)
+        for t in range(j + 1):
+            for l in range(min(p - 1, j - t) + 1):
+                nxt[t + l] += counts[t]
+        counts = nxt
+    return counts[j]
 
 
 # -- ring arithmetic ---------------------------------------------------------
@@ -92,6 +123,25 @@ def test_lambda_total_vanishes_above_top():
     assert lambda_class_total(3, 1, 3) == RepClass.zero(3)
 
 
+@pytest.mark.parametrize("p,k", TABLE_GRID)
+def test_lambda_table_matches_per_degree_convolution(p, k):
+    n = k * (p - 1)
+    table = lambda_classes(p, k)
+    assert len(table) == n + 1
+    for m in range(n + 1):
+        naive = naive_lambda_class_total(p, k, m)
+        assert table[m] == naive, (p, k, m)
+        assert lambda_class_total(p, k, m) == naive, (p, k, m)
+    assert r_vector(p, k) == tuple(c.fixed_rank() for c in table)
+    for m in (n + 1, n + 2, n + 7):
+        assert lambda_class_total(p, k, m) == RepClass.zero(p)
+        assert r_m(p, k, m) == 0
+    with pytest.raises(ValueError):
+        lambda_class_total(p, k, -1)
+    with pytest.raises(ValueError):
+        r_m(p, k, -2)
+
+
 # -- the counts r, a, s ------------------------------------------------------
 
 def test_r_initial_values():
@@ -154,6 +204,22 @@ def test_a_symmetry_and_total():
         for j in range(n + 1):
             assert a_j(p, k, j) == a_j(p, k, n - j)
         assert a_j(p, k, n + 1) == 0
+
+
+@pytest.mark.parametrize("p,k", TABLE_GRID)
+def test_a_s_tables_match_references(p, k):
+    n = k * (p - 1)
+    assert a_vector(p, k) == tuple(naive_a_j(p, k, j) for j in range(n + 1))
+    for j in range(-2, n + 4):
+        assert a_j(p, k, j) == naive_a_j(p, k, j), (p, k, j)
+    table = s_vector(p, k)
+    assert len(table) == n + 2 and table[-1] == p ** k
+    prefix = 0
+    for m in range(-2, n + 6):
+        if m > 0:
+            prefix += a_j_inclusion_exclusion(p, k, m - 1)
+        assert s_m(p, k, m) == prefix, (p, k, m)
+    assert prefix == p ** k
 
 
 def test_s_stabilizes():

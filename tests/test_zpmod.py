@@ -49,6 +49,25 @@ def test_nonprime_rejected():
 def test_wrong_order_rejected():
     with pytest.raises(ValueError):
         ZpModule(3, [[2]])
+    # finite orders 4 and 2p do not divide p
+    with pytest.raises(ValueError):
+        ZpModule(5, [[0, -1], [1, 0]])
+    with pytest.raises(ValueError):
+        ZpModule(61, -make_cyclotomic(61).action)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_squared_power_matches_repeated_product(seed):
+    # the order checks square object arrays; the entries must stay exact
+    rng = random.Random(seed)
+    p = rng.choice(PRIMES)
+    conj = random_order_p_module(rng, p).action
+    for A in (conj, la.intmat([[2, 1], [1, 1]])):
+        naive = la.eye(A.shape[0])
+        for e in range(2 * p + 2):
+            assert not np.any(np.linalg.matrix_power(A, e) != naive), (p, e)
+            naive = naive @ A
+    assert not np.any(np.linalg.matrix_power(conj, p) != la.eye(conj.shape[0]))
 
 
 # -- combinators -------------------------------------------------------------
