@@ -26,6 +26,6 @@ from .crystal import (GammaDescriptor, GammaError, NotPrimeError,
 from .repring import RepClass, lambda_class, lambda_class_total, r_m, a_j, s_m
 from .zpmod import (ZpModule, make_trivial, make_regular, make_cyclotomic,
                     exterior_power, tensor, dual, tate, invariants,
-                    coinvariants, group_cohomology, group_homology)
+                    coinvariants)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -30,7 +30,6 @@ class CliConfig:
     matrix_file: str | None = None
     degree_window: tuple[int, int] | None = None
     format: str = "text"
-    parallel: bool = False
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of crystallographic groups Z^n x| Z/p.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_window=False, with_parallel=False):
+    def common(sp, with_window=False):
         sp.add_argument("--p", type=int, help="prime order of the twist")
         sp.add_argument("--k", type=int,
                         help="number of rank-(p-1) blocks; n = k(p-1)")
@@ -50,14 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             metavar=("LO", "HI"),
                             help="inclusive degree range for every family")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        if with_parallel:
-            sp.add_argument("--parallel", action="store_true",
-                            help="evaluate verification cells concurrently")
 
     common(sub.add_parser("report", help="full theorem report"),
            with_window=True)
-    common(sub.add_parser("verify", help="run the cross-validation grid"),
-           with_parallel=True)
+    common(sub.add_parser("verify", help="run the cross-validation grid"))
     common(sub.add_parser("oracle", help="raw oracle tables"))
     return parser
 
@@ -71,7 +66,6 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
         degree_window=tuple(args.degree_window) if getattr(
             args, "degree_window", None) else None,
         format=args.format,
-        parallel=getattr(args, "parallel", False),
     )
 
 
@@ -137,15 +131,11 @@ def run_report(cfg: CliConfig) -> int:
 
 
 def run_verify(cfg: CliConfig) -> int:
-    if cfg.matrix_file is not None:
-        G = _load_descriptor(cfg)
-        p, k = G.p, G.k
-    else:
-        if cfg.p is None or cfg.k is None:
-            raise GammaError("verify needs --p and --k (or --matrix)")
-        p, k = cfg.p, cfg.k
-        crystal.canonical_gamma(p, k)
-    results = verify.run_all(p, k, parallel=cfg.parallel)
+    if cfg.matrix_file is None and (cfg.p is None or cfg.k is None):
+        raise GammaError("verify needs --p and --k (or --matrix)")
+    G = _load_descriptor(cfg)
+    p, k = G.p, G.k
+    results = verify.run_all(p, k, gamma=G)
     passed = sum(1 for r in results if r.ok)
     if cfg.format == "json":
         payload = {

@@ -58,7 +58,7 @@ class OddPrimeRequiredError(GammaError):
 
 
 @dataclass(frozen=True, eq=False)
-class GammaDescriptor:
+class GammaDescriptor(zpmod.Memoized):
     p: int
     n: int
     k: int
@@ -68,47 +68,27 @@ class GammaDescriptor:
 
     def module(self) -> zpmod.ZpModule:
         """The lattice with its twist action as a module object."""
-        m = self._cache.get("module")
-        if m is None:
-            m = zpmod.ZpModule(self.p, self.rho, check=False)
-            self._cache["module"] = m
-        return m
+        return self._memo("module", lambda: zpmod.ZpModule(
+            self.p, self.rho, check=False))
 
     def dual_module(self) -> zpmod.ZpModule:
-        m = self._cache.get("dual")
-        if m is None:
-            m = zpmod.dual(self.module())
-            self._cache["dual"] = m
-        return m
+        return self._memo("dual", lambda: zpmod.dual(self.module()))
 
     def exterior(self, j: int) -> zpmod.ZpModule:
-        """j-th exterior power of the lattice module, cached per degree."""
-        m = self._cache.get(("ext", j))
-        if m is None:
-            m = zpmod.exterior_power(self.module(), j)
-            self._cache[("ext", j)] = m
-        return m
+        """j-th exterior power of the lattice module, kept per degree."""
+        return self._memo(("ext", j), lambda: zpmod.exterior_power(
+            self.module(), j))
 
     def exterior_dual(self, j: int) -> zpmod.ZpModule:
-        """j-th exterior power of the dual module, cached per degree."""
-        m = self._cache.get(("ext_dual", j))
-        if m is None:
-            m = zpmod.exterior_power(self.dual_module(), j)
-            self._cache[("ext_dual", j)] = m
-        return m
+        """j-th exterior power of the dual module, kept per degree."""
+        return self._memo(("ext_dual", j), lambda: zpmod.exterior_power(
+            self.dual_module(), j))
 
     def r(self) -> tuple[int, ...]:
-        rv = self._cache.get("r")
-        if rv is None:
-            rv = repring.r_vector(self.p, self.k)
-            self._cache["r"] = rv
-        return rv
+        return self._memo("r", lambda: repring.r_vector(self.p, self.k))
 
     def s(self, m: int) -> int:
-        sv = self._cache.get("s")
-        if sv is None:
-            sv = repring.s_vector(self.p, self.k)
-            self._cache["s"] = sv
+        sv = self._memo("s", lambda: repring.s_vector(self.p, self.k))
         return repring.s_at(sv, m)
 
     def r_even_sum(self) -> int:
@@ -254,22 +234,6 @@ def homology_quotient(G: GammaDescriptor, m: int) -> GroupExpression:
     if m % 2 == 1:
         return fg_expression(_r_at(G, m))
     return fg_expression(_r_at(G, m), G.p, G.p ** G.k - G.s(m + 1))
-
-
-@dataclass(frozen=True)
-class RestrictionData:
-    kernel: GroupExpression
-    image_torsion: GroupExpression
-
-
-def restriction_map_data(G: GammaDescriptor, m: int) -> RestrictionData:
-    """Kernel of restriction to the lattice and image on finite subgroups."""
-    if m % 2 == 1:
-        return RestrictionData(GroupExpression.zero(), GroupExpression.zero())
-    kernel = fg_expression(0, G.p, G.s(m))
-    if m == 0:
-        return RestrictionData(kernel, GroupExpression.zero())
-    return RestrictionData(kernel, fg_expression(0, G.p, G.s(m + 1)))
 
 
 # --------------------------------------------------------------------------
@@ -565,6 +529,31 @@ class TheoremReport:
         }
 
 
+# The report families in report order: (name, evaluator, window kind,
+# odd p only).  Evaluators look the module functions up when called, so a
+# rebinding of those names (as perfbench/tracer.py does) is seen.
+REPORT_FAMILIES = (
+    ("H^*(BGamma)", lambda G, m: cohomology_bgamma(G, m), "H", False),
+    ("H_*(BGamma)", lambda G, m: homology_bgamma(G, m), "H", False),
+    ("H^*(quotient)", lambda G, m: cohomology_quotient(G, m), "H", False),
+    ("H_*(quotient)", lambda G, m: homology_quotient(G, m), "H", False),
+    ("K^*(BGamma)", lambda G, m: k_theory_bgamma(G, m, "cohomology"), "K", False),
+    ("K_*(BGamma)", lambda G, m: k_theory_bgamma(G, m, "homology"), "K", False),
+    ("K^*(quotient)", lambda G, m: k_theory_quotient(G, m, "cohomology"), "K", False),
+    ("K_*(quotient)", lambda G, m: k_theory_quotient(G, m, "homology"), "K", False),
+    ("KO^*(BGamma)", lambda G, m: ko_theory(G, m, "bgamma", "cohomology"), "KO", True),
+    ("KO_*(BGamma)", lambda G, m: ko_theory(G, m, "bgamma", "homology"), "KO", True),
+    ("KO^*(quotient)", lambda G, m: ko_theory(G, m, "quotient", "cohomology"), "KO", True),
+    ("KO_*(quotient)", lambda G, m: ko_theory(G, m, "quotient", "homology"), "KO", True),
+    ("K_*(Cstar)", lambda G, m: cstar_k_theory(G, m, "complex"), "K", False),
+    ("KO_*(CstarR)", lambda G, m: cstar_k_theory(G, m, "real"), "KO", True),
+    ("K^*(equivariant)", lambda G, m: equivariant_k(G, m), "K", False),
+    ("KO^*(equivariant)", lambda G, m: equivariant_ko(G, m), "KO", True),
+    ("ko_*(BGamma)", lambda G, m: connective_ko(G, m, "bgamma"), "ko", True),
+    ("ko_*(quotient)", lambda G, m: connective_ko(G, m, "quotient"), "ko", True),
+)
+
+
 def build_report(G: GammaDescriptor, window: tuple[int, int] | None = None,
                  cross_check: bool | None = None) -> TheoremReport:
     """Evaluate every theorem family over its degree window.
@@ -585,47 +574,23 @@ def build_report(G: GammaDescriptor, window: tuple[int, int] | None = None,
     if window is not None and window[0] > window[1]:
         raise ValueError(f"empty degree window {window}")
     h_window = window or (0, G.n)
-    k_window = window or (0, 1)
-    ko_window = window or (0, 7)
-
-    def degrees(w, bounded_below=True):
-        lo = max(w[0], 0) if bounded_below else w[0]
-        return range(lo, w[1] + 1)
-
+    # window kind -> (degree window, whether degrees start at 0)
+    windows = {"H": (h_window, True), "K": (window or (0, 1), False),
+               "KO": (window or (0, 7), False), "ko": (window or (0, 7), True)}
     groups: dict[str, dict[int, GroupExpression]] = {}
-    groups["H^*(BGamma)"] = {m: cohomology_bgamma(G, m) for m in degrees(h_window)}
-    groups["H_*(BGamma)"] = {m: homology_bgamma(G, m) for m in degrees(h_window)}
-    groups["H^*(quotient)"] = {m: cohomology_quotient(G, m) for m in degrees(h_window)}
-    groups["H_*(quotient)"] = {m: homology_quotient(G, m) for m in degrees(h_window)}
-    periodic = dict(bounded_below=False)
-    groups["K^*(BGamma)"] = {m: k_theory_bgamma(G, m, "cohomology") for m in degrees(k_window, **periodic)}
-    groups["K_*(BGamma)"] = {m: k_theory_bgamma(G, m, "homology") for m in degrees(k_window, **periodic)}
-    groups["K^*(quotient)"] = {m: k_theory_quotient(G, m, "cohomology") for m in degrees(k_window, **periodic)}
-    groups["K_*(quotient)"] = {m: k_theory_quotient(G, m, "homology") for m in degrees(k_window, **periodic)}
+    for name, evaluate, kind, odd_only in REPORT_FAMILIES:
+        if odd_only and G.p == 2:
+            continue
+        (lo, hi), from_zero = windows[kind]
+        groups[name] = {m: expr_evaluate(evaluate(G, m))
+                        for m in range(max(lo, 0) if from_zero else lo, hi + 1)}
     warnings: list[str] = []
-    if G.p != 2:
-        groups["KO^*(BGamma)"] = {m: ko_theory(G, m, "bgamma", "cohomology") for m in degrees(ko_window, **periodic)}
-        groups["KO_*(BGamma)"] = {m: ko_theory(G, m, "bgamma", "homology") for m in degrees(ko_window, **periodic)}
-        groups["KO^*(quotient)"] = {m: ko_theory(G, m, "quotient", "cohomology") for m in degrees(ko_window, **periodic)}
-        groups["KO_*(quotient)"] = {m: ko_theory(G, m, "quotient", "homology") for m in degrees(ko_window, **periodic)}
-    else:
+    if G.p == 2:
         warnings.append("KO/ko sections omitted: p odd required")
-    groups["K_*(Cstar)"] = {m: cstar_k_theory(G, m, "complex") for m in degrees(k_window, **periodic)}
-    if G.p != 2:
-        groups["KO_*(CstarR)"] = {m: cstar_k_theory(G, m, "real") for m in degrees(ko_window, **periodic)}
-    groups["K^*(equivariant)"] = {m: equivariant_k(G, m) for m in degrees(k_window, **periodic)}
-    if G.p != 2:
-        groups["KO^*(equivariant)"] = {m: equivariant_ko(G, m) for m in degrees(ko_window, **periodic)}
-        groups["ko_*(BGamma)"] = {m: connective_ko(G, m, "bgamma")
-                                  for m in degrees(ko_window)}
-        groups["ko_*(quotient)"] = {m: connective_ko(G, m, "quotient")
-                                    for m in degrees(ko_window)}
     if cross_check is None:
         cross_check = not G.canonical
     if cross_check:
         warnings.extend(_cross_check_cohomology(G, h_window))
-    groups = {name: {m: expr_evaluate(e) for m, e in degs.items()}
-              for name, degs in groups.items()}
     return TheoremReport(G, scalars, groups, warnings)
 
 

@@ -1,7 +1,9 @@
 """Exact integer matrix algebra.
 
-Hermite and Smith normal forms, saturated kernel lattices, integer linear
-solving and cokernel structure, all over arbitrary-precision integers.
+One elimination routine, `_row_reduce`, gives ranks, saturated kernel
+lattices, column lattices, the diagonalization behind cokernel structure
+and invariant factors, and the Smith normal form with its transforms.
+`determinant` (Bareiss elimination) stays apart as an independent check.
 Matrices are numpy arrays of dtype=object holding Python ints, so nothing
 ever overflows and no floating point is involved.
 """
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .abelian import FGAbelianGroup, factorint
+from .abelian import FGAbelianGroup
 
 
 def _as_int(x) -> int:
@@ -60,25 +62,17 @@ def eye(n: int) -> np.ndarray:
     return out
 
 
-def intvec(entries) -> np.ndarray:
-    out = np.empty(len(entries), dtype=object)
-    for i, x in enumerate(entries):
-        out[i] = int(x)
-    return out
-
-
 def _swap_rows(W: np.ndarray, i: int, j: int) -> None:
     if i != j:
         W[[i, j]] = W[[j, i]]
 
 
-def _row_reduce(W: np.ndarray, ncols: int, hermite: bool) -> list[tuple[int, int]]:
+def _row_reduce(W: np.ndarray, ncols: int) -> list[tuple[int, int]]:
     """In-place integer row echelon reduction of W, pivoting on W[:, :ncols].
 
     Columns beyond ncols (an augmented block) undergo the same row
-    operations.  Pivots are made positive; with hermite=True the entries
-    above each pivot are reduced into [0, pivot).  Returns the pivot
-    positions (row, col).
+    operations.  Pivots are made positive.  Returns the pivot positions
+    (row, col).
     """
     m = W.shape[0]
     pivots: list[tuple[int, int]] = []
@@ -114,30 +108,22 @@ def _row_reduce(W: np.ndarray, ncols: int, hermite: bool) -> list[tuple[int, int
             if not np.any(W[r + 1:, c] != 0):
                 break
         if W[r, c] != 0:
-            if hermite and r > 0:
-                piv = W[r, c]
-                q = W[:r, c] // piv
-                upd = np.nonzero(q != 0)[0]
-                if len(upd):
-                    W[upd] -= q[upd, None] * W[r][None, :]
             pivots.append((r, c))
             r += 1
     return pivots
 
 
-def hermite_normal_form(M) -> tuple[np.ndarray, np.ndarray]:
-    """Row Hermite normal form: returns (H, U) with H = U @ M, U unimodular."""
-    M = intmat(M)
-    m, n = M.shape
-    W = np.concatenate([M, eye(m)], axis=1) if m else zeros(0, n)
-    _row_reduce(W, n, hermite=True)
-    return W[:, :n].copy(), W[:, n:].copy()
+def _echelon(A: np.ndarray, T: np.ndarray):
+    """Row-reduce [A | T], pivoting on A; returns (A', T', rank)."""
+    W = np.concatenate([A, T], axis=1)
+    rank = len(_row_reduce(W, A.shape[1]))
+    return W[:, :A.shape[1]], W[:, A.shape[1]:], rank
 
 
 def rational_rank(M) -> int:
     """Rank of M over the rationals, computed exactly."""
     M = intmat(M).copy()
-    return len(_row_reduce(M, M.shape[1], hermite=False))
+    return len(_row_reduce(M, M.shape[1]))
 
 
 def kernel_basis(M) -> np.ndarray:
@@ -149,11 +135,8 @@ def kernel_basis(M) -> np.ndarray:
     Z^cols modulo the kernel is torsion-free.
     """
     M = intmat(M)
-    m, n = M.shape
-    W = np.concatenate([M.T.copy(), eye(n)], axis=1)
-    pivots = _row_reduce(W, m, hermite=False)
-    rank = len(pivots)
-    return W[rank:, m:].T.copy()
+    _, T, rank = _echelon(M.T, eye(M.shape[1]))
+    return T[rank:].T.copy()
 
 
 def column_lattice_basis(M) -> np.ndarray:
@@ -163,173 +146,66 @@ def column_lattice_basis(M) -> np.ndarray:
     nonzero rows of its echelon form give an exact generating set.
     """
     W = intmat(M).T.copy()
-    pivots = _row_reduce(W, W.shape[1], hermite=False)
+    pivots = _row_reduce(W, W.shape[1])
     return W[:len(pivots)].T.copy()
 
 
-def _chain_from_diagonal(diag: list[int]) -> list[int]:
-    """Turn nonzero diagonal entries into an ascending divisibility chain."""
-    powers: dict[int, list[int]] = {}
-    for d in diag:
-        d = abs(d)
-        if d == 1:
-            continue
-        for p, e in factorint(d).items():
-            powers.setdefault(p, []).append(e)
-    depth = max((len(v) for v in powers.values()), default=0)
-    chain = []
-    for i in range(depth):
-        f = 1
-        for p, exps in powers.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if i < len(exps_sorted):
-                f *= p ** exps_sorted[i]
-        chain.append(f)
-    chain.reverse()
-    return chain
+def _diagonalize(D: np.ndarray, U: np.ndarray, Vt: np.ndarray) -> int:
+    """Make D diagonal in place; U and Vt pick up the row and column moves.
 
-
-def _diagonalize(M: np.ndarray) -> list[int]:
-    """Nonzero diagonal entries of some diagonalization of M.
-
-    Alternates row and column echelon passes; this converges to a diagonal
-    matrix equivalent to M but the entries need not form a chain yet.
+    Alternates row passes on [D | U] and column passes on [D^T | Vt] (pass
+    zero-width U and Vt when no transform is wanted), so U @ M @ Vt.T = D
+    holds throughout when U and Vt start as identities.  Returns the rank r:
+    the nonzero entries end at D[i, i] for i < r, positive but not yet a
+    divisibility chain.  A pass leaves every row (column) past the rank
+    zero and no later move touches it, so later passes reduce only the
+    leading block; after a row pass the first r columns of D^T are
+    independent, so the column pass puts its pivots on the diagonal.
     """
-    A = M.copy()
-    for _ in range(100):
-        pivots = _row_reduce(A, A.shape[1], hermite=False)
-        rank = len(pivots)
-        A = A[:rank]
-        # diagonal iff every pivot row has a single nonzero entry
-        if all(np.count_nonzero(A[i] != 0) <= 1 for i in range(rank)):
-            return [A[i, c] for i, c in pivots]
-        A = A.T.copy()
-    raise RuntimeError("diagonalization did not converge")
+    rows, cols = D.shape   # D is zero outside D[:rows, :cols]
+    while True:
+        D[:rows, :cols], U[:rows], rank = _echelon(D[:rows, :cols], U[:rows])
+        rows = rank
+        Dt, Vt[:cols], rank = _echelon(D[:rows, :cols].T, Vt[:cols])
+        D[:rows, :cols] = Dt.T
+        cols = rank
+        if np.count_nonzero(D[:rows, :cols] != 0) == rank:
+            return rank
 
 
 def cokernel_structure(M) -> FGAbelianGroup:
     """Structure of Z^rows / column-span(M) as a finitely generated group."""
-    M = intmat(M)
-    diag = _diagonalize(M)
-    free = M.shape[0] - len(diag)
-    return FGAbelianGroup(free, _chain_from_diagonal(diag))
+    D = intmat(M).copy()
+    m, n = D.shape
+    rank = _diagonalize(D, zeros(m, 0), zeros(n, 0))
+    return FGAbelianGroup(m - rank,
+                          [D[i, i] for i in range(rank) if D[i, i] != 1])
 
 
 def invariant_factors(M) -> list[int]:
     """Invariant factors of M (SNF diagonal with unit entries dropped)."""
-    return _chain_from_diagonal(_diagonalize(intmat(M)))
+    return list(cokernel_structure(M).torsion)
 
 
 def smith_normal_form(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Smith normal form: (D, U, V) with D = U @ M @ V.
 
     U and V are unimodular; D is diagonal with d_1 | d_2 | ... positive,
-    followed by zeros.
+    followed by zeros.  Where d_i does not divide d_(i+1), row i + 1 is
+    added to row i and D is diagonalized again; that replaces d_i by a
+    proper divisor and leaves d_1 ... d_(i-1) alone, so the repairs end.
     """
-    M = intmat(M)
-    m, n = M.shape
-    D = M.copy()
-    U = eye(m)
-    V = eye(n)
-    t = 0
-    while t < min(m, n):
-        sub = D[t:, t:]
-        nz = np.nonzero(sub != 0)
-        if len(nz[0]) == 0:
-            break
-        # smallest-magnitude pivot keeps coefficient growth tame
-        k = min(range(len(nz[0])), key=lambda i: abs(sub[nz[0][i], nz[1][i]]))
-        pi, pj = t + nz[0][k], t + nz[1][k]
-        _swap_rows(D, t, pi)
-        _swap_rows(U, t, pi)
-        if pj != t:
-            D[:, [t, pj]] = D[:, [pj, t]]
-            V[:, [t, pj]] = V[:, [pj, t]]
-        while True:
-            if D[t, t] < 0:
-                D[t] = -D[t]
-                U[t] = -U[t]
-            piv = D[t, t]
-            col = D[:, t].copy()
-            col[t] = 0
-            if np.any(col != 0):
-                q = D[:, t] // piv
-                q[t] = 0
-                upd = np.nonzero(q != 0)[0]
-                if len(upd):
-                    D[upd] -= q[upd, None] * D[t][None, :]
-                    U[upd] -= q[upd, None] * U[t][None, :]
-                if np.any(np.concatenate([D[:t, t], D[t + 1:, t]]) != 0):
-                    # a remainder became the new smallest entry
-                    colv = D[:, t]
-                    nz2 = [i for i in range(m) if i != t and colv[i] != 0]
-                    best = min(nz2, key=lambda i: abs(colv[i]))
-                    _swap_rows(D, t, best)
-                    _swap_rows(U, t, best)
-                    continue
-            row = D[t, :].copy()
-            row[t] = 0
-            if np.any(row != 0):
-                piv = D[t, t]
-                q = D[t, :] // piv
-                q[t] = 0
-                upd = np.nonzero(q != 0)[0]
-                if len(upd):
-                    D[:, upd] -= D[:, t][:, None] * q[None, upd]
-                    V[:, upd] -= V[:, t][:, None] * q[None, upd]
-                if np.any(np.concatenate([D[t, :t], D[t, t + 1:]]) != 0):
-                    rowv = D[t, :]
-                    nz2 = [j for j in range(n) if j != t and rowv[j] != 0]
-                    best = min(nz2, key=lambda j: abs(rowv[j]))
-                    D[:, [t, best]] = D[:, [best, t]]
-                    V[:, [t, best]] = V[:, [best, t]]
-                    continue
-                continue
-            break
-        # enforce pivot | remaining submatrix for the divisibility chain
-        piv = D[t, t]
-        if piv != 1 and t + 1 < min(m, n):
-            rem = D[t + 1:, t + 1:]
-            bad = np.nonzero(_mod_abs(rem, piv))
-            if len(bad[0]):
-                i = t + 1 + bad[0][0]
-                D[t] += D[i]
-                U[t] += U[i]
-                continue_outer = True
-            else:
-                continue_outer = False
-        else:
-            continue_outer = False
-        if not continue_outer:
-            t += 1
-    return D, U, V
-
-
-def _mod_abs(A: np.ndarray, piv) -> np.ndarray:
-    if A.size == 0:
-        return np.zeros(A.shape, dtype=bool)
-    return (A % piv) != 0
-
-
-def solve_integer(A, b):
-    """An integer solution x of A x = b, or None when none exists."""
-    A = intmat(A)
-    b = intvec(b)
-    D, U, V = smith_normal_form(A)
-    m, n = A.shape
-    c = U @ b if m else intvec([])
-    y = zeros(n, 1)[:, 0]
-    r = min(m, n)
-    for i in range(m):
-        d = D[i, i] if i < r else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return V @ y
+    D = intmat(M).copy()
+    m, n = D.shape
+    U, Vt = eye(m), eye(n)
+    while True:
+        rank = _diagonalize(D, U, Vt)
+        bad = [i for i in range(rank - 1) if D[i + 1, i + 1] % D[i, i]]
+        if not bad:
+            return D, U, Vt.T
+        i = bad[0]
+        D[i] += D[i + 1]
+        U[i] += U[i + 1]
 
 
 def determinant(M) -> int:
@@ -370,11 +246,11 @@ class SaturatedBasisSolver:
     def __init__(self, basis: np.ndarray):
         B = intmat(basis)
         self.n, self.s = B.shape
-        W = np.concatenate([B.T.copy(), eye(self.s)], axis=1)
-        pivots = _row_reduce(W, self.n, hermite=False)
+        W = B.T.copy()
+        pivots = _row_reduce(W, self.n)
         if len(pivots) != self.s:
             raise ValueError("basis columns are not independent")
-        self.echelon = W[:, :self.n].T.copy()   # n x s, column echelon
+        self.echelon = W.T.copy()   # n x s, column echelon
         self.pivot_rows = [c for _, c in pivots]
 
     def coefficient_matrix(self, gens: np.ndarray) -> np.ndarray:

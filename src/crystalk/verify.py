@@ -10,7 +10,6 @@ reproducer.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +43,18 @@ def _cell(name: str, fn, reproducer: str) -> CheckResult:
         raise HardError(f"{type(exc).__name__}: {exc}", reproducer) from exc
 
 
-def _random_unimodular(rng: random.Random, n: int, steps: int = 8) -> np.ndarray:
-    g = la.eye(n)
+def _random_unimodular(rng: random.Random, n: int,
+                       steps: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """A random unimodular g and its inverse, from elementary row moves."""
+    g, g_inv = la.eye(n), la.eye(n)
     for _ in range(steps):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
         c = rng.choice([-2, -1, 1, 2])
-        g[i] = g[i] + c * g[j]
-    return g
+        g[i] = g[i] + c * g[j]                      # g <- E g
+        g_inv[:, j] = g_inv[:, j] - c * g_inv[:, i]  # g_inv <- g_inv E^-1
+    return g, g_inv
 
 
 def _random_int_matrix(rng: random.Random, m: int, n: int, lo=-5, hi=5) -> np.ndarray:
@@ -96,14 +98,16 @@ def random_order_p_module(rng: random.Random, p: int,
         if rng.random() < 0.4:
             break
     mod = zpmod.direct_sum_modules(blocks)
-    return zpmod.conjugate(mod, _random_unimodular(rng, mod.rank))
+    return zpmod.conjugate(mod, *_random_unimodular(rng, mod.rank))
 
 
 # --------------------------------------------------------------------------
 # individual check suites
 
 
-def checks_exact_linalg(p: int, k: int, seed: int):
+def checks_exact_linalg(G: crystal.GammaDescriptor, seed: int):
+    p, k = G.p, G.k
+
     def snf_properties():
         rng = random.Random(f"{seed}:snf:{p}:{k}")
         for trial in range(6):
@@ -127,8 +131,8 @@ def checks_exact_linalg(p: int, k: int, seed: int):
             n = rng.randint(1, 4)
             M = _random_int_matrix(rng, m, n)
             base = la.cokernel_structure(M)
-            gl = _random_unimodular(rng, m)
-            gr = _random_unimodular(rng, n)
+            gl, _ = _random_unimodular(rng, m)
+            gr, _ = _random_unimodular(rng, n)
             assert la.cokernel_structure(gl @ M @ gr) == base, \
                 f"cokernel not invariant under unimodular change: {M.tolist()}"
     yield "exact-linalg: cokernel unimodular invariance (random)", coker_invariance, "p=%d k=%d" % (p, k)
@@ -145,8 +149,8 @@ def checks_exact_linalg(p: int, k: int, seed: int):
     yield "exact-linalg: kernel saturation (random)", kernel_purity, "p=%d k=%d" % (p, k)
 
 
-def checks_repring(p: int, k: int, seed: int):
-    n = k * (p - 1)
+def checks_repring(G: crystal.GammaDescriptor, seed: int):
+    p, k, n = G.p, G.k, G.n
 
     def sum_identities():
         repring.r_sum_identities(p, k)  # self-asserting
@@ -195,9 +199,8 @@ def checks_repring(p: int, k: int, seed: int):
         yield "repring: k=1 closed form for r_m", k1_closed_form, f"p={p} k={k}"
 
 
-def checks_r_oracle(p: int, k: int, seed: int):
-    G = crystal.canonical_gamma(p, k)
-    n = G.n
+def checks_r_oracle(G: crystal.GammaDescriptor, seed: int):
+    p, k, n = G.p, G.k, G.n
 
     def make(m):
         def check():
@@ -213,8 +216,8 @@ def checks_r_oracle(p: int, k: int, seed: int):
                f"p={p} k={k} m={m}")
 
 
-def checks_structure(p: int, k: int, seed: int):
-    G = crystal.canonical_gamma(p, k)
+def checks_structure(G: crystal.GammaDescriptor, seed: int):
+    p, k = G.p, G.k
 
     def structure():
         data = crystal.finite_subgroup_data(G)
@@ -228,18 +231,17 @@ def checks_structure(p: int, k: int, seed: int):
 
     def conjugated():
         rng = random.Random(f"{seed}:conjugate:{p}:{k}")
-        g = _random_unimodular(rng, G.n)
-        conj = zpmod.conjugate(G.module(), g)
+        conj = zpmod.conjugate(G.module(), *_random_unimodular(rng, G.n))
         H = crystal.validate_gamma(p, conj.action)
-        assert not H.canonical or np.array_equal(conj.action, G.rho)
+        if G.canonical:
+            assert not H.canonical or np.array_equal(conj.action, G.rho)
         data = crystal.finite_subgroup_data(H)
         assert data.cokernel == FGAbelianGroup.elementary(p, k)
     yield "structure: invariance under base change", conjugated, f"p={p} k={k}"
 
 
-def checks_tate(p: int, k: int, seed: int):
-    G = crystal.canonical_gamma(p, k)
-    n = G.n
+def checks_tate(G: crystal.GammaDescriptor, seed: int):
+    p, k, n = G.p, G.k, G.n
 
     def make_checkerboard(j):
         def check():
@@ -297,9 +299,8 @@ def checks_tate(p: int, k: int, seed: int):
     yield "tate: duality against the transposed module (random)", duality, f"p={p} k={k}"
 
 
-def checks_crystal(p: int, k: int, seed: int):
-    G = crystal.canonical_gamma(p, k)
-    n = G.n
+def checks_crystal(G: crystal.GammaDescriptor, seed: int):
+    p, k, n = G.p, G.k, G.n
 
     def triangle():
         dv, do = crystal.d_even(G), crystal.d_odd(G)
@@ -349,9 +350,8 @@ def checks_crystal(p: int, k: int, seed: int):
     yield "crystal: unknown-torsion degeneration", t1_degeneration, f"p={p} k={k}"
 
 
-def checks_brute_force(p: int, k: int, seed: int):
-    G = crystal.canonical_gamma(p, k)
-    n = G.n
+def checks_brute_force(G: crystal.GammaDescriptor, seed: int):
+    p, k, n = G.p, G.k, G.n
 
     def make(m):
         def check():
@@ -364,22 +364,29 @@ def checks_brute_force(p: int, k: int, seed: int):
                f"p={p} k={k} m={m}")
 
 
-def all_checks(p: int, k: int, seed: int = 20240801):
-    # every randomized cell derives its own generator, so results do not
-    # depend on execution order or threading
+def all_checks(p: int, k: int, seed: int = 20240801,
+               gamma: crystal.GammaDescriptor | None = None):
+    """The (name, check, reproducer) cells of the grid, without running any.
+
+    The cells that take an action run on `gamma`, a validated descriptor
+    for (p, k), or on the canonical action when it is None.  Every suite
+    shares that one descriptor, so each exterior power is built once.
+    Every randomized cell derives its own generator, so results do not
+    depend on execution order.
+    """
+    if gamma is None:
+        gamma = crystal.canonical_gamma(p, k)
+    elif (gamma.p, gamma.k) != (p, k):
+        raise ValueError(f"descriptor has (p, k) = ({gamma.p}, {gamma.k}), "
+                         f"not ({p}, {k})")
     for gen in (checks_exact_linalg, checks_repring, checks_r_oracle,
                 checks_structure, checks_tate, checks_crystal,
                 checks_brute_force):
-        yield from gen(p, k, seed)
+        yield from gen(gamma, seed)
 
 
-def run_all(p: int, k: int, parallel: bool = False,
-            seed: int = 20240801) -> list[CheckResult]:
+def run_all(p: int, k: int, seed: int = 20240801,
+            gamma: crystal.GammaDescriptor | None = None) -> list[CheckResult]:
     """Run the whole grid for one (p, k); raises HardError on internal bugs."""
-    cells = list(all_checks(p, k, seed))
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            futures = [pool.submit(_cell, name, fn, repro)
-                       for name, fn, repro in cells]
-            return [f.result() for f in futures]
-    return [_cell(name, fn, repro) for name, fn, repro in cells]
+    return [_cell(name, fn, repro)
+            for name, fn, repro in all_checks(p, k, seed, gamma)]

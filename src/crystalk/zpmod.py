@@ -11,6 +11,8 @@ Derived modules remember how to produce the action of every group element
 directly (block sums, Kronecker products, compound matrices of the parent
 powers), which keeps norm matrices cheap for large exterior powers; the
 result agrees entry-for-entry with repeated multiplication of the action.
+Powers are never stored; a module memoizes only its derived results (norm,
+invariants, fixed rank, coinvariants, Tate groups).
 """
 
 from __future__ import annotations
@@ -36,7 +38,17 @@ def max_exterior_dim() -> int:
     return int(os.environ.get("CRYSTALK_MAX_EXT_DIM", DEFAULT_MAX_EXTERIOR_DIM))
 
 
-class ZpModule:
+class Memoized:
+    """Derived results computed once per object, kept in its `_cache` dict."""
+
+    def _memo(self, key, compute):
+        cache = self._cache
+        if key not in cache:
+            cache[key] = compute()
+        return cache[key]
+
+
+class ZpModule(Memoized):
     """Z^rank with an order-p integer action of the generator."""
 
     def __init__(self, p: int, action, power_fn=None, check: bool = True):
@@ -59,29 +71,16 @@ class ZpModule:
             raise ValueError("action does not have order dividing p")
 
     def power(self, j: int) -> np.ndarray:
-        """Action matrix of the j-th power of the generator."""
+        """Action matrix of the j-th power of the generator (not stored)."""
         j %= self.p
-        cached = self._cache.get(("pow", j))
-        if cached is not None:
-            return cached
-        if j == 0:
-            out = la.eye(self.rank)
-        elif self._power_fn is not None:
-            out = self._power_fn(j)
-        else:
-            out = self.power(j - 1) @ self.action
-        self._cache[("pow", j)] = out
-        return out
+        if self._power_fn is not None:
+            return self._power_fn(j)
+        return np.linalg.matrix_power(self.action, j)
 
     def norm_matrix(self) -> np.ndarray:
         """Matrix of the norm element, the sum of all generator powers."""
-        cached = self._cache.get("norm")
-        if cached is None:
-            cached = la.zeros(self.rank, self.rank)
-            for j in range(self.p):
-                cached = cached + self.power(j)
-            self._cache["norm"] = cached
-        return cached
+        return self._memo("norm", lambda: sum(
+            map(self.power, range(1, self.p)), la.eye(self.rank)))
 
     def __repr__(self) -> str:
         return f"ZpModule(p={self.p}, rank={self.rank})"
@@ -150,13 +149,14 @@ def dual(m: ZpModule) -> ZpModule:
                     power_fn=lambda j: m.power(j).T.copy(), check=False)
 
 
-def conjugate(m: ZpModule, g, g_inv=None) -> ZpModule:
-    """Base change g: the same module written in another lattice basis."""
-    g = la.intmat(g)
-    if g_inv is None:
-        g_inv = _unimodular_inverse(g)
-    else:
-        g_inv = la.intmat(g_inv)
+def conjugate(m: ZpModule, g, g_inv) -> ZpModule:
+    """Base change g: the same module written in another lattice basis.
+
+    g_inv must be the inverse of g; anything else is refused.
+    """
+    g, g_inv = la.intmat(g), la.intmat(g_inv)
+    if g.shape != g_inv.shape or np.any(g @ g_inv != la.eye(g.shape[0])):
+        raise ValueError("g_inv is not the inverse of g")
     def power(j):
         return g @ m.power(j) @ g_inv
     return ZpModule(m.p, g @ m.action @ g_inv, power_fn=power, check=False)
@@ -237,14 +237,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unimodular_inverse(g: np.ndarray) -> np.ndarray:
-    n = g.shape[0]
-    H, U = la.hermite_normal_form(g)
-    if np.any(H != la.eye(n)):
-        raise ValueError("matrix is not unimodular")
-    return U
-
-
 # --------------------------------------------------------------------------
 # homological functors
 
@@ -288,9 +280,10 @@ def _component_blocks(m: ZpModule):
 
 def invariants(m: ZpModule) -> tuple[int, np.ndarray]:
     """The fixed sublattice: its rank and a basis of the pure lattice."""
-    cached = m._cache.get("invariants")
-    if cached is not None:
-        return cached
+    return m._memo("invariants", lambda: _invariants(m))
+
+
+def _invariants(m: ZpModule) -> tuple[int, np.ndarray]:
     cols: list[tuple[list[int], np.ndarray]] = []
     total = 0
     for idx, A, _N in _component_blocks(m):
@@ -304,31 +297,21 @@ def invariants(m: ZpModule) -> tuple[int, np.ndarray]:
             for local, row in enumerate(idx):
                 basis[row, at] = K[local, c]
             at += 1
-    out = (total, basis)
-    m._cache["invariants"] = out
-    return out
+    return total, basis
 
 
 def fixed_rank(m: ZpModule) -> int:
     """Rank of the fixed sublattice, computed without a basis."""
-    cached = m._cache.get("fixed_rank")
-    if cached is None:
-        cached = 0
-        for idx, A, _N in _component_blocks(m):
-            cached += len(idx) - la.rational_rank(A - la.eye(len(idx)))
-        m._cache["fixed_rank"] = cached
-    return cached
+    return m._memo("fixed_rank", lambda: sum(
+        len(idx) - la.rational_rank(A - la.eye(len(idx)))
+        for idx, A, _N in _component_blocks(m)))
 
 
 def coinvariants(m: ZpModule) -> FGAbelianGroup:
     """Largest quotient with trivial action: cokernel of (action - id)."""
-    cached = m._cache.get("coinvariants")
-    if cached is None:
-        parts = [la.cokernel_structure(A - la.eye(len(idx)))
-                 for idx, A, _N in _component_blocks(m)]
-        cached = direct_sum_all(parts)
-        m._cache["coinvariants"] = cached
-    return cached
+    return m._memo("coinvariants", lambda: direct_sum_all(
+        [la.cokernel_structure(A - la.eye(len(idx)))
+         for idx, A, _N in _component_blocks(m)]))
 
 
 def _tate_block(A: np.ndarray, N: np.ndarray, parity: int) -> FGAbelianGroup:
@@ -358,28 +341,6 @@ def tate(m: ZpModule, i: int) -> FGAbelianGroup:
     reading off the cokernel of the coefficient matrix.
     """
     parity = i % 2
-    cached = m._cache.get(("tate", parity))
-    if cached is None:
-        parts = [_tate_block(A, N, parity)
-                 for _idx, A, N in _component_blocks(m)]
-        cached = direct_sum_all(parts)
-        m._cache[("tate", parity)] = cached
-    return cached
+    return m._memo(("tate", parity), lambda: direct_sum_all(
+        [_tate_block(A, N, parity) for _idx, A, N in _component_blocks(m)]))
 
-
-def group_cohomology(m: ZpModule, i: int) -> FGAbelianGroup:
-    """Cohomology of Z/p with coefficients in m, from the periodic resolution."""
-    if i < 0:
-        raise ValueError("negative cohomological degree")
-    if i == 0:
-        return FGAbelianGroup.free(fixed_rank(m))
-    return tate(m, i)
-
-
-def group_homology(m: ZpModule, i: int) -> FGAbelianGroup:
-    """Homology of Z/p with coefficients in m."""
-    if i < 0:
-        raise ValueError("negative homological degree")
-    if i == 0:
-        return coinvariants(m)
-    return tate(m, i + 1)

@@ -158,11 +158,23 @@ def test_verify_passes(capsys):
     assert "0 failed" in out
 
 
-def test_verify_parallel_same_output(capsys):
-    _, serial, _ = run(capsys, "verify", "--p", "3", "--k", "1")
-    _, parallel, _ = run(capsys, "verify", "--p", "3", "--k", "1",
-                         "--parallel")
-    assert serial == parallel
+def test_verify_matrix_runs_on_the_supplied_action(tmp_path, capsys,
+                                                   monkeypatch):
+    from crystalk import crystal
+
+    # a (3,1) conjugate g rho g^-1 with g = [[1, 2], [0, 1]]
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"p": 3, "matrix": [[2, -7], [1, -3]]}))
+
+    def refuse(p, k):
+        raise AssertionError("verify --matrix built the canonical action")
+    monkeypatch.setattr(crystal, "canonical_gamma", refuse)
+    code, out, err = run(capsys, "verify", "--matrix", str(path),
+                         "--format", "json")
+    assert code == 0, err
+    data = json.loads(out)
+    assert (data["p"], data["k"], data["failed"]) == (3, 1, 0)
+    assert data["passed"] == len(data["checks"]) > 0
 
 
 def test_verify_json(capsys):
@@ -177,7 +189,7 @@ def test_verify_json(capsys):
 def test_verify_internal_error_exit4(capsys, monkeypatch):
     from crystalk import verify as verify_mod
 
-    def boom(p, k, parallel=False, seed=0):
+    def boom(p, k, seed=0, gamma=None):
         raise verify_mod.HardError("division broke", "p=3 k=1 m=2 i=1")
     monkeypatch.setattr(verify_mod, "run_all", boom)
     code, out, err = run(capsys, "verify", "--p", "3", "--k", "1")

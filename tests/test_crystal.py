@@ -16,8 +16,7 @@ from crystalk.crystal import (BadRankError, NotFreeError, NotPrimeError,
                               euler_characteristic_quotient,
                               finite_subgroup_data, homology_bgamma,
                               homology_quotient, k_theory_bgamma,
-                              k_theory_quotient, ko_theory,
-                              restriction_map_data, validate_gamma)
+                              k_theory_quotient, ko_theory, validate_gamma)
 
 G31 = canonical_gamma(3, 1)
 G32 = canonical_gamma(3, 2)
@@ -119,6 +118,8 @@ def test_cohomology_low_degrees():
 
 def test_cohomology_p3_k1_degree2():
     assert cohomology_bgamma(G31, 2) == fg_expression(1, 3, 2)
+    # s_m = the p-rank of the torsion restricted away in degree m
+    assert (G31.s(0), G31.s(2), G31.s(3)) == (0, 2, 3)
 
 
 def test_homology_p3_k1_degree3():
@@ -135,15 +136,6 @@ def test_quotient_homology_top():
     # orientable quotient in even rank: top homology has no torsion term
     assert homology_quotient(G31, 2) == GroupExpression.free(1)
     assert homology_quotient(G31, 0) == GroupExpression.free(1)
-
-
-def test_restriction_map_data():
-    assert restriction_map_data(G31, 3).kernel.is_zero()
-    got = restriction_map_data(G31, 2)
-    assert got.kernel == fg_expression(0, 3, 2)
-    assert got.image_torsion == fg_expression(0, 3, 3)
-    assert restriction_map_data(G31, 0).kernel.is_zero()
-    assert restriction_map_data(G31, 0).image_torsion.is_zero()
 
 
 # -- complex K-theory --------------------------------------------------------
