@@ -118,8 +118,6 @@ def test_cohomology_low_degrees():
 
 def test_cohomology_p3_k1_degree2():
     assert cohomology_bgamma(G31, 2) == fg_expression(1, 3, 2)
-    # s_m = the p-rank of the torsion restricted away in degree m
-    assert (G31.s(0), G31.s(2), G31.s(3)) == (0, 2, 3)
 
 
 def test_homology_p3_k1_degree3():
@@ -136,6 +134,14 @@ def test_quotient_homology_top():
     # orientable quotient in even rank: top homology has no torsion term
     assert homology_quotient(G31, 2) == GroupExpression.free(1)
     assert homology_quotient(G31, 0) == GroupExpression.free(1)
+
+
+def test_restriction_map_data():
+    # restriction to the lattice in even degree m: kernel (Z/p)^{s_m},
+    # image on the finite subgroups (Z/p)^{s_{m+1}} (none for m = 0)
+    assert fg_expression(0, 3, G31.s(2)) == fg_expression(0, 3, 2)
+    assert fg_expression(0, 3, G31.s(3)) == fg_expression(0, 3, 3)
+    assert fg_expression(0, 3, G31.s(0)).is_zero()
 
 
 # -- complex K-theory --------------------------------------------------------
