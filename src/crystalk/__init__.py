@@ -25,7 +25,6 @@ from .crystal import (GammaDescriptor, GammaError, NotPrimeError,
                       brute_force_cohomology_bgamma, TheoremReport)
 from .repring import RepClass, lambda_class, lambda_class_total, r_m, a_j, s_m
 from .zpmod import (ZpModule, make_trivial, make_regular, make_cyclotomic,
-                    exterior_power, tensor, dual, tate, invariants,
-                    coinvariants)
+                    exterior_power, tensor, dual, tate, coinvariants)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -95,9 +95,6 @@ class FGAbelianGroup:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
     def order(self) -> int | None:
         """Group order, or None when infinite."""
         if self.free_rank:
@@ -109,9 +106,6 @@ class FGAbelianGroup:
 
     def torsion_subgroup(self) -> "FGAbelianGroup":
         return FGAbelianGroup(0, self.torsion)
-
-    def free_part(self) -> "FGAbelianGroup":
-        return FGAbelianGroup(self.free_rank, ())
 
     def primary_decomposition(self) -> dict[int, tuple[int, ...]]:
         """{prime: ascending exponent tuple}; for display purposes."""
@@ -264,10 +258,6 @@ class GroupExpression:
     @property
     def free_rank(self) -> int:
         return sum(s.rank for s in self.summands if isinstance(s, FreeZ))
-
-    def padic_rank(self, p: int) -> int:
-        return sum(s.rank for s in self.summands
-                   if isinstance(s, PAdic) and s.p == p)
 
     def pruefer_rank(self, p: int) -> int:
         return sum(s.rank for s in self.summands

@@ -16,20 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import crystal, exact_linalg as la, repring, verify, zpmod
 from .crystal import GammaDescriptor, GammaError
-
-
-@dataclass
-class CliConfig:
-    command: str
-    p: int | None = None
-    k: int | None = None
-    matrix_file: str | None = None
-    degree_window: tuple[int, int] | None = None
-    format: str = "text"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,41 +46,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        command=args.command,
-        p=args.p,
-        k=args.k,
-        matrix_file=args.matrix_file,
-        degree_window=tuple(args.degree_window) if getattr(
-            args, "degree_window", None) else None,
-        format=args.format,
-    )
-
-
-def _load_descriptor(cfg: CliConfig) -> GammaDescriptor:
-    if (cfg.k is None) == (cfg.matrix_file is None):
+def _load_descriptor(args: argparse.Namespace) -> GammaDescriptor:
+    if (args.k is None) == (args.matrix_file is None):
         raise GammaError("exactly one of --k and --matrix must be given")
-    if cfg.matrix_file is not None:
-        with open(cfg.matrix_file, "r", encoding="utf-8") as fh:
+    if args.matrix_file is not None:
+        with open(args.matrix_file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict) or "p" not in data or "matrix" not in data:
-            raise OSError(f"{cfg.matrix_file}: expected keys 'p' and 'matrix'")
+            raise OSError(f"{args.matrix_file}: expected keys 'p' and 'matrix'")
         if not isinstance(data["p"], int):
-            raise OSError(f"{cfg.matrix_file}: 'p' must be an integer")
+            raise OSError(f"{args.matrix_file}: 'p' must be an integer")
         p = data["p"]
-        if cfg.p is not None and cfg.p != p:
-            raise GammaError(f"--p {cfg.p} disagrees with file value {p}")
+        if args.p is not None and args.p != p:
+            raise GammaError(f"--p {args.p} disagrees with file value {p}")
         try:
             return crystal.validate_gamma(p, data["matrix"])
         except GammaError:
             raise
         except ValueError as exc:
             # malformed matrix payload (floats, ragged rows, wrong types)
-            raise OSError(f"{cfg.matrix_file}: {exc}") from exc
-    if cfg.p is None:
+            raise OSError(f"{args.matrix_file}: {exc}") from exc
+    if args.p is None:
         raise GammaError("--p is required with --k")
-    return crystal.canonical_gamma(cfg.p, cfg.k)
+    return crystal.canonical_gamma(args.p, args.k)
 
 
 def _emit(text: str) -> None:
@@ -120,24 +97,25 @@ def render_report_text(report: crystal.TheoremReport) -> str:
     return "\n".join(lines)
 
 
-def run_report(cfg: CliConfig) -> int:
-    G = _load_descriptor(cfg)
-    report = crystal.build_report(G, window=cfg.degree_window)
-    if cfg.format == "json":
+def run_report(args: argparse.Namespace) -> int:
+    G = _load_descriptor(args)
+    window = tuple(args.degree_window) if args.degree_window else None
+    report = crystal.build_report(G, window=window)
+    if args.format == "json":
         _emit(render_report_json(report))
     else:
         _emit(render_report_text(report))
     return 0
 
 
-def run_verify(cfg: CliConfig) -> int:
-    if cfg.matrix_file is None and (cfg.p is None or cfg.k is None):
+def run_verify(args: argparse.Namespace) -> int:
+    if args.matrix_file is None and (args.p is None or args.k is None):
         raise GammaError("verify needs --p and --k (or --matrix)")
-    G = _load_descriptor(cfg)
+    G = _load_descriptor(args)
     p, k = G.p, G.k
     results = verify.run_all(p, k, gamma=G)
     passed = sum(1 for r in results if r.ok)
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
             "p": p, "k": k,
             "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail}
@@ -176,10 +154,10 @@ def _oracle_payload(G: GammaDescriptor) -> dict:
     }
 
 
-def run_oracle(cfg: CliConfig) -> int:
-    G = _load_descriptor(cfg)
+def run_oracle(args: argparse.Namespace) -> int:
+    G = _load_descriptor(args)
     payload = _oracle_payload(G)
-    if cfg.format == "json":
+    if args.format == "json":
         _emit(json.dumps(payload, indent=2))
         return 0
     lines = [
@@ -202,13 +180,12 @@ def run_oracle(cfg: CliConfig) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        if cfg.command == "report":
-            return run_report(cfg)
-        if cfg.command == "verify":
-            return run_verify(cfg)
-        return run_oracle(cfg)
+        if args.command == "report":
+            return run_report(args)
+        if args.command == "verify":
+            return run_verify(args)
+        return run_oracle(args)
     except GammaError as exc:
         print(str(exc), file=sys.stderr)
         return 2

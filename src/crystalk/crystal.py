@@ -122,28 +122,26 @@ def validate_gamma(p: int, rho) -> GammaDescriptor:
     if n % (p - 1):
         raise BadRankError(f"rank {n} is not divisible by p - 1 = {p - 1}")
     k = n // (p - 1)
-    canonical = _is_canonical(p, k, rho)
+    canonical = not np.any(rho != _canonical_action(p, k))
     return GammaDescriptor(p, n, k, rho, canonical)
 
 
-def _is_canonical(p: int, k: int, rho: np.ndarray) -> bool:
-    block = zpmod.make_cyclotomic(p).action
-    size = p - 1
-    expect = la.zeros(k * size, k * size)
-    for i in range(k):
-        expect[i * size:(i + 1) * size, i * size:(i + 1) * size] = block
-    return not np.any(rho != expect)
+def _canonical_action(p: int, k: int) -> np.ndarray:
+    """The k-fold sum of the cyclotomic twist."""
+    return zpmod.direct_sum_modules([zpmod.make_cyclotomic(p)] * k).action
 
 
 def canonical_gamma(p: int, k: int) -> GammaDescriptor:
-    """Descriptor for the k-fold sum of the cyclotomic twist."""
+    """Descriptor for the k-fold sum of the cyclotomic twist.
+
+    The action is valid by construction (order p, free away from the
+    origin), so it skips `validate_gamma`.
+    """
     if k < 1:
         raise BadRankError(f"k = {k} must be >= 1")
     if not repring.is_prime(p):
         raise NotPrimeError(f"p = {p} must be prime")
-    mods = [zpmod.make_cyclotomic(p) for _ in range(k)]
-    action = zpmod.direct_sum_modules(mods).action if k > 1 else mods[0].action
-    return validate_gamma(p, action)
+    return GammaDescriptor(p, k * (p - 1), k, _canonical_action(p, k), True)
 
 
 @dataclass(frozen=True)

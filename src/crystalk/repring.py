@@ -81,16 +81,6 @@ class RepClass:
                 "cancellation of 1/p factors failed")
         return int(val)
 
-    def dimension(self) -> Fraction:
-        return self.q_coeff + self.p * self.reg_coeff
-
-    def is_representation(self) -> bool:
-        """Whether the class can arise from an actual representation."""
-        a = self.q_coeff
-        b = a + (self.p - 1) * self.reg_coeff
-        return (a.denominator == 1 and b.denominator == 1
-                and a >= 0 and b >= 0)
-
 
 def lambda_class(p: int, l: int) -> RepClass:
     """Class of the l-th exterior power of the cyclotomic constituent.

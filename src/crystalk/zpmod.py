@@ -4,15 +4,16 @@ A module is an integer lattice Z^rank with an action matrix of
 multiplicative order p for the fixed generator.  Constructors build the
 trivial, regular and cyclotomic modules; combinators give direct sums,
 tensor and exterior powers, duals and conjugates.  On top of that sit the
-invariant and coinvariant functors, the norm map and 2-periodic Tate
-cohomology, computed by exact integer linear algebra throughout.
+fixed rank, the coinvariants, the norm map and 2-periodic Tate cohomology,
+computed by exact integer linear algebra throughout.
 
-Derived modules remember how to produce the action of every group element
-directly (block sums, Kronecker products, compound matrices of the parent
-powers), which keeps norm matrices cheap for large exterior powers; the
-result agrees entry-for-entry with repeated multiplication of the action.
-Powers are never stored; a module memoizes only its derived results (norm,
-invariants, fixed rank, coinvariants, Tate groups).
+Only input from outside is checked: `ZpModule(p, action)` validates by
+default, while the standard modules and the combinators' results are valid
+by construction.  Exterior powers alone build each power from parts (the
+compound matrix of the base power, far cheaper than multiplying a large
+compound action); every other module raises its action matrix to the
+power.  Powers are never stored; a module memoizes only its derived
+results (norm, fixed rank, coinvariants, Tate groups).
 """
 
 from __future__ import annotations
@@ -87,17 +88,15 @@ class ZpModule(Memoized):
 
 
 def make_trivial(p: int, rank: int) -> ZpModule:
-    return ZpModule(p, la.eye(rank), power_fn=lambda j: la.eye(rank))
+    return ZpModule(p, la.eye(rank), check=False)
 
 
 def make_regular(p: int) -> ZpModule:
     """The group ring itself: the p-cycle permutation action."""
-    def perm(j):
-        out = la.zeros(p, p)
-        for i in range(p):
-            out[(i + j) % p, i] = 1
-        return out
-    return ZpModule(p, perm(1), power_fn=perm)
+    A = la.zeros(p, p)
+    for i in range(p):
+        A[(i + 1) % p, i] = 1
+    return ZpModule(p, A, check=False)
 
 
 def make_cyclotomic(p: int) -> ZpModule:
@@ -114,16 +113,13 @@ def make_cyclotomic(p: int) -> ZpModule:
         A[j + 1, j] = 1
     for i in range(n):
         A[i, n - 1] = -1
-    return ZpModule(p, A)
+    return ZpModule(p, A, check=False)
 
 
 def direct_sum(m1: ZpModule, m2: ZpModule) -> ZpModule:
     if m1.p != m2.p:
         raise ValueError("mismatched primes in direct sum")
-    def power(j, a=m1, b=m2):
-        return _block_diag(a.power(j), b.power(j))
-    return ZpModule(m1.p, _block_diag(m1.action, m2.action),
-                    power_fn=power, check=False)
+    return ZpModule(m1.p, _block_diag(m1.action, m2.action), check=False)
 
 
 def direct_sum_modules(mods: list[ZpModule]) -> ZpModule:
@@ -137,16 +133,12 @@ def tensor(m1: ZpModule, m2: ZpModule) -> ZpModule:
     """Tensor product with basis e_i (x) f_j ordered lexicographically."""
     if m1.p != m2.p:
         raise ValueError("mismatched primes in tensor product")
-    def power(j, a=m1, b=m2):
-        return _kron(a.power(j), b.power(j))
-    return ZpModule(m1.p, _kron(m1.action, m2.action),
-                    power_fn=power, check=False)
+    return ZpModule(m1.p, _kron(m1.action, m2.action), check=False)
 
 
 def dual(m: ZpModule) -> ZpModule:
     """Dual module: the generator acts by the transposed matrix."""
-    return ZpModule(m.p, m.action.T.copy(),
-                    power_fn=lambda j: m.power(j).T.copy(), check=False)
+    return ZpModule(m.p, m.action.T.copy(), check=False)
 
 
 def conjugate(m: ZpModule, g, g_inv) -> ZpModule:
@@ -157,9 +149,7 @@ def conjugate(m: ZpModule, g, g_inv) -> ZpModule:
     g, g_inv = la.intmat(g), la.intmat(g_inv)
     if g.shape != g_inv.shape or np.any(g @ g_inv != la.eye(g.shape[0])):
         raise ValueError("g_inv is not the inverse of g")
-    def power(j):
-        return g @ m.power(j) @ g_inv
-    return ZpModule(m.p, g @ m.action @ g_inv, power_fn=power, check=False)
+    return ZpModule(m.p, g @ m.action @ g_inv, check=False)
 
 
 def exterior_power(m: ZpModule, deg: int) -> ZpModule:
@@ -276,28 +266,6 @@ def _component_blocks(m: ZpModule):
         ix = np.array(idx)
         out.append((idx, m.action[np.ix_(ix, ix)], N[np.ix_(ix, ix)]))
     return out
-
-
-def invariants(m: ZpModule) -> tuple[int, np.ndarray]:
-    """The fixed sublattice: its rank and a basis of the pure lattice."""
-    return m._memo("invariants", lambda: _invariants(m))
-
-
-def _invariants(m: ZpModule) -> tuple[int, np.ndarray]:
-    cols: list[tuple[list[int], np.ndarray]] = []
-    total = 0
-    for idx, A, _N in _component_blocks(m):
-        K = la.kernel_basis(A - la.eye(len(idx)))
-        total += K.shape[1]
-        cols.append((idx, K))
-    basis = la.zeros(m.rank, total)
-    at = 0
-    for idx, K in cols:
-        for c in range(K.shape[1]):
-            for local, row in enumerate(idx):
-                basis[row, at] = K[local, c]
-            at += 1
-    return total, basis
 
 
 def fixed_rank(m: ZpModule) -> int:

@@ -72,6 +72,35 @@ def test_canonical_k_zero_rejected():
         canonical_gamma(3, 0)
 
 
+def test_canonical_nonprime_rejected():
+    with pytest.raises(NotPrimeError):
+        canonical_gamma(4, 1)
+
+
+# perfbench's REPORT_SWEEP and VERIFY_GRID shapes, and the smallest primes
+CANONICAL_SHAPES = ((31, 1), (43, 1), (61, 1), (13, 3), (5, 4), (3, 8),
+                    (2, 12), (3, 6), (2, 10), (5, 2), (7, 1), (2, 1), (3, 1))
+
+
+@pytest.mark.parametrize("p,k", CANONICAL_SHAPES)
+def test_canonical_gamma_passes_validation(p, k):
+    # canonical_gamma does not validate; the full check must agree with it
+    G = canonical_gamma(p, k)
+    H = validate_gamma(p, G.rho)
+    assert (H.n, H.k) == (G.n, G.k) == (k * (p - 1), k)
+    assert G.canonical is True and H.canonical is True
+    assert np.array_equal(H.rho, G.rho)
+
+
+def test_canonical_gamma_skips_validation(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("the canonical action was checked")
+    monkeypatch.setattr(crystal, "validate_gamma", boom)
+    monkeypatch.setattr(np.linalg, "matrix_power", boom)
+    G = canonical_gamma(61, 1)
+    assert (G.p, G.n, G.k, G.canonical) == (61, 60, 1, True)
+
+
 def test_conjugated_matrix_not_canonical():
     g = la.intmat([[1, 1], [0, 1]])
     ginv = la.intmat([[1, -1], [0, 1]])
