@@ -25,6 +25,7 @@ from .crystal import (GammaDescriptor, GammaError, NotPrimeError,
                       brute_force_cohomology_bgamma, TheoremReport)
 from .repring import RepClass, lambda_class, lambda_class_total, r_m, a_j, s_m
 from .zpmod import (ZpModule, make_trivial, make_regular, make_cyclotomic,
-                    exterior_power, tensor, dual, tate, coinvariants)
+                    exterior_power, tensor, dual, tate, tate_reference,
+                    coinvariants)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

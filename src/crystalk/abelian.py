@@ -38,14 +38,14 @@ def factorint(n: int) -> dict[int, int]:
 
 
 def _chain_from_prime_powers(powers: dict[int, list[int]]) -> tuple[int, ...]:
-    depth = max((len(v) for v in powers.values()), default=0)
+    descending = [(p, sorted(exps, reverse=True)) for p, exps in powers.items()]
+    depth = max((len(exps) for _p, exps in descending), default=0)
     chain = []
     for i in range(depth):
         f = 1
-        for p, exps in powers.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if i < len(exps_sorted):
-                f *= p ** exps_sorted[i]
+        for p, exps in descending:
+            if i < len(exps):
+                f *= p ** exps[i]
         chain.append(f)
     chain.reverse()
     return tuple(chain)
@@ -136,10 +136,13 @@ def direct_sum(a: FGAbelianGroup, b: FGAbelianGroup) -> FGAbelianGroup:
 
 
 def direct_sum_all(groups) -> FGAbelianGroup:
-    out = FGAbelianGroup.trivial()
+    """Direct sum of any number of groups, normalized once."""
+    free = 0
+    torsion: list[int] = []
     for g in groups:
-        out = direct_sum(out, g)
-    return out
+        free += g.free_rank
+        torsion.extend(g.torsion)
+    return FGAbelianGroup(free, tuple(torsion))
 
 
 def hom_dual(a: FGAbelianGroup) -> FGAbelianGroup:

@@ -21,7 +21,7 @@ from . import exact_linalg as la
 from . import repring, zpmod
 from .abelian import (FGAbelianGroup, GroupExpression, KOPoint, KoPoint,
                       PAdic, Pruefer, UnknownPTorsion, direct_sum,
-                      expr_evaluate, fg_expression)
+                      direct_sum_all, expr_evaluate, fg_expression)
 
 
 class GammaError(ValueError):
@@ -98,7 +98,8 @@ class GammaDescriptor(zpmod.Memoized):
         return sum(self.r()[1::2])
 
     def rho_rows(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self.rho]
+        # rho comes from intmat or the canonical builder: Python ints only
+        return self.rho.tolist()
 
 
 def validate_gamma(p: int, rho) -> GammaDescriptor:
@@ -482,21 +483,22 @@ def brute_force_cohomology_bgamma(G: GammaDescriptor, m: int) -> GroupExpression
     """Assemble degree m from invariants and Tate groups of wedge powers.
 
     Completely independent of the closed forms: every summand comes from
-    exact kernel/cokernel computations on the supplied action matrix.
+    the supplied action matrix, through `zpmod.fixed_rank` and
+    `zpmod.tate`, which read prime-field ranks of the compound action of
+    each dual exterior power (no norm matrix, no integer kernel).
     """
     if m < 0:
         raise ValueError("negative degree")
     free = 0
-    torsion = FGAbelianGroup.trivial()
+    torsion = []
     for j in range(0, min(m, G.n) + 1):
         i = m - j
         mod = G.exterior_dual(j)
         if i == 0:
             free += zpmod.fixed_rank(mod)
         else:
-            torsion = direct_sum(torsion, zpmod.tate(mod, i))
-    expr = GroupExpression.free(free)
-    return expr + torsion.to_expression()
+            torsion.append(zpmod.tate(mod, i))
+    return GroupExpression.free(free) + direct_sum_all(torsion).to_expression()
 
 
 # --------------------------------------------------------------------------

@@ -260,12 +260,15 @@ def checks_tate(G: crystal.GammaDescriptor, seed: int):
         yield (f"tate: checkerboard wedge^{j}", make_checkerboard(j),
                f"p={p} k={k} j={j} i=0..3")
 
+    # periodicity and duality compare the rank formulas of `tate` with the
+    # kernel/cokernel reference, so neither reduces to a memo lookup or to
+    # the rank invariance of transposition
     def periodicity():
         rng = random.Random(f"{seed}:periodicity:{p}:{k}")
         mod = random_order_p_module(rng, p, max_rank=max(6, p + 1))
-        values = {i: zpmod.tate(mod, i) for i in range(-3, 4)}
         for i in range(-3, 2):
-            assert values[i] == values[i + 2], f"tate not 2-periodic at i={i}"
+            assert zpmod.tate(mod, i) == zpmod.tate_reference(mod, i + 2), \
+                f"tate not 2-periodic at i={i}"
     yield "tate: 2-periodicity on a random module", periodicity, f"p={p} k={k}"
 
     def acyclicity():
@@ -294,7 +297,7 @@ def checks_tate(G: crystal.GammaDescriptor, seed: int):
             mod = random_order_p_module(rng, p, max_rank=max(6, p + 1))
             dmod = zpmod.dual(mod)
             for i in (-1, 0, 1, 2):
-                assert zpmod.tate(mod, i) == zpmod.tate(dmod, -i), \
+                assert zpmod.tate(mod, i) == zpmod.tate_reference(dmod, -i), \
                     f"Tate duality failed at i={i}"
     yield "tate: duality against the transposed module (random)", duality, f"p={p} k={k}"
 

@@ -4,8 +4,16 @@ A module is an integer lattice Z^rank with an action matrix of
 multiplicative order p for the fixed generator.  Constructors build the
 trivial, regular and cyclotomic modules; combinators give direct sums,
 tensor and exterior powers, duals and conjugates.  On top of that sit the
-fixed rank, the coinvariants, the norm map and 2-periodic Tate cohomology,
-computed by exact integer linear algebra throughout.
+fixed rank, the coinvariants, the norm map and 2-periodic Tate cohomology.
+
+Two oracles compute the homological functors.  `fixed_rank` and `tate`
+read three ranks over prime fields of T = action - id and of T^(p-1)
+(see `tate`): int64 eliminations and one matrix power mod p, with no norm
+matrix and no integer kernel.
+`coinvariants` diagonalizes T exactly (an independent SNF check of those
+ranks), and `tate_reference` keeps the kernel/cokernel route through the
+norm matrix as the slow reference that verify and the tests compare the
+rank formulas against.
 
 Only input from outside is checked: `ZpModule(p, action)` validates by
 default, while the standard modules and the combinators' results are valid
@@ -13,7 +21,7 @@ by construction.  Exterior powers alone build each power from parts (the
 compound matrix of the base power, far cheaper than multiplying a large
 compound action); every other module raises its action matrix to the
 power.  Powers are never stored; a module memoizes only its derived
-results (norm, fixed rank, coinvariants, Tate groups).
+results (norm, field ranks, coinvariants, reference Tate groups).
 """
 
 from __future__ import annotations
@@ -254,32 +262,74 @@ def _components(A: np.ndarray) -> list[list[int]]:
 
 
 def _component_blocks(m: ZpModule):
-    """Index sets and restricted (action, norm) pairs per component."""
+    """Index sets and restricted action matrices, one per component."""
     if m.rank <= _SPLIT_THRESHOLD:
-        return [(list(range(m.rank)), m.action, m.norm_matrix())]
+        return [(list(range(m.rank)), m.action)]
     comps = _components(m.action)
     if len(comps) == 1:
-        return [(comps[0], m.action, m.norm_matrix())]
-    N = m.norm_matrix()
-    out = []
-    for idx in comps:
-        ix = np.array(idx)
-        out.append((idx, m.action[np.ix_(ix, ix)], N[np.ix_(ix, ix)]))
-    return out
+        return [(comps[0], m.action)]
+    return [(idx, m.action[np.ix_(idx, idx)]) for idx in comps]
+
+
+def _block_ranks(A: np.ndarray, p: int) -> tuple[int, int, int]:
+    """(rank_Q N, rank_Fp N, rank_Fp T) for one block; see `tate`."""
+    n = A.shape[0]
+    T = A - la.eye(n)
+    ell = 3 if p == 2 else 2
+    Tp = la.residues(T, p)
+    return (n - la.rank_mod(T, ell),
+            la.rank_mod(la.power_mod(Tp, p - 1, p), p),
+            la.rank_mod(Tp, p))
+
+
+def _norm_ranks(m: ZpModule) -> tuple[int, int, int]:
+    """(rank_Q N, rank_Fp N, rank_Fp T) of the module, summed over blocks."""
+    return m._memo("norm_ranks", lambda: tuple(map(sum, zip(
+        *(_block_ranks(A, m.p) for _idx, A in _component_blocks(m))))))
 
 
 def fixed_rank(m: ZpModule) -> int:
-    """Rank of the fixed sublattice, computed without a basis."""
-    return m._memo("fixed_rank", lambda: sum(
-        len(idx) - la.rational_rank(A - la.eye(len(idx)))
-        for idx, A, _N in _component_blocks(m)))
+    """Rank of the fixed sublattice: rank_Q N (see `tate`)."""
+    return _norm_ranks(m)[0]
 
 
 def coinvariants(m: ZpModule) -> FGAbelianGroup:
     """Largest quotient with trivial action: cokernel of (action - id)."""
     return m._memo("coinvariants", lambda: direct_sum_all(
         [la.cokernel_structure(A - la.eye(len(idx)))
-         for idx, A, _N in _component_blocks(m)]))
+         for idx, A in _component_blocks(m)]))
+
+
+def tate(m: ZpModule, i: int) -> FGAbelianGroup:
+    """2-periodic Tate cohomology of the cyclic group acting on m.
+
+    Write n for the rank, T = A - I for the action A and N for the norm.
+    Even degrees are ker T / im N, odd degrees ker N / im T.  Both are
+    killed by p, the group order, so each is (Z/p)^d, and d comes from
+    three ranks over prime fields:
+
+        dim Tate^0 = rank_Q N - rank_Fp N
+        dim Tate^1 = n - rank_Q N - rank_Fp T
+
+    ker T and ker N are pure sublattices (kernels of integer matrices), of
+    ranks rank_Q N and n - rank_Q N, and they contain im N and im T
+    (TN = 0).  If a pure sublattice K contains a sublattice L of the same
+    rank with K / L = (Z/p)^d, then L maps onto a subspace of codimension
+    d in K / pK, which embeds in F_p^n; so rank_Fp N = rank_Q N - d, and
+    likewise for T.
+
+    rank_Fp N is read off T^(p-1), since 1 + x + ... + x^(p-1) is
+    (x - 1)^(p-1) in F_p[x].  rank_Q N is n - rank_l T for a prime l != p
+    (l = 2, or 3 when p = 2): A^p = I mod l and F_l[Z/p] is semisimple,
+    so rank_l N + rank_l T = n = rank_Q N + rank_Q T, and reduction mod l
+    can only lower a rank, so both l-ranks equal their rational ranks.  No
+    norm matrix is built; the compound action of an exterior power is the
+    only matrix it needs.
+    """
+    rank_q_n, rank_p_n, rank_p_t = _norm_ranks(m)
+    if i % 2 == 0:
+        return FGAbelianGroup.elementary(m.p, rank_q_n - rank_p_n)
+    return FGAbelianGroup.elementary(m.p, m.rank - rank_q_n - rank_p_t)
 
 
 def _tate_block(A: np.ndarray, N: np.ndarray, parity: int) -> FGAbelianGroup:
@@ -300,15 +350,18 @@ def _tate_block(A: np.ndarray, N: np.ndarray, parity: int) -> FGAbelianGroup:
     return solver.quotient_by(gens)
 
 
-def tate(m: ZpModule, i: int) -> FGAbelianGroup:
-    """2-periodic Tate cohomology of the cyclic group acting on m.
+def tate_reference(m: ZpModule, i: int) -> FGAbelianGroup:
+    """Tate cohomology by exact kernels and cokernels: the slow reference.
 
-    Even degrees give invariants mod norm image, odd degrees the norm
-    kernel mod the augmentation image; each quotient is computed by
-    expressing the sub-lattice generators in a pure-lattice basis and
-    reading off the cokernel of the coefficient matrix.
+    Builds the norm matrix, takes a saturated basis of ker T (even
+    degrees) or ker N (odd degrees), expresses the generators of im N or
+    im T in it and reads the quotient off the cokernel of the coefficient
+    matrix.  `tate` must agree with it on every module.
     """
     parity = i % 2
-    return m._memo(("tate", parity), lambda: direct_sum_all(
-        [_tate_block(A, N, parity) for _idx, A, N in _component_blocks(m)]))
 
+    def compute():
+        N = m.norm_matrix()
+        return direct_sum_all([_tate_block(A, N[np.ix_(idx, idx)], parity)
+                               for idx, A in _component_blocks(m)])
+    return m._memo(("tate_reference", parity), compute)

@@ -1,6 +1,16 @@
 import json
+import re
+from pathlib import Path
 
-from crystalk.cli import main
+import pytest
+
+from crystalk import crystal, exact_linalg as la
+from crystalk.cli import main, render_report_json
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+GOLDEN_SHAPES = sorted(
+    tuple(map(int, re.fullmatch(r"report-(\d+)-(\d+)\.json", path.name).groups()))
+    for path in GOLDEN.glob("report-*.json"))
 
 
 def run(capsys, *argv):
@@ -28,6 +38,24 @@ def test_report_json_roundtrip_bytes(capsys):
     assert code == 0
     rerendered = json.dumps(json.loads(out), indent=2) + "\n"
     assert rerendered == out
+
+
+@pytest.mark.parametrize("p,k", [(1009, 1)] + GOLDEN_SHAPES)
+def test_render_report_json_is_json_dumps(p, k):
+    report = crystal.build_report(crystal.canonical_gamma(p, k))
+    assert render_report_json(report) == json.dumps(report.to_json_dict(),
+                                                    indent=2)
+
+
+def test_render_report_json_is_json_dumps_off_canonical():
+    # wide entries, a warning-free cross-check and a degree window
+    G = crystal.canonical_gamma(5, 1)
+    g = la.intmat([[1, 3, 0, 0], [0, 1, 0, 0], [0, 0, 1, -7], [0, 0, 0, 1]])
+    g_inv = la.intmat([[1, -3, 0, 0], [0, 1, 0, 0], [0, 0, 1, 7], [0, 0, 0, 1]])
+    H = crystal.validate_gamma(5, g @ G.rho @ g_inv)
+    report = crystal.build_report(H, window=(1, 3))
+    assert render_report_json(report) == json.dumps(report.to_json_dict(),
+                                                    indent=2)
 
 
 def test_report_p2_text(capsys):

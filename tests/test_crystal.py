@@ -393,3 +393,21 @@ def test_report_warns_when_guardrail_blocks_cross_check(monkeypatch):
     H = crystal.validate_gamma(3, g @ G31.rho @ ginv)
     rep = build_report(H)
     assert any("guardrail" in w for w in rep.warnings)
+
+
+def test_cross_check_builds_no_norm_matrix(monkeypatch):
+    # the assembly reads prime-field ranks of each compound action; the
+    # norm matrix belongs to the reference oracle only
+    import random
+    from crystalk import zpmod
+    from crystalk.verify import _random_unimodular
+
+    def refuse(self):
+        raise AssertionError("norm matrix built")
+    monkeypatch.setattr(zpmod.ZpModule, "norm_matrix", refuse)
+    g, g_inv = _random_unimodular(random.Random(5), G32.n)
+    H = validate_gamma(3, g @ G32.rho @ g_inv)
+    assert not H.canonical
+    rep = build_report(H)
+    assert rep.warnings == []
+    assert rep.groups["H^*(BGamma)"] == build_report(G32).groups["H^*(BGamma)"]

@@ -177,3 +177,56 @@ def test_saturated_basis_quotient():
     solver = la.SaturatedBasisSolver(B)
     got = solver.quotient_by(mat([[2, 0], [0, 3]]))
     assert got == FGAbelianGroup.cyclic(6)
+
+
+# -- ranks over prime fields ---------------------------------------------------
+
+def test_rank_mod_small_cases():
+    assert la.rank_mod(mat([[1, 2], [2, 4]]), 5) == 1
+    assert la.rank_mod(mat([[2, 0], [0, 3]]), 2) == 1
+    assert la.rank_mod(mat([[2, 0], [0, 3]]), 3) == 1
+    assert la.rank_mod(mat([[2, 0], [0, 3]]), 5) == 2
+    # entries are reduced exactly before the int64 elimination
+    assert la.rank_mod(mat([[7 ** 40, 1], [0, 7 ** 40 + 7]]), 7) == 1
+    assert la.rank_mod(mat([[7 ** 40 + 1]]), 7) == 1
+    assert la.rank_mod(la.zeros(3, 0), 3) == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rank_mod_off_p_matches_rational_rank(p):
+    # F_q[Z/p] is semisimple for q != p, so T = A - I and the norm N keep
+    # their rational ranks mod q
+    import random
+    from crystalk.verify import random_order_p_module
+    rng = random.Random(100 + p)
+    for _ in range(8):
+        mod = random_order_p_module(rng, p, max_rank=max(6, p + 1))
+        T = mod.action - la.eye(mod.rank)
+        N = mod.norm_matrix()
+        for q in (2, 3, 5, 7, 11, 2 ** 31 - 1):
+            if q == p:
+                continue
+            assert la.rank_mod(T, q) == la.rational_rank(T)
+            assert la.rank_mod(N, q) == la.rational_rank(N)
+
+
+def test_power_mod_matches_exact_power():
+    import random
+    rng = random.Random(3)
+    for q in (2, 3, 13):
+        for e in (0, 1, 2, 5, 12):
+            M = mat([[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)])
+            expect = np.linalg.matrix_power(M, e) % q
+            assert np.array_equal(la.power_mod(M, e, q), expect.astype(np.int64))
+
+
+def test_int64_bounds_refuse_large_moduli():
+    # (q - 1)^2 must fit int64 for a row update
+    with pytest.raises(OverflowError):
+        la.rank_mod(mat([[1, 2], [3, 4]]), 3037000507)
+    assert la.rank_mod(mat([[1, 2], [3, 4]]), 2 ** 31 - 1) == 2
+    # a product entry sums n such products
+    with pytest.raises(OverflowError):
+        la.power_mod(la.eye(4), 2, 2 ** 31 - 1)
+    assert np.array_equal(la.power_mod(la.eye(4), 2, 2 ** 30 + 3),
+                          np.eye(4, dtype=np.int64))

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from crystalk import crystal, exact_linalg as la, verify
+from crystalk import crystal, exact_linalg as la, verify, zpmod
+from crystalk.abelian import FGAbelianGroup
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
@@ -42,3 +43,18 @@ def test_all_checks_shares_one_descriptor(monkeypatch):
     monkeypatch.setattr(crystal, "canonical_gamma", counting)
     names = [name for name, _fn, _repro in verify.all_checks(3, 1)]
     assert built == [(3, 1)] and len(names) > 0
+
+
+def test_periodicity_and_duality_cells_compare_with_the_reference(monkeypatch):
+    # each cell sets the rank formulas of `tate` against tate_reference, so
+    # a wrong reference value must make both fail
+    names = ("tate: 2-periodicity on a random module",
+             "tate: duality against the transposed module (random)")
+    cells = {name: fn for name, fn, _repro in verify.all_checks(3, 1)}
+    for name in names:
+        cells[name]()
+    monkeypatch.setattr(zpmod, "tate_reference",
+                        lambda m, i: FGAbelianGroup.cyclic(97))
+    for name in names:
+        with pytest.raises(AssertionError):
+            cells[name]()

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from crystalk import exact_linalg as la
 from crystalk import zpmod
@@ -11,7 +12,7 @@ from crystalk.verify import random_order_p_module
 from crystalk.zpmod import (ZpModule, compound_matrix, coinvariants, dual,
                             direct_sum, exterior_power, fixed_rank,
                             make_cyclotomic, make_regular, make_trivial,
-                            tate, tensor)
+                            tate, tate_reference, tensor)
 
 PRIMES = (2, 3, 5, 7)
 
@@ -228,9 +229,8 @@ def test_tate_periodicity():
     for p in (3, 5):
         for _ in range(3):
             mod = random_order_p_module(rng, p, max_rank=6)
-            vals = {i: tate(mod, i) for i in range(-3, 4)}
             for i in range(-3, 2):
-                assert vals[i] == vals[i + 2]
+                assert tate(mod, i) == tate_reference(mod, i + 2)
 
 
 def test_tate_checkerboard_small():
@@ -255,7 +255,7 @@ def test_tate_duality_sample():
             mod = random_order_p_module(rng, p, max_rank=6)
             dmod = dual(mod)
             for i in (-2, -1, 0, 1, 2):
-                assert tate(mod, i) == tate(dmod, -i)
+                assert tate(mod, i) == tate_reference(dmod, -i)
 
 
 def test_dual_conventions_equivalent():
@@ -350,3 +350,38 @@ def test_fixed_rank_matches_character_theory():
             val = total / p
             assert val.denominator == 1
             assert fixed_rank(G.exterior(m)) == int(val), (p, k, m)
+
+
+# -- the rank formulas against the kernel/cokernel reference -----------------
+
+def _module_of_kind(rng, p, kind):
+    """A random module: mixed blocks, trivial blocks only or regular only."""
+    from crystalk.verify import _random_unimodular
+    if kind == "mixed":
+        return random_order_p_module(rng, p, max_rank=max(6, p))
+    if kind == "trivial":
+        mod = make_trivial(p, rng.randint(1, 4))
+    else:
+        mod = zpmod.direct_sum_modules([make_regular(p)] * (2 if p <= 3 else 1))
+    return zpmod.conjugate(mod, *_random_unimodular(rng, mod.rank))
+
+
+@given(st.sampled_from(PRIMES), st.sampled_from(["mixed", "trivial", "regular"]),
+       st.integers(0, 2 ** 32))
+@settings(max_examples=40, deadline=None)
+@example(2, "mixed", 0)
+@example(2, "trivial", 1)
+@example(2, "regular", 2)
+@example(5, "trivial", 3)
+@example(7, "regular", 4)
+def test_rank_formulas_match_reference(p, kind, seed):
+    base = _module_of_kind(random.Random(seed), p, kind)
+    family = [base, dual(base)]
+    family += [exterior_power(base, d) for d in range(min(3, base.rank) + 1)]
+    for mod in family:
+        kernel_rank = la.kernel_basis(mod.action - la.eye(mod.rank)).shape[1]
+        co = coinvariants(mod)
+        assert fixed_rank(mod) == kernel_rank == co.free_rank
+        for i in (0, 1):
+            assert tate(mod, i) == tate_reference(mod, i)
+        assert co.torsion_subgroup() == tate_reference(mod, 1)
