@@ -17,6 +17,7 @@ Everything renders through one text grammar:
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -68,11 +69,13 @@ class FGAbelianGroup:
         if self.free_rank < 0:
             raise ValueError("negative free rank")
         powers: dict[int, list[int]] = {}
-        for d in self.torsion:
+        # each distinct order is factored once: wedge powers repeat (Z/p)
+        # hundreds of times
+        for d, copies in Counter(self.torsion).items():
             if d < 2:
                 raise ValueError("torsion orders must be >= 2")
             for p, e in factorint(d).items():
-                powers.setdefault(p, []).append(e)
+                powers.setdefault(p, []).extend([e] * copies)
         object.__setattr__(self, "torsion", _chain_from_prime_powers(powers))
 
     @classmethod

@@ -484,7 +484,7 @@ def brute_force_cohomology_bgamma(G: GammaDescriptor, m: int) -> GroupExpression
 
     Completely independent of the closed forms: every summand comes from
     the supplied action matrix, through `zpmod.fixed_rank` and
-    `zpmod.tate`, which read prime-field ranks of the compound action of
+    `zpmod.tate`, which read prime-field ranks of the Kronecker summands of
     each dual exterior power (no norm matrix, no integer kernel).
     """
     if m < 0:

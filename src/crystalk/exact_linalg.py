@@ -7,9 +7,9 @@ and invariant factors, and the Smith normal form with its transforms.
 Matrices are numpy arrays of dtype=object holding Python ints, so nothing
 ever overflows and no floating point is involved.
 
-Ranks over a prime field F_q (`rank_mod`, with `power_mod` for matrix
-powers) run on int64 residues instead; each refuses a modulus for which
-its products could leave int64.
+Ranks over a prime field F_q (`rank_mod`) run on int64 residues instead,
+and refuse a modulus for which a product of two residues could leave
+int64.
 """
 
 from __future__ import annotations
@@ -69,22 +69,6 @@ def eye(n: int) -> np.ndarray:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _check_int64(q: int, terms: int = 1) -> None:
-    """Refuse q unless a sum of `terms` products of two residues mod q
-    fits in int64."""
-    if terms * (q - 1) ** 2 > _INT64_MAX:
-        raise OverflowError(f"modulus {q} with {terms} products per entry "
-                            "does not fit int64 arithmetic")
-
-
-def residues(M, q: int) -> np.ndarray:
-    """Entries of the integer matrix M reduced into [0, q), as int64."""
-    _check_int64(q)
-    if not (isinstance(M, np.ndarray) and M.dtype == np.int64):
-        M = intmat(M)
-    return (M % q).astype(np.int64)
-
-
 def rank_mod(M, q: int) -> int:
     """Rank of M over the prime field F_q, by int64 Gaussian elimination.
 
@@ -93,7 +77,11 @@ def rank_mod(M, q: int) -> int:
     int64 while (q - 1)^2 does not.  A larger q is refused with
     OverflowError.
     """
-    W = residues(M, q)
+    if (q - 1) ** 2 > _INT64_MAX:
+        raise OverflowError(f"modulus {q} does not fit int64 arithmetic")
+    if not (isinstance(M, np.ndarray) and M.dtype == np.int64):
+        M = intmat(M)
+    W = (M % q).astype(np.int64)
     rows, cols = W.shape
     rank = 0
     for c in range(cols):
@@ -110,30 +98,6 @@ def rank_mod(M, q: int) -> int:
                             - W[below, c, None] * W[rank, c:]) % q
         rank += 1
     return rank
-
-
-def power_mod(M, e: int, q: int) -> np.ndarray:
-    """M^e reduced mod q (e >= 0), by repeated squaring on int64 residues.
-
-    A product entry sums n products of two residues, so the modulus must
-    keep n (q - 1)^2 inside int64; anything larger is refused.
-    """
-    W = residues(M, q)
-    n = W.shape[0]
-    _check_int64(q, n)
-
-    def mul(a, b):
-        # einsum's integer kernel runs several times faster than matmul's
-        return np.einsum("ij,jk->ik", a, b) % q
-
-    out = None
-    while e:
-        if e & 1:
-            out = W if out is None else mul(out, W)
-        e >>= 1
-        if e:
-            W = mul(W, W)
-    return np.eye(n, dtype=np.int64) if out is None else out
 
 
 def _swap_rows(W: np.ndarray, i: int, j: int) -> None:
@@ -192,12 +156,6 @@ def _echelon(A: np.ndarray, T: np.ndarray):
     W = np.concatenate([A, T], axis=1)
     rank = len(_row_reduce(W, A.shape[1]))
     return W[:, :A.shape[1]], W[:, A.shape[1]:], rank
-
-
-def rational_rank(M) -> int:
-    """Rank of M over the rationals, computed exactly."""
-    M = intmat(M).copy()
-    return len(_row_reduce(M, M.shape[1]))
 
 
 def kernel_basis(M) -> np.ndarray:

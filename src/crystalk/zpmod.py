@@ -7,29 +7,36 @@ tensor and exterior powers, duals and conjugates.  On top of that sit the
 fixed rank, the coinvariants, the norm map and 2-periodic Tate cohomology.
 
 Two oracles compute the homological functors.  `fixed_rank` and `tate`
-read three ranks over prime fields of T = action - id and of T^(p-1)
-(see `tate`): int64 eliminations and one matrix power mod p, with no norm
-matrix and no integer kernel.
-`coinvariants` diagonalizes T exactly (an independent SNF check of those
-ranks), and `tate_reference` keeps the kernel/cokernel route through the
-norm matrix as the slow reference that verify and the tests compare the
-rank formulas against.
+read two ranks over prime fields of T = action - id and the Herbrand
+quotient (see `tate`): int64 eliminations, with no norm matrix, no matrix
+power and no integer kernel.  `coinvariants` diagonalizes T exactly (an
+independent SNF check of those ranks), and `tate_reference` keeps the
+kernel/cokernel route through the norm matrix as the slow reference that
+verify and the tests compare the rank formulas against.
+
+An exterior power does not always hold its compound matrix.  It is a
+list of Kronecker summands, one per way of spreading its degree over the
+diagonal blocks of the base action (see `ExteriorPower`); the functors
+rank or diagonalize each distinct summand once and scale by its
+multiplicity.  The dense compound `action` is built only when something
+reads it (the norm matrix, `tate_reference`, tests).  A base action with
+one block gives one summand, its full compound.
 
 Only input from outside is checked: `ZpModule(p, action)` validates by
 default, while the standard modules and the combinators' results are valid
-by construction.  Exterior powers alone build each power from parts (the
-compound matrix of the base power, far cheaper than multiplying a large
-compound action); every other module raises its action matrix to the
-power.  Powers are never stored; a module memoizes only its derived
-results (norm, field ranks, coinvariants, reference Tate groups).
+by construction.  Powers are never stored; a module memoizes only its
+derived results (norm, field ranks, coinvariants, reference Tate groups,
+and for a base of exterior powers its blocks, their compounds and the
+Kronecker summands).
 """
 
 from __future__ import annotations
 
 import os
 from bisect import bisect
-from itertools import combinations
-from math import comb
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -38,9 +45,6 @@ from .abelian import FGAbelianGroup, direct_sum_all
 from .repring import is_prime
 
 DEFAULT_MAX_EXTERIOR_DIM = 20000
-
-# component splitting only pays off once matrices get big
-_SPLIT_THRESHOLD = 24
 
 
 def max_exterior_dim() -> int:
@@ -60,13 +64,16 @@ class Memoized:
 class ZpModule(Memoized):
     """Z^rank with an order-p integer action of the generator."""
 
-    def __init__(self, p: int, action, power_fn=None, check: bool = True):
+    # (multiplicity, module) pairs of a direct-sum decomposition, or None
+    # when the functors read the action matrix itself
+    summands = None
+
+    def __init__(self, p: int, action, check: bool = True):
         self.p = p
         self.action = la.intmat(action)
         if self.action.shape[0] != self.action.shape[1]:
             raise ValueError("action matrix must be square")
         self.rank = self.action.shape[0]
-        self._power_fn = power_fn
         self._cache: dict = {}
         if check:
             self.validate()
@@ -81,10 +88,7 @@ class ZpModule(Memoized):
 
     def power(self, j: int) -> np.ndarray:
         """Action matrix of the j-th power of the generator (not stored)."""
-        j %= self.p
-        if self._power_fn is not None:
-            return self._power_fn(j)
-        return np.linalg.matrix_power(self.action, j)
+        return np.linalg.matrix_power(self.action, j % self.p)
 
     def norm_matrix(self) -> np.ndarray:
         """Matrix of the norm element, the sum of all generator powers."""
@@ -160,11 +164,10 @@ def conjugate(m: ZpModule, g, g_inv) -> ZpModule:
     return ZpModule(m.p, g @ m.action @ g_inv, check=False)
 
 
-def exterior_power(m: ZpModule, deg: int) -> ZpModule:
-    """deg-th exterior power: the compound matrix on lexicographic wedges.
+def exterior_power(m: ZpModule, deg: int) -> ExteriorPower:
+    """deg-th exterior power, held as Kronecker summands (see `ExteriorPower`).
 
-    The entry at (I, J) is the deg x deg minor of the action with rows I
-    and columns J.
+    Refuses a dimension C(rank, deg) above `max_exterior_dim()`.
     """
     if deg < 0 or deg > m.rank:
         raise ValueError(f"exterior degree {deg} outside [0, {m.rank}]")
@@ -174,10 +177,119 @@ def exterior_power(m: ZpModule, deg: int) -> ZpModule:
         raise ValueError(
             f"exterior power dimension C({m.rank},{deg}) = {dim} exceeds "
             f"the guardrail {limit}; set CRYSTALK_MAX_EXT_DIM to override")
-    def power(j, base=m, d=deg):
-        return compound_matrix(base.power(j), d)
-    return ZpModule(m.p, compound_matrix(m.action, deg),
-                    power_fn=power, check=False)
+    return ExteriorPower(m, deg)
+
+
+class ExteriorPower(ZpModule):
+    """Exterior power of a base module, as a direct sum of Kronecker products.
+
+    Split the base action into diagonal blocks B_1, ..., B_k (the connected
+    components of its pattern, which is cheap at the base rank).  Then
+
+        Lambda^deg(B_1 + ... + B_k) = sum over a_1 + ... + a_k = deg of
+                                      Lambda^a_1 B_1 (x) ... (x) Lambda^a_k B_k
+
+    up to a permutation of the wedge basis, which keeps every rank, every
+    cokernel and every Tate group.  Equal blocks form a type; spreading the
+    degree over the copies of a type in different orders gives summands
+    that differ by a permutation of equal factors, so each multiset of
+    degrees per type is one summand whose multiplicity is the product of
+    the multinomials.  A base with one block gives one summand, its full
+    compound.
+
+    The dense compound `action` (entry (I, J) the deg x deg minor with rows
+    I and columns J, in lexicographic order) is built only when read.
+    """
+
+    def __init__(self, base: ZpModule, deg: int):
+        self.p = base.p
+        self.rank = comb(base.rank, deg)
+        self.base, self.deg = base, deg
+        self._cache: dict = {}
+
+    @property
+    def action(self) -> np.ndarray:
+        return self._memo("action", lambda: compound_matrix(
+            self.base.action, self.deg))
+
+    def power(self, j: int) -> np.ndarray:
+        # the compound of the base power: far cheaper than multiplying the
+        # compound action
+        return compound_matrix(self.base.power(j), self.deg)
+
+    @property
+    def summands(self) -> list[tuple[int, ZpModule]]:
+        return self._memo("summands", lambda: _wedge_summands(
+            self.base, self.deg))
+
+
+def _components(A: np.ndarray) -> list[list[int]]:
+    """Connected components of the nonzero pattern (symmetrized)."""
+    n = A.shape[0]
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    nz = np.nonzero(A != 0)
+    for i, j in zip(nz[0].tolist(), nz[1].tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _block_types(m: ZpModule) -> list[tuple[np.ndarray, int]]:
+    """The distinct diagonal blocks of the action, each with its count."""
+    def compute():
+        types: dict[tuple, list] = {}
+        for idx in _components(m.action):
+            B = m.action[np.ix_(idx, idx)]
+            types.setdefault(tuple(B.flat), [B, 0])[1] += 1
+        return [(B, count) for B, count in types.values()]
+    return m._memo("block_types", compute)
+
+
+def _arrangements(degs: tuple[int, ...]) -> int:
+    """Ways to hand the multiset degs out to distinct copies of one block."""
+    out = factorial(len(degs))
+    for repeat in Counter(degs).values():
+        out //= factorial(repeat)
+    return out
+
+
+def _wedge_summands(m: ZpModule, deg: int) -> list[tuple[int, ZpModule]]:
+    """(multiplicity, summand) pairs of Lambda^deg m; see `ExteriorPower`."""
+    # per block type: every multiset of exterior degrees of its copies
+    choices = [list(combinations_with_replacement(range(len(B) + 1), count))
+               for B, count in _block_types(m)]
+    out = []
+    for pick in product(*choices):
+        if sum(map(sum, pick)) == deg:
+            factors = tuple((t, d) for t, degs in enumerate(pick)
+                            for d in degs if d)
+            out.append((prod(map(_arrangements, pick)),
+                        _kron_summand(m, factors)))
+    return out
+
+
+def _kron_summand(m: ZpModule, factors: tuple) -> ZpModule:
+    """Kronecker product of the compounds Lambda^d of block type t, for
+    (t, d) in factors; memoized on m, so every degree shares it."""
+    def compute():
+        out = None
+        for t, d in factors:
+            C = m._memo(("block_compound", t, d), lambda t=t, d=d:
+                        compound_matrix(_block_types(m)[t][0], d))
+            out = C if out is None else _kron(out, C)
+        return ZpModule(m.p, la.eye(1) if out is None else out, check=False)
+    return m._memo(("summand", factors), compute)
 
 
 def compound_matrix(A: np.ndarray, deg: int) -> np.ndarray:
@@ -239,65 +351,37 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # homological functors
 
 
-def _components(A: np.ndarray) -> list[list[int]]:
-    """Connected components of the nonzero pattern (symmetrized)."""
-    n = A.shape[0]
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    nz = np.nonzero(A != 0)
-    for i, j in zip(nz[0].tolist(), nz[1].tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def _component_blocks(m: ZpModule):
-    """Index sets and restricted action matrices, one per component."""
-    if m.rank <= _SPLIT_THRESHOLD:
-        return [(list(range(m.rank)), m.action)]
-    comps = _components(m.action)
-    if len(comps) == 1:
-        return [(comps[0], m.action)]
-    return [(idx, m.action[np.ix_(idx, idx)]) for idx in comps]
-
-
-def _block_ranks(A: np.ndarray, p: int) -> tuple[int, int, int]:
-    """(rank_Q N, rank_Fp N, rank_Fp T) for one block; see `tate`."""
-    n = A.shape[0]
-    T = A - la.eye(n)
-    ell = 3 if p == 2 else 2
-    Tp = la.residues(T, p)
-    return (n - la.rank_mod(T, ell),
-            la.rank_mod(la.power_mod(Tp, p - 1, p), p),
-            la.rank_mod(Tp, p))
-
-
-def _norm_ranks(m: ZpModule) -> tuple[int, int, int]:
-    """(rank_Q N, rank_Fp N, rank_Fp T) of the module, summed over blocks."""
-    return m._memo("norm_ranks", lambda: tuple(map(sum, zip(
-        *(_block_ranks(A, m.p) for _idx, A in _component_blocks(m))))))
+def _field_ranks(m: ZpModule) -> tuple[int, int]:
+    """(rank_Q N, rank_Fp T) of the module (see `tate`): each distinct
+    summand's ranks once, scaled by its multiplicity."""
+    def compute():
+        if m.summands is None:
+            T = m.action - la.eye(m.rank)
+            return (m.rank - la.rank_mod(T, 3 if m.p == 2 else 2),
+                    la.rank_mod(T, m.p))
+        ranks = [(c, _field_ranks(S)) for c, S in m.summands]
+        return (sum(c * q for c, (q, _) in ranks),
+                sum(c * t for c, (_, t) in ranks))
+    return m._memo("field_ranks", compute)
 
 
 def fixed_rank(m: ZpModule) -> int:
     """Rank of the fixed sublattice: rank_Q N (see `tate`)."""
-    return _norm_ranks(m)[0]
+    return _field_ranks(m)[0]
 
 
 def coinvariants(m: ZpModule) -> FGAbelianGroup:
-    """Largest quotient with trivial action: cokernel of (action - id)."""
-    return m._memo("coinvariants", lambda: direct_sum_all(
-        [la.cokernel_structure(A - la.eye(len(idx)))
-         for idx, A in _component_blocks(m)]))
+    """Largest quotient with trivial action: cokernel of (action - id).
+
+    Exact: one Smith-form diagonalization per distinct summand, repeated
+    by its multiplicity (coinvariants commute with direct sums).
+    """
+    def compute():
+        if m.summands is None:
+            return la.cokernel_structure(m.action - la.eye(m.rank))
+        return direct_sum_all([coinvariants(S) for c, S in m.summands
+                               for _ in range(c)])
+    return m._memo("coinvariants", compute)
 
 
 def tate(m: ZpModule, i: int) -> FGAbelianGroup:
@@ -306,48 +390,38 @@ def tate(m: ZpModule, i: int) -> FGAbelianGroup:
     Write n for the rank, T = A - I for the action A and N for the norm.
     Even degrees are ker T / im N, odd degrees ker N / im T.  Both are
     killed by p, the group order, so each is (Z/p)^d, and d comes from
-    three ranks over prime fields:
+    two ranks over prime fields:
 
-        dim Tate^0 = rank_Q N - rank_Fp N
         dim Tate^1 = n - rank_Q N - rank_Fp T
+        dim Tate^0 = dim Tate^1 + (p rank_Q N - n) / (p - 1)
 
-    ker T and ker N are pure sublattices (kernels of integer matrices), of
-    ranks rank_Q N and n - rank_Q N, and they contain im N and im T
-    (TN = 0).  If a pure sublattice K contains a sublattice L of the same
-    rank with K / L = (Z/p)^d, then L maps onto a subspace of codimension
-    d in K / pK, which embeds in F_p^n; so rank_Fp N = rank_Q N - d, and
-    likewise for T.
+    ker N is a pure sublattice (the kernel of an integer matrix) of rank
+    n - rank_Q N containing im T (TN = 0).  If a pure sublattice K contains
+    a sublattice L of the same rank with K / L = (Z/p)^d, then L maps onto
+    a subspace of codimension d in K / pK, which embeds in F_p^n; so
+    rank_Fp T = n - rank_Q N - dim Tate^1.
 
-    rank_Fp N is read off T^(p-1), since 1 + x + ... + x^(p-1) is
-    (x - 1)^(p-1) in F_p[x].  rank_Q N is n - rank_l T for a prime l != p
-    (l = 2, or 3 when p = 2): A^p = I mod l and F_l[Z/p] is semisimple,
-    so rank_l N + rank_l T = n = rank_Q N + rank_Q T, and reduction mod l
-    can only lower a rank, so both l-ranks equal their rational ranks.  No
-    norm matrix is built; the compound action of an exterior power is the
-    only matrix it needs.
+    Tate^0 follows from the Herbrand quotient h(M) = |Tate^0| / |Tate^1|
+    (Serre, Local Fields, VIII section 4).  h is multiplicative on short
+    exact sequences and is 1 on finite modules, so it depends only on
+    M (x) Q = Q^a + Q(z)^b, where z is a primitive p-th root of unity,
+    a = rank_Q N is the fixed rank and n = a + (p - 1) b.  Since h(Z) = p
+    and h(Z[z]) = 1/p, h = p^(a - b) and a - b = (p a - n) / (p - 1).  The
+    same purity argument for ker T gives rank_Fp N = rank_Q N - dim Tate^0,
+    which is never formed.
+
+    rank_Q N is n - rank_l T for a prime l != p (l = 2, or 3 when p = 2):
+    A^p = I mod l and F_l[Z/p] is semisimple, so rank_l N + rank_l T = n =
+    rank_Q N + rank_Q T, and reduction mod l can only lower a rank, so both
+    l-ranks equal their rational ranks.  No norm matrix and no matrix power
+    are built; an exterior power needs only its Kronecker summands.
     """
-    rank_q_n, rank_p_n, rank_p_t = _norm_ranks(m)
-    if i % 2 == 0:
-        return FGAbelianGroup.elementary(m.p, rank_q_n - rank_p_n)
-    return FGAbelianGroup.elementary(m.p, m.rank - rank_q_n - rank_p_t)
-
-
-def _tate_block(A: np.ndarray, N: np.ndarray, parity: int) -> FGAbelianGroup:
-    n = A.shape[0]
-    if parity == 0:
-        # invariants modulo the image of the norm
-        B = la.kernel_basis(A - la.eye(n))
-        if B.shape[1] == 0:
-            return FGAbelianGroup.trivial()
-        gens = la.column_lattice_basis(N)
-    else:
-        # kernel of the norm modulo the image of (action - id)
-        B = la.kernel_basis(N)
-        if B.shape[1] == 0:
-            return FGAbelianGroup.trivial()
-        gens = la.column_lattice_basis(A - la.eye(n))
-    solver = la.SaturatedBasisSolver(B)
-    return solver.quotient_by(gens)
+    rank_q_n, rank_p_t = _field_ranks(m)
+    h1 = m.rank - rank_q_n - rank_p_t
+    if i % 2:
+        return FGAbelianGroup.elementary(m.p, h1)
+    return FGAbelianGroup.elementary(
+        m.p, h1 + (m.p * rank_q_n - m.rank) // (m.p - 1))
 
 
 def tate_reference(m: ZpModule, i: int) -> FGAbelianGroup:
@@ -356,12 +430,18 @@ def tate_reference(m: ZpModule, i: int) -> FGAbelianGroup:
     Builds the norm matrix, takes a saturated basis of ker T (even
     degrees) or ker N (odd degrees), expresses the generators of im N or
     im T in it and reads the quotient off the cokernel of the coefficient
-    matrix.  `tate` must agree with it on every module.
+    matrix.  It reads the dense action (for an exterior power, the literal
+    compound matrix), not the Kronecker summands.  `tate` must agree with
+    it on every module.
     """
-    parity = i % 2
-
     def compute():
-        N = m.norm_matrix()
-        return direct_sum_all([_tate_block(A, N[np.ix_(idx, idx)], parity)
-                               for idx, A in _component_blocks(m)])
-    return m._memo(("tate_reference", parity), compute)
+        T, N = m.action - la.eye(m.rank), m.norm_matrix()
+        # invariants modulo the image of the norm, or the kernel of the
+        # norm modulo the image of T
+        kernel_of, image_of = (T, N) if i % 2 == 0 else (N, T)
+        B = la.kernel_basis(kernel_of)
+        if B.shape[1] == 0:
+            return FGAbelianGroup.trivial()
+        return la.SaturatedBasisSolver(B).quotient_by(
+            la.column_lattice_basis(image_of))
+    return m._memo(("tate_reference", i % 2), compute)

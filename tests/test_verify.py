@@ -58,3 +58,52 @@ def test_periodicity_and_duality_cells_compare_with_the_reference(monkeypatch):
     for name in names:
         with pytest.raises(AssertionError):
             cells[name]()
+
+
+@pytest.mark.parametrize("p, k", [(5, 3), (3, 7)])
+def test_grid_beyond_the_benchmark_passes(p, k):
+    # rank 12 with 4x4 blocks and rank 14 with 2x2 blocks: the largest
+    # exterior powers have 924 and 3432 dimensions
+    results = verify.run_all(p, k)
+    assert results and [r.name for r in results if not r.ok] == []
+
+
+def _guarded_compound(monkeypatch, limit):
+    """Patch compound_matrix to refuse inputs above limit x limit; returns
+    the list of input shapes it was called on."""
+    real, shapes = zpmod.compound_matrix, []
+
+    def guarded(A, deg):
+        shapes.append(A.shape)
+        if A.shape[0] > limit:
+            raise AssertionError(f"compound of a {A.shape} matrix")
+        return real(A, deg)
+    monkeypatch.setattr(zpmod, "compound_matrix", guarded)
+    return shapes
+
+
+def test_canonical_grid_runs_the_block_route(monkeypatch):
+    # canonical (3,6) is six 2x2 blocks: every compound is of one block,
+    # and no exterior power builds its dense compound action
+    shapes = _guarded_compound(monkeypatch, 2)
+
+    def refuse(self):
+        raise AssertionError("dense compound of an exterior power built")
+    monkeypatch.setattr(zpmod.ExteriorPower, "action", property(refuse))
+    assert all(r.ok for r in verify.run_all(3, 6))
+    assert shapes and set(shapes) == {(2, 2)}
+
+
+@pytest.mark.parametrize("p, k, seed", [(3, 2, 5), (5, 2, 3)])
+def test_connected_conjugate_report_builds_the_full_compound(monkeypatch, p, k, seed):
+    # a conjugate whose action is one block runs the literal compound of
+    # the whole action in every degree 1..n of the cross-check (degree 0
+    # is the 1x1 identity)
+    G = crystal.canonical_gamma(p, k)
+    g, g_inv = verify._random_unimodular(random.Random(seed), G.n)
+    H = crystal.validate_gamma(p, g @ G.rho @ g_inv)
+    assert len(zpmod._components(H.rho)) == 1
+    shapes = _guarded_compound(monkeypatch, G.n)
+    rep = crystal.build_report(H)
+    assert rep.warnings == []
+    assert shapes.count((G.n, G.n)) == G.n

@@ -385,3 +385,74 @@ def test_rank_formulas_match_reference(p, kind, seed):
         for i in (0, 1):
             assert tate(mod, i) == tate_reference(mod, i)
         assert co.torsion_subgroup() == tate_reference(mod, 1)
+
+
+def test_herbrand_tate0_matches_power_of_T():
+    # 1 + x + ... + x^(p-1) = (x - 1)^(p-1) in F_p[x], so rank_Fp N is the
+    # rank of T^(p-1) mod p; `tate` never forms it and reads Tate^0 off the
+    # Herbrand quotient, which must give rank_Fp N = rank_Q N - dim Tate^0
+    rng = random.Random(61)
+    for p in PRIMES:
+        for _ in range(4):
+            base = random_order_p_module(rng, p, max_rank=max(6, p + 1))
+            for mod in [base] + [exterior_power(base, d)
+                                 for d in range(2, min(3, base.rank) + 1)]:
+                T = mod.action - la.eye(mod.rank)
+                power = la.eye(mod.rank)
+                for _ in range(p - 1):
+                    power = power @ T
+                rank_p_n = la.rank_mod(power, p)
+                assert rank_p_n == la.rank_mod(mod.norm_matrix(), p)
+                dim0 = len(tate(mod, 0).torsion)
+                assert rank_p_n == fixed_rank(mod) - dim0, (p, mod.rank)
+
+
+# -- exterior powers by blocks against the literal compound ------------------
+
+_BLOCKS = {"cyc": make_cyclotomic, "reg": make_regular,
+           "triv": lambda p: make_trivial(p, 1)}
+
+
+@given(st.sampled_from((2, 3, 5)),
+       st.lists(st.sampled_from(sorted(_BLOCKS)), min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+@settings(max_examples=10, deadline=None)
+@example(3, ["cyc", "cyc", "cyc"], random.Random(0))
+@example(2, ["cyc", "reg", "triv", "cyc"], random.Random(1))
+@example(5, ["cyc", "triv", "triv"], random.Random(2))
+def test_block_route_matches_dense_compound(p, kinds, rng):
+    # direct sums of repeated and distinct block types, with the basis
+    # shuffled so blocks are not contiguous; in every degree, the Kronecker
+    # summands must give what the literal compound matrix gives
+    blocks = [_BLOCKS[kind](p) for kind in kinds]
+    while sum(b.rank for b in blocks) > 6:
+        blocks.pop()
+    base = zpmod.direct_sum_modules(blocks)
+    order = list(range(base.rank))
+    rng.shuffle(order)
+    perm = la.eye(base.rank)[order]
+    base = zpmod.conjugate(base, perm, perm.T.copy())
+    for mod in (base, dual(base)):
+        for d in range(mod.rank + 1):
+            ext = exterior_power(mod, d)
+            assert all(c > 0 for c, _ in ext.summands)
+            assert sum(c * S.rank for c, S in ext.summands) == ext.rank
+            dense = ZpModule(p, compound_matrix(mod.action, d), check=False)
+            T = dense.action - la.eye(dense.rank)
+            assert fixed_rank(ext) == la.kernel_basis(T).shape[1]
+            assert coinvariants(ext) == la.cokernel_structure(T)
+            for i in (0, 1):
+                assert tate(ext, i) == tate_reference(dense, i)
+                assert tate_reference(ext, i) == tate_reference(dense, i)
+            assert np.array_equal(ext.action, dense.action)
+
+
+def test_equal_blocks_give_one_summand_per_degree_multiset():
+    # (3,3): three equal 2x2 blocks; wedge^2 = 3 (B (x) B) + 3 Lambda^2 B
+    base = zpmod.direct_sum_modules([make_cyclotomic(3)] * 3)
+    got = sorted((c, S.rank) for c, S in exterior_power(base, 2).summands)
+    assert got == [(3, 1), (3, 4)]
+    # a connected action is its own single block: one summand, the compound
+    single = exterior_power(make_cyclotomic(7), 3)
+    [(c, S)] = single.summands
+    assert c == 1 and np.array_equal(S.action, single.action)
