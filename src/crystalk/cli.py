@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from . import crystal, exact_linalg as la, repring, verify, zpmod
+from . import crystal, repring, verify, zpmod
 from .crystal import GammaDescriptor, GammaError
 
 
@@ -162,7 +162,6 @@ def _oracle_payload(G: GammaDescriptor) -> dict:
     for j in range(n + 1):
         mod = G.exterior(j)
         tate_table[str(j)] = {str(i): str(zpmod.tate(mod, i)) for i in (0, 1)}
-    coker = la.invariant_factors(G.rho - la.eye(n))
     return {
         "descriptor": {"p": p, "n": n, "k": k, "canonical": G.canonical,
                        "rho": G.rho_rows()},
@@ -171,7 +170,8 @@ def _oracle_payload(G: GammaDescriptor) -> dict:
         "a": list(repring.a_vector(p, k)),
         "s": list(repring.s_vector(p, k)),
         "tate": tate_table,
-        "coker_invariant_factors": [int(x) for x in coker],
+        "coker_invariant_factors": [
+            int(x) for x in crystal.finite_subgroup_data(G).cokernel.torsion],
     }
 
 

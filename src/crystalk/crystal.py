@@ -91,11 +91,16 @@ class GammaDescriptor(zpmod.Memoized):
         sv = self._memo("s", lambda: repring.s_vector(self.p, self.k))
         return repring.s_at(sv, m)
 
+    def r_sums(self) -> dict[str, int]:
+        """The closed-form r-sums, each checked against summing `r()`."""
+        return self._memo("r_sums", lambda: repring.r_sum_identities(
+            self.p, self.k, self.r()))
+
     def r_even_sum(self) -> int:
-        return sum(self.r()[0::2])
+        return self.r_sums()["sum_even"]
 
     def r_odd_sum(self) -> int:
-        return sum(self.r()[1::2])
+        return self.r_sums()["sum_odd"]
 
     def rho_rows(self) -> list[list[int]]:
         # rho comes from intmat or the canonical builder: Python ints only
@@ -153,26 +158,24 @@ class FiniteSubgroupData:
 
 
 def finite_subgroup_data(G: GammaDescriptor) -> FiniteSubgroupData:
-    """Cokernel of (rho - id) and the finite-subgroup / fixed-point counts."""
-    cok = la.cokernel_structure(G.rho - la.eye(G.n))
-    expected = FGAbelianGroup.elementary(G.p, G.k)
-    if cok != expected:
-        raise CokernelMismatchError(
-            f"coker(rho - id) = {cok}, expected {expected}")
-    count = G.p ** G.k
-    return FiniteSubgroupData(cok, count, count)
+    """Cokernel of (rho - id) and the finite-subgroup / fixed-point counts.
 
-
-def abelianization(G: GammaDescriptor,
-                    cokernel: FGAbelianGroup | None = None) -> FGAbelianGroup:
-    """Largest abelian quotient; always elementary of rank k + 1.
-
-    `cokernel` is finite_subgroup_data(G).cokernel when the caller already
-    holds it.
+    The Smith form is taken once per descriptor and kept in its memo.
     """
-    if cokernel is None:
-        cokernel = finite_subgroup_data(G).cokernel
-    ab = direct_sum(cokernel, FGAbelianGroup.cyclic(G.p))
+    def compute() -> FiniteSubgroupData:
+        cok = la.cokernel_structure(G.rho - la.eye(G.n))
+        expected = FGAbelianGroup.elementary(G.p, G.k)
+        if cok != expected:
+            raise CokernelMismatchError(
+                f"coker(rho - id) = {cok}, expected {expected}")
+        count = G.p ** G.k
+        return FiniteSubgroupData(cok, count, count)
+    return G._memo("finite_subgroups", compute)
+
+
+def abelianization(G: GammaDescriptor) -> FGAbelianGroup:
+    """Largest abelian quotient; always elementary of rank k + 1."""
+    ab = direct_sum(finite_subgroup_data(G).cokernel, FGAbelianGroup.cyclic(G.p))
     expected = FGAbelianGroup.elementary(G.p, G.k + 1)
     if ab != expected:
         raise CokernelMismatchError(f"abelianization {ab} != {expected}")
@@ -180,14 +183,9 @@ def abelianization(G: GammaDescriptor,
 
 
 def euler_characteristic_quotient(G: GammaDescriptor) -> int:
-    """Euler characteristic of the orbit space of the torus action."""
-    value = (G.p - 1) * G.p ** (G.k - 1)
-    alt = repring.r_sum_identities(G.p, G.k, G.r())["alternating"]
-    if value != alt:
-        raise ArithmeticError(
-            f"Euler characteristic {value} disagrees with alternating "
-            f"rank sum {alt}")
-    return value
+    """Euler characteristic (p - 1)p^(k-1) of the orbit space of the torus
+    action: the alternating sum of the r_m."""
+    return G.r_sums()["alternating"]
 
 
 # --------------------------------------------------------------------------
@@ -294,15 +292,12 @@ def _require_odd(G: GammaDescriptor) -> None:
 # in degree j is the homological one in degree -j.
 
 
-def _ko_sum_cohomology(G: GammaDescriptor, m: int) -> GroupExpression:
+def _point_sum(G: GammaDescriptor, point, m: int,
+               sign: int = 1) -> GroupExpression:
+    """Sum over l of r_l copies of the point group `point` in degree
+    sign * (m - l); cohomology takes sign = -1."""
     rv = G.r()
-    return GroupExpression(tuple(KOPoint(l - m, rv[l])
-                                 for l in range(G.n + 1) if rv[l]))
-
-
-def _ko_sum_homology(G: GammaDescriptor, m: int) -> GroupExpression:
-    rv = G.r()
-    return GroupExpression(tuple(KOPoint(m - l, rv[l])
+    return GroupExpression(tuple(point(sign * (m - l), rv[l])
                                  for l in range(G.n + 1) if rv[l]))
 
 
@@ -322,25 +317,17 @@ def ko_theory(G: GammaDescriptor, m: int, space: str = "bgamma",
     _check_space(space)
     _check_variant(variant)
     even = m % 2 == 0
+    cohomology = variant == "cohomology"
     half = G.p ** G.k * (G.p - 1) // 2
+    out = _point_sum(G, KOPoint, m, -1 if cohomology else 1)
     if space == "bgamma":
-        if variant == "cohomology":
-            out = _ko_sum_cohomology(G, m)
-            if even:
-                out = out + GroupExpression((PAdic(G.p, half),))
-            return out
-        out = _ko_sum_homology(G, m)
-        if not even:
+        if cohomology and even:
+            out = out + GroupExpression((PAdic(G.p, half),))
+        elif not cohomology and not even:
             out = out + GroupExpression((Pruefer(G.p, half),))
-        return out
-    if variant == "cohomology":
-        out = _ko_sum_cohomology(G, m)
-        if not even:
-            out = out + _to_unknown(G, m)
-        return out
-    out = _ko_sum_homology(G, m)
-    if even:
-        out = out + _to_unknown(G, m + 5)
+    elif even != cohomology:
+        # odd cohomological / even homological degree
+        out = out + _to_unknown(G, m if cohomology else m + 5)
     return out
 
 
@@ -349,30 +336,13 @@ def ko_theory(G: GammaDescriptor, m: int, space: str = "bgamma",
 
 
 def d_even(G: GammaDescriptor) -> int:
-    if G.p == 2:
-        value = 3 * 2 ** (G.n - 1)
-    else:
-        base = 2 ** ((G.p - 1) * G.k)
-        value = ((base + G.p - 1) // (2 * G.p)
-                 + (G.p - 1) * G.p ** (G.k - 1) // 2
-                 + (G.p - 1) * G.p ** G.k)
-    check = (G.p - 1) * G.p ** G.k + G.r_even_sum()
-    if value != check:
-        raise ArithmeticError(f"d_ev mismatch: {value} != {check}")
-    return value
+    """Rank of K_0 of the reduced group C*-algebra: (p-1)p^k + sum of r_2i."""
+    return (G.p - 1) * G.p ** G.k + G.r_even_sum()
 
 
 def d_odd(G: GammaDescriptor) -> int:
-    if G.p == 2:
-        value = 0
-    else:
-        base = 2 ** ((G.p - 1) * G.k)
-        value = ((base + G.p - 1) // (2 * G.p)
-                 - (G.p - 1) * G.p ** (G.k - 1) // 2)
-    check = G.r_odd_sum()
-    if value != check:
-        raise ArithmeticError(f"d_odd mismatch: {value} != {check}")
-    return value
+    """Rank of K_1 of the reduced group C*-algebra: sum of r_(2i+1)."""
+    return G.r_odd_sum()
 
 
 def cstar_k_theory(G: GammaDescriptor, m: int,
@@ -384,7 +354,7 @@ def cstar_k_theory(G: GammaDescriptor, m: int,
         raise ValueError(f"field must be complex|real, got {field_kind!r}")
     _require_odd(G)
     half = G.p ** G.k * (G.p - 1) // 2
-    out = _ko_sum_homology(G, m)
+    out = _point_sum(G, KOPoint, m)
     if m % 2 == 0:
         out = GroupExpression.free(half) + out
     return out
@@ -392,15 +362,13 @@ def cstar_k_theory(G: GammaDescriptor, m: int,
 
 def equivariant_k(G: GammaDescriptor, m: int) -> GroupExpression:
     """Equivariant complex K of the proper classifying space (either variant)."""
-    if m % 2 == 0:
-        return GroupExpression.free((G.p - 1) * G.p ** G.k + G.r_even_sum())
-    return GroupExpression.free(G.r_odd_sum())
+    return GroupExpression.free(d_even(G) if m % 2 == 0 else d_odd(G))
 
 
 def equivariant_ko(G: GammaDescriptor, m: int) -> GroupExpression:
     """Equivariant KO-cohomology of the proper classifying space."""
     _require_odd(G)
-    out = _ko_sum_cohomology(G, m)
+    out = _point_sum(G, KOPoint, m, -1)
     if m % 2 == 0:
         out = GroupExpression.free(G.p ** G.k * (G.p - 1) // 2) + out
     return out
@@ -463,9 +431,7 @@ def connective_ko(G: GammaDescriptor, m: int,
     _check_space(space)
     if m < 0:
         raise ValueError("connective theories vanish in negative degrees")
-    rv = G.r()
-    out = GroupExpression(tuple(KoPoint(m - i, rv[i])
-                                for i in range(G.n + 1) if rv[i]))
+    out = _point_sum(G, KoPoint, m)
     odd = m % 2 == 1
     if space == "bgamma" and odd:
         out = out + GroupExpression((UnknownPTorsion(f"to_{m}", None),))
@@ -554,8 +520,8 @@ REPORT_FAMILIES = (
 )
 
 
-def build_report(G: GammaDescriptor, window: tuple[int, int] | None = None,
-                 cross_check: bool | None = None) -> TheoremReport:
+def build_report(G: GammaDescriptor,
+                 window: tuple[int, int] | None = None) -> TheoremReport:
     """Evaluate every theorem family over its degree window.
 
     For non-canonical actions the closed forms depend only on (p, k); the
@@ -563,7 +529,7 @@ def build_report(G: GammaDescriptor, window: tuple[int, int] | None = None,
     is recorded as a warning rather than an error.
     """
     fsd = finite_subgroup_data(G)
-    abelianization(G, fsd.cokernel)
+    abelianization(G)
     scalars = {
         "d_ev": d_even(G),
         "d_odd": d_odd(G),
@@ -587,9 +553,7 @@ def build_report(G: GammaDescriptor, window: tuple[int, int] | None = None,
     warnings: list[str] = []
     if G.p == 2:
         warnings.append("KO/ko sections omitted: p odd required")
-    if cross_check is None:
-        cross_check = not G.canonical
-    if cross_check:
+    if not G.canonical:
         warnings.extend(_cross_check_cohomology(G, h_window))
     return TheoremReport(G, scalars, groups, warnings)
 

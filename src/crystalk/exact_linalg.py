@@ -214,11 +214,6 @@ def cokernel_structure(M) -> FGAbelianGroup:
                           [D[i, i] for i in range(rank) if D[i, i] != 1])
 
 
-def invariant_factors(M) -> list[int]:
-    """Invariant factors of M (SNF diagonal with unit entries dropped)."""
-    return list(cokernel_structure(M).torsion)
-
-
 def smith_normal_form(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Smith normal form: (D, U, V) with D = U @ M @ V.
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crystalk import crystal, exact_linalg as la
+from crystalk import crystal, exact_linalg as la, repring
 from crystalk.abelian import (CyclicPrimePower, FGAbelianGroup, FreeZ,
                               GroupExpression, PAdic, Pruefer,
                               UnknownPTorsion, direct_sum, expr_evaluate,
@@ -262,6 +262,38 @@ def test_equivariant_matches_cstar():
             assert equivariant_k(G, m) == cstar_k_theory(G, m, "complex")
 
 
+PAPER_SHAPES = ([(2, k) for k in range(1, 13)] + [(3, k) for k in range(1, 9)]
+                + [(5, k) for k in range(1, 5)] + [(7, k) for k in range(1, 4)]
+                + [(13, 3), (61, 1), (1009, 1)])
+
+
+@pytest.mark.parametrize("p, k", PAPER_SHAPES)
+def test_scalars_match_the_papers_closed_forms(p, k, monkeypatch):
+    # Davis-Lueck: rk K_0 = d_ev and rk K_1 = d_odd of C*_r(Gamma), and the
+    # orbit space has Euler characteristic (p - 1)p^(k-1)
+    G = canonical_gamma(p, k)
+    if p == 2:
+        ev, odd = 3 * 2 ** (G.n - 1), 0
+    else:
+        assert (2 ** ((p - 1) * k) + p - 1) % (2 * p) == 0
+        half = (2 ** ((p - 1) * k) + p - 1) // (2 * p)
+        tilt = (p - 1) * p ** (k - 1) // 2
+        ev, odd = half + tilt + (p - 1) * p ** k, half - tilt
+    assert (d_even(G), d_odd(G)) == (ev, odd)
+    assert euler_characteristic_quotient(G) == (p - 1) * p ** (k - 1)
+    for m in (0, 1):
+        assert equivariant_k(G, m) == cstar_k_theory(G, m, "complex")
+    # the scalars are only as good as the check of the r-sums behind them
+    rv = G.r()
+    monkeypatch.setattr(repring, "r_vector",
+                        lambda p, k: (rv[0] + 1,) + rv[1:])
+    fresh = crystal.GammaDescriptor(p, G.n, k, G.rho, True)
+    with pytest.raises(ArithmeticError):
+        d_even(fresh)
+    with pytest.raises(ArithmeticError):
+        euler_characteristic_quotient(fresh)
+
+
 def test_equivariant_sequences_ranks():
     seqs = equivariant_exact_sequences(G31, 0)
     assert seqs.complex_seq.left == GroupExpression.free(6)
@@ -382,8 +414,31 @@ def test_report_json_dict_shape():
 def test_report_warns_on_assembly_mismatch(monkeypatch):
     monkeypatch.setattr(crystal, "brute_force_cohomology_bgamma",
                         lambda G, m: GroupExpression.free(99))
-    rep = build_report(G31, cross_check=True)
+    g = la.intmat([[1, 2], [0, 1]])
+    ginv = la.intmat([[1, -2], [0, 1]])
+    H = validate_gamma(3, g @ G31.rho @ ginv)
+    assert not H.canonical
+    rep = build_report(H)
     assert any("disagrees" in w for w in rep.warnings)
+    # a canonical action runs no cross-check
+    assert build_report(G31).warnings == []
+
+
+def test_one_smith_form_of_rho_minus_id(monkeypatch):
+    from crystalk import cli
+    seen = []
+    original = la.cokernel_structure
+
+    def counting(M):
+        seen.append(np.shape(M))
+        return original(M)
+    monkeypatch.setattr(la, "cokernel_structure", counting)
+    G = canonical_gamma(3, 2)
+    build_report(G)
+    crystal.abelianization(G)
+    payload = cli._oracle_payload(G)
+    assert seen == [(G.n, G.n)]
+    assert payload["coker_invariant_factors"] == [3, 3]
 
 
 def test_report_warns_when_guardrail_blocks_cross_check(monkeypatch):
