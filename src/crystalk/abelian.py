@@ -230,10 +230,6 @@ class UnknownPTorsion:
     layer_bounds: tuple[int, ...] | None = None
 
 
-_KIND_ORDER = {FreeZ: 0, CyclicPrimePower: 1, PAdic: 2, Pruefer: 3,
-               KOPoint: 4, KoPoint: 5, UnknownPTorsion: 6}
-
-
 @dataclass(frozen=True)
 class GroupExpression:
     """Normalized multiset of group summands."""

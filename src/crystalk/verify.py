@@ -328,12 +328,16 @@ def checks_crystal(G: crystal.GammaDescriptor, seed: int):
     yield "crystal: homology = dual of cohomology", uct, f"p={p} k={k}"
 
     def five_term():
-        pk = p ** k
+        # Z/p copies of H^2m(BGamma) and H^(2m+1)(quotient), plus a_2m
+        # counted without the DP behind s, make up p^k
         for m in range(1, n // 2 + 2):
-            s2m = G.s(2 * m)
-            s2m1 = G.s(2 * m + 1)
-            assert s2m + s2m1 <= 2 * pk, "exponent bound violated"
-            assert pk == s2m + (pk - s2m1) + (s2m1 - s2m), "alternating identity"
+            assert G.s(2 * m) + G.s(2 * m + 1) <= 2 * p ** k, \
+                "exponent bound violated"
+            total = repring.a_j_inclusion_exclusion(p, k, 2 * m) + sum(
+                e.to_fg().torsion.count(p) for e in (
+                    crystal.cohomology_bgamma(G, 2 * m),
+                    crystal.cohomology_quotient(G, 2 * m + 1)))
+            assert total == p ** k, f"five-term count {total} != p^k at m={m}"
     yield "crystal: five-term sequence bookkeeping", five_term, f"p={p} k={k}"
 
     def k_parity():

@@ -164,17 +164,21 @@ def conjugate(m: ZpModule, g, g_inv) -> ZpModule:
     return ZpModule(m.p, g @ m.action @ g_inv, check=False)
 
 
+class ExteriorGuardrailError(ValueError):
+    """An exterior power refused because its dimension exceeds the limit."""
+
+
 def exterior_power(m: ZpModule, deg: int) -> ExteriorPower:
     """deg-th exterior power, held as Kronecker summands (see `ExteriorPower`).
 
-    Refuses a dimension C(rank, deg) above `max_exterior_dim()`.
+    Refuses C(rank, deg) above `max_exterior_dim()`: ExteriorGuardrailError.
     """
     if deg < 0 or deg > m.rank:
         raise ValueError(f"exterior degree {deg} outside [0, {m.rank}]")
     dim = comb(m.rank, deg)
     limit = max_exterior_dim()
     if dim > limit:
-        raise ValueError(
+        raise ExteriorGuardrailError(
             f"exterior power dimension C({m.rank},{deg}) = {dim} exceeds "
             f"the guardrail {limit}; set CRYSTALK_MAX_EXT_DIM to override")
     return ExteriorPower(m, deg)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from crystalk import crystal, exact_linalg as la, repring
+from crystalk import crystal, exact_linalg as la, repring, zpmod
 from crystalk.abelian import (CyclicPrimePower, FGAbelianGroup, FreeZ,
                               GroupExpression, PAdic, Pruefer,
-                              UnknownPTorsion, direct_sum, expr_evaluate,
-                              ext_dual, fg_expression, hom_dual)
+                              UnknownPTorsion, direct_sum, direct_sum_all,
+                              expr_evaluate, ext_dual, fg_expression,
+                              hom_dual)
 from crystalk.crystal import (BadRankError, NotFreeError, NotPrimeError,
                               OddPrimeRequiredError, WrongOrderError,
                               brute_force_cohomology_bgamma, build_report,
@@ -466,3 +467,65 @@ def test_cross_check_builds_no_norm_matrix(monkeypatch):
     rep = build_report(H)
     assert rep.warnings == []
     assert rep.groups["H^*(BGamma)"] == build_report(G32).groups["H^*(BGamma)"]
+
+
+def _seeded_conjugate(p, k, seed):
+    import random
+    from crystalk.verify import _random_unimodular
+    G = canonical_gamma(p, k)
+    g, g_inv = _random_unimodular(random.Random(seed), G.n)
+    H = validate_gamma(p, g @ G.rho @ g_inv)
+    assert not H.canonical
+    return H
+
+
+@pytest.mark.parametrize("p, k, seed", [(3, 2, 5), (5, 1, 7), (3, 3, 11),
+                                        (7, 1, 13)])
+def test_assembly_matches_the_dual_route(p, k, seed):
+    # the paper's E2 term reads Lambda^j of the dual lattice; the assembly
+    # reads Lambda^j rho, which has the same Tate groups and fixed ranks
+    H = _seeded_conjugate(p, k, seed)
+    dual = zpmod.dual(H.module())
+    for m in range(H.n + 1):
+        free, torsion = 0, []
+        for j in range(m + 1):
+            ext = zpmod.exterior_power(dual, j)
+            if j == m:
+                free += zpmod.fixed_rank(ext)
+            else:
+                torsion.append(zpmod.tate(ext, m - j))
+        by_dual = (GroupExpression.free(free)
+                   + direct_sum_all(torsion).to_expression())
+        assert brute_force_cohomology_bgamma(H, m) == by_dual, m
+
+
+def test_cross_check_builds_no_dual_module(monkeypatch):
+
+    def refuse(m):
+        raise AssertionError("dual module built")
+    monkeypatch.setattr(zpmod, "dual", refuse)
+    H = _seeded_conjugate(3, 2, 5)
+    rep = build_report(H)
+    assert rep.warnings == []
+    assert rep.groups["H^*(BGamma)"] == build_report(G32).groups["H^*(BGamma)"]
+
+
+def test_rank_errors_are_not_reported_as_the_guardrail(monkeypatch):
+    # only the exterior-dimension refusal turns into the guardrail warning;
+    # any other ValueError out of the assembly is a bug and propagates
+
+    def broken(m):
+        raise ValueError("negative free rank")
+    monkeypatch.setattr(zpmod, "fixed_rank", broken)
+    with pytest.raises(ValueError, match="negative free rank"):
+        build_report(_seeded_conjugate(3, 2, 5))
+    assert issubclass(zpmod.ExteriorGuardrailError, ValueError)
+
+
+def test_cokernel_mismatch_guards_the_coinvariants(monkeypatch):
+    # coker(rho - id) is read off the lattice module's coinvariants, and a
+    # group other than (Z/p)^k is still refused
+    monkeypatch.setattr(zpmod, "coinvariants",
+                        lambda m: FGAbelianGroup.elementary(3, 1))
+    with pytest.raises(crystal.CokernelMismatchError):
+        finite_subgroup_data(canonical_gamma(3, 2))

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from crystalk import crystal, exact_linalg as la, verify, zpmod
+from crystalk import crystal, exact_linalg as la, repring, verify, zpmod
 from crystalk.abelian import FGAbelianGroup
 
 
@@ -60,12 +60,27 @@ def test_periodicity_and_duality_cells_compare_with_the_reference(monkeypatch):
             cells[name]()
 
 
-@pytest.mark.parametrize("p, k", [(5, 3), (3, 7)])
+@pytest.mark.parametrize("p, k", [(5, 3), (3, 7), (11, 1), (13, 1)])
 def test_grid_beyond_the_benchmark_passes(p, k):
     # rank 12 with 4x4 blocks and rank 14 with 2x2 blocks: the largest
-    # exterior powers have 924 and 3432 dimensions
+    # exterior powers have 924 and 3432 dimensions; (11,1) and (13,1) are
+    # one 10x10 and one 12x12 block, so every compound is a full one
     results = verify.run_all(p, k)
     assert results and [r.name for r in results if not r.ok] == []
+
+
+def test_five_term_cell_catches_a_shifted_s_table(monkeypatch):
+    # s read one degree late still satisfies the bound, but no longer
+    # counts the a_2m that inclusion-exclusion gives
+    name = "crystal: five-term sequence bookkeeping"
+    cells = {n: fn for n, fn, _repro in verify.all_checks(3, 2)}
+    cells[name]()
+    real = repring.s_vector
+    monkeypatch.setattr(repring, "s_vector",
+                        lambda p, k: real(p, k)[1:] + (p ** k,))
+    cells = {n: fn for n, fn, _repro in verify.all_checks(3, 2)}
+    with pytest.raises(AssertionError, match="five-term count"):
+        cells[name]()
 
 
 def _guarded_compound(monkeypatch, limit):
