@@ -1,15 +1,15 @@
 """Exact integer matrix algebra.
 
-One elimination routine, `_row_reduce`, gives ranks, saturated kernel
-lattices, column lattices, the diagonalization behind cokernel structure
-and invariant factors, and the Smith normal form with its transforms.
-`determinant` (Bareiss elimination) stays apart as an independent check.
+One elimination routine, `_row_reduce`, gives saturated kernel lattices,
+lattice coordinates (`SaturatedBasisSolver`), the diagonalization behind
+cokernel structure and the Smith normal form with its transforms.
 Matrices are numpy arrays of dtype=object holding Python ints, so nothing
 ever overflows and no floating point is involved.
 
-Ranks over a prime field F_q (`rank_mod`) run on int64 residues instead,
-and refuse a modulus for which a product of two residues could leave
-int64.
+Two routines stay apart on purpose.  `rank_mod` works over a prime field
+F_q on int64 residues, and refuses a modulus for which a product of two
+residues could leave int64.  `determinant` (Bareiss elimination) is an
+independent check.
 """
 
 from __future__ import annotations
@@ -133,14 +133,9 @@ def _row_reduce(W: np.ndarray, ncols: int) -> list[tuple[int, int]]:
             piv = W[r, c]
             rest = W[r + 1:, c]
             q = rest // piv
+            # piv has the least absolute value, so every other nonzero
+            # entry x has x // piv != 0 and upd is never empty
             upd = np.nonzero(q != 0)[0]
-            if len(upd) == 0:
-                # remaining entries already in [0, piv); smaller nonzero
-                # exists only if some entry is nonzero, handled next round
-                sub = np.nonzero(rest != 0)[0]
-                if len(sub) == 0:
-                    break
-                continue
             W[r + 1 + upd] -= q[upd, None] * W[r][None, :]
             # loop: remainders are now in [0, piv), Euclid terminates
             if not np.any(W[r + 1:, c] != 0):
@@ -169,17 +164,6 @@ def kernel_basis(M) -> np.ndarray:
     M = intmat(M)
     _, T, rank = _echelon(M.T, eye(M.shape[1]))
     return T[rank:].T.copy()
-
-
-def column_lattice_basis(M) -> np.ndarray:
-    """Columns forming a basis of the lattice spanned by the columns of M.
-
-    Row operations on the transpose preserve the column lattice, so the
-    nonzero rows of its echelon form give an exact generating set.
-    """
-    W = intmat(M).T.copy()
-    pivots = _row_reduce(W, W.shape[1])
-    return W[:len(pivots)].T.copy()
 
 
 def _diagonalize(D: np.ndarray, U: np.ndarray, Vt: np.ndarray) -> int:
@@ -261,50 +245,35 @@ def determinant(M) -> int:
 
 
 class SaturatedBasisSolver:
-    """Repeated coordinate solving against a fixed lattice basis.
+    """Coordinates and quotients against a saturated lattice basis B.
 
-    Holds a column-echelon form of the basis matrix; `quotient_by` computes
-    the structure of (lattice)/(sublattice) for a sublattice handed in by
-    generating vectors, expressing each generator in basis coordinates by
-    exact forward substitution and reading the quotient off the coefficient
-    matrix.  Generators outside the lattice are a hard error.
+    `coefficient_matrix` row-reduces [B | G] once, pivoting on B: U @ B =
+    [R; 0] with U unimodular and R upper triangular with positive pivots.
+    U keeps the gcd of the maximal minors of B (Cauchy-Binet), so that gcd
+    is det R, and B spans a saturated lattice (Z^n / span B torsion-free)
+    exactly when every pivot of R is 1 (Newman, Integral Matrices, ch. II).
+    Then R is unimodular, B @ C = G forces the rows of U @ G below R to
+    vanish, and the top rows R @ C are the coordinates C up to a basis
+    change, which keeps every quotient.  A basis with another pivot is
+    refused, as is a generator outside the span.  It is a class, not a
+    function, because `perfbench/tracer.py` times its three methods as
+    a layer boundary.
     """
 
     def __init__(self, basis: np.ndarray):
-        B = intmat(basis)
-        self.n, self.s = B.shape
-        W = B.T.copy()
-        pivots = _row_reduce(W, self.n)
-        if len(pivots) != self.s:
-            raise ValueError("basis columns are not independent")
-        self.echelon = W.T.copy()   # n x s, column echelon
-        self.pivot_rows = [c for _, c in pivots]
+        self.basis = intmat(basis)
+        self.s = self.basis.shape[1]
 
     def coefficient_matrix(self, gens: np.ndarray) -> np.ndarray:
-        """Coordinates of each generator column, up to a basis change.
-
-        Returns Y (s x g) with column spans satisfying
-        lattice(basis) @ C = gens for C = W @ Y, W unimodular; quotient
-        computations may use Y directly.
-        """
-        G = intmat(gens).copy()
-        g = G.shape[1]
-        Y = zeros(self.s, g)
-        for j in range(self.s):
-            r = self.pivot_rows[j]
-            piv = self.echelon[r, j]
-            vals = G[r, :]
-            if np.any(vals % piv != 0):
-                raise ArithmeticError("vector outside the spanned lattice")
-            coef = vals // piv
-            Y[j, :] = coef
-            upd = np.nonzero(coef != 0)[0]
-            if len(upd):
-                G[:, upd] -= np.outer(self.echelon[:, j], coef[upd])
-        if np.any(G != 0):
+        """R @ C (s x g) for the coordinates C of the generator columns."""
+        UB, UG, rank = _echelon(self.basis, intmat(gens))
+        if rank < self.s:
+            raise ValueError("basis columns are not independent")
+        if any(UB[j, j] != 1 for j in range(self.s)):
+            raise ArithmeticError("basis is not saturated")
+        if np.any(UG[self.s:] != 0):
             raise ArithmeticError("vector outside the spanned lattice")
-        return Y
+        return UG[:self.s]
 
     def quotient_by(self, gens: np.ndarray) -> FGAbelianGroup:
-        Y = self.coefficient_matrix(gens)
-        return cokernel_structure(Y)
+        return cokernel_structure(self.coefficient_matrix(gens))

@@ -446,6 +446,5 @@ def tate_reference(m: ZpModule, i: int) -> FGAbelianGroup:
         B = la.kernel_basis(kernel_of)
         if B.shape[1] == 0:
             return FGAbelianGroup.trivial()
-        return la.SaturatedBasisSolver(B).quotient_by(
-            la.column_lattice_basis(image_of))
+        return la.SaturatedBasisSolver(B).quotient_by(image_of)
     return m._memo(("tate_reference", i % 2), compute)

@@ -201,6 +201,66 @@ def test_saturated_basis_quotient():
     assert got == FGAbelianGroup.cyclic(6)
 
 
+class ForwardSubstitutionSolver:
+    """Lattice coordinates by a column-echelon form of the basis and exact
+    forward substitution: the reference for `SaturatedBasisSolver`."""
+
+    def __init__(self, basis):
+        B = mat(basis)
+        self.n, self.s = B.shape
+        W = B.T.copy()
+        pivots = la._row_reduce(W, self.n)
+        assert len(pivots) == self.s, "basis columns are not independent"
+        self.echelon = W.T.copy()   # n x s, column echelon
+        self.pivot_rows = [c for _, c in pivots]
+
+    def quotient_by(self, gens):
+        G = mat(gens).copy()
+        Y = la.zeros(self.s, G.shape[1])
+        for j in range(self.s):
+            r = self.pivot_rows[j]
+            piv = self.echelon[r, j]
+            if np.any(G[r, :] % piv != 0):
+                raise ArithmeticError("vector outside the spanned lattice")
+            Y[j, :] = G[r, :] // piv
+            G -= np.outer(self.echelon[:, j], Y[j, :])
+        if np.any(G != 0):
+            raise ArithmeticError("vector outside the spanned lattice")
+        return la.cokernel_structure(Y)
+
+
+@given(matrices(max_dim=6), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_saturated_basis_solver_matches_forward_substitution(rows, rng):
+    M = mat(rows[:5])
+    B = la.kernel_basis(M)
+    s, g = B.shape[1], rng.randint(0, B.shape[1] + 2)
+    C = la.zeros(s, g)
+    for i in range(s):
+        for j in range(g):
+            C[i, j] = rng.randint(-6, 6)
+    G = B @ C if s else la.zeros(M.shape[1], g)
+    got = la.SaturatedBasisSolver(B).quotient_by(G)
+    assert got == ForwardSubstitutionSolver(B).quotient_by(G)
+    # B is injective, so span(B) / span(B C) is Z^s / span(C)
+    assert got == la.cokernel_structure(C)
+
+
+def test_saturated_basis_solver_refuses_unsaturated_basis():
+    # span [2, 0] contains [2, 0], but Z^2 / span B has torsion
+    with pytest.raises(ArithmeticError, match="not saturated"):
+        la.SaturatedBasisSolver([[2], [0]]).quotient_by([[2], [0]])
+    with pytest.raises(ValueError, match="not independent"):
+        la.SaturatedBasisSolver([[1, 2], [1, 2]]).quotient_by([[1], [1]])
+
+
+def test_saturated_basis_solver_rejects_outside_saturated_span():
+    solver = la.SaturatedBasisSolver([[1], [1], [0]])
+    assert solver.quotient_by([[3], [3], [0]]) == FGAbelianGroup.cyclic(3)
+    with pytest.raises(ArithmeticError, match="outside"):
+        solver.quotient_by([[1], [0], [0]])
+
+
 # -- ranks over prime fields ---------------------------------------------------
 
 def test_rank_mod_small_cases():
