@@ -76,6 +76,22 @@ class GammaDescriptor(zpmod.Memoized):
         return self._memo(("ext", j), lambda: zpmod.exterior_power(
             self.module(), j))
 
+    def local_model(self) -> zpmod.ZpModule:
+        """The p-local normal form of the lattice module
+        (`zpmod.local_model`); the canonical action is its own."""
+        if self.canonical:
+            return self.module()
+        return self._memo("local_model", lambda: zpmod.local_model(
+            self.module()))
+
+    def local_exterior(self, j: int) -> zpmod.ZpModule:
+        """j-th exterior power of `local_model()`, kept per degree; for the
+        canonical action the same object as `exterior(j)`."""
+        if self.canonical:
+            return self.exterior(j)
+        return self._memo(("local_ext", j), lambda: zpmod.exterior_power(
+            self.local_model(), j))
+
     def r(self) -> tuple[int, ...]:
         return self._memo("r", lambda: repring.r_vector(self.p, self.k))
 
@@ -285,10 +301,13 @@ def _require_odd(G: GammaDescriptor) -> None:
 def _point_sum(G: GammaDescriptor, point, m: int,
                sign: int = 1) -> GroupExpression:
     """Sum over l of r_l copies of the point group `point` in degree
-    sign * (m - l); cohomology takes sign = -1."""
-    rv = G.r()
-    return GroupExpression(tuple(point(sign * (m - l), rv[l])
-                                 for l in range(G.n + 1) if rv[l]))
+    sign * (m - l); cohomology takes sign = -1.  Kept in the descriptor's
+    memo: every KO/ko family of a report reads the same few sums."""
+    def compute():
+        rv = G.r()
+        return GroupExpression(tuple(point(sign * (m - l), rv[l])
+                                     for l in range(G.n + 1) if rv[l]))
+    return G._memo(("point_sum", point, m, sign), compute)
 
 
 def _to_unknown(G: GammaDescriptor, degree: int) -> GroupExpression:
@@ -441,11 +460,16 @@ def brute_force_cohomology_bgamma(G: GammaDescriptor, m: int) -> GroupExpression
     Independent of the closed forms: E2^{i,j} = H^i(Z/p; Lambda^j M*), M*
     the dual lattice.  For a cyclic group Tate duality and 2-periodicity
     give Tate^i(M*) = Tate^-i(M) = Tate^i(M), and M* and M have the same
-    fixed rank (Brown, Cohomology of Groups, VI 7).  So this reads
-    Lambda^j rho, `G.exterior(j)`, through `zpmod.fixed_rank` and
-    `zpmod.tate`: prime-field ranks of T = A - I, which transposing keeps.
-    The verify cell "tate: duality against the transposed module (random)"
-    still checks the duality against `tate_reference` on random modules.
+    fixed rank (Brown, Cohomology of Groups, VI 7); `zpmod.fixed_rank`
+    and `zpmod.tate` read only prime-field ranks of T = A - I, which
+    transposing keeps and Lambda^j of the p-local normal form of rho shares
+    (`zpmod.local_model`).  So this reads `G.local_exterior(j)`:
+    `G.exterior(j)` for the canonical action, and for a validated conjugate
+    Lambda^j of the k-fold cyclotomic block sum, whose summands are
+    Kronecker products of (p-1)-dimensional compounds; no compound of the
+    literal matrix is built.  The verify r-oracle and checkerboard cells
+    keep the literal route, and the cell "tate: duality against the
+    transposed module (random)" checks the duality against `tate_reference`.
     """
     if m < 0:
         raise ValueError("negative degree")
@@ -453,7 +477,7 @@ def brute_force_cohomology_bgamma(G: GammaDescriptor, m: int) -> GroupExpression
     torsion = []
     for j in range(0, min(m, G.n) + 1):
         i = m - j
-        mod = G.exterior(j)
+        mod = G.local_exterior(j)
         if i == 0:
             free += zpmod.fixed_rank(mod)
         else:
@@ -519,8 +543,9 @@ def build_report(G: GammaDescriptor,
     """Evaluate every theorem family over its degree window.
 
     For non-canonical actions the closed forms depend only on (p, k); the
-    spectral assembly then runs on the supplied matrix and any disagreement
-    is recorded as a warning rather than an error.
+    spectral assembly then runs on the p-local normal form of the supplied
+    matrix (see `brute_force_cohomology_bgamma`) and any disagreement is
+    recorded as a warning rather than an error.
     """
     fsd = finite_subgroup_data(G)
     abelianization(G)

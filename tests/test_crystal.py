@@ -529,3 +529,18 @@ def test_cokernel_mismatch_guards_the_coinvariants(monkeypatch):
                         lambda m: FGAbelianGroup.elementary(3, 1))
     with pytest.raises(crystal.CokernelMismatchError):
         finite_subgroup_data(canonical_gamma(3, 2))
+
+
+@pytest.mark.parametrize("p, k, seed", [(3, 3, 11), (5, 2, 3), (7, 1, 13)])
+def test_local_model_of_a_conjugate_is_the_canonical_action(p, k, seed):
+    # a free action has no trivial or regular part p-locally, so the
+    # cross-check of any validated conjugate reads the k-fold cyclotomic sum
+    H = _seeded_conjugate(p, k, seed)
+    G = canonical_gamma(p, k)
+    assert np.array_equal(H.local_model().action, G.rho)
+    assert H.local_exterior(2) is H.local_exterior(2)
+    assert H.local_exterior(2) is not H.exterior(2)
+    # the canonical action is its own model: the assembly shares the
+    # exterior powers of the verify cells
+    assert G.local_model() is G.module()
+    assert all(G.local_exterior(j) is G.exterior(j) for j in range(G.n + 1))

@@ -2,10 +2,13 @@
 
 Reports must match `crystalk report --p P --k K --format json` byte for
 byte, and each verify grid must list the same cells in the same order.
-The files are only read here.
+A report on a conjugate of a golden action must give the same scalars,
+groups and warnings, with no warning from its cross-check.  The files are
+only read here.
 """
 
 import json
+import random
 import re
 from pathlib import Path
 
@@ -13,7 +16,7 @@ import pytest
 
 from crystalk import verify
 from crystalk.cli import render_report_json
-from crystalk.crystal import build_report, canonical_gamma
+from crystalk.crystal import build_report, canonical_gamma, validate_gamma
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
@@ -41,3 +44,29 @@ def test_verify_cell_names_match_golden(p, k, path):
     # all_checks yields the cells without calling them
     names = [name for name, _fn, _repro in verify.all_checks(p, k)]
     assert names == json.loads(path.read_text())
+
+
+def _seeded_conjugate(p, k, seed):
+    G = canonical_gamma(p, k)
+    g, g_inv = verify._random_unimodular(random.Random(seed), G.n)
+    H = validate_gamma(p, g @ G.rho @ g_inv)
+    assert not H.canonical
+    return H
+
+
+@pytest.mark.parametrize("p,k,path", [
+    param for param in _shapes("report")
+    if (param.values[0] - 1) * param.values[1] <= 8])
+def test_conjugate_reports_match_golden(p, k, path):
+    golden = json.loads(path.read_text())
+    got = build_report(_seeded_conjugate(p, k, 1000 * p + k)).to_json_dict()
+    for key in ("scalars", "groups", "warnings"):
+        assert got[key] == golden[key], key
+
+
+def test_large_conjugate_report_is_clean():
+    # rank 14: the cross-check must run through the block model, not refuse
+    # or build 3432-dimensional compounds of the supplied matrix
+    rep = build_report(_seeded_conjugate(3, 7, 37))
+    assert rep.warnings == []
+    assert rep.groups == build_report(canonical_gamma(3, 7)).groups

@@ -109,16 +109,34 @@ def test_canonical_grid_runs_the_block_route(monkeypatch):
     assert shapes and set(shapes) == {(2, 2)}
 
 
-@pytest.mark.parametrize("p, k, seed", [(3, 2, 5), (5, 2, 3)])
-def test_connected_conjugate_report_builds_the_full_compound(monkeypatch, p, k, seed):
-    # a conjugate whose action is one block runs the literal compound of
-    # the whole action in every degree 1..n of the cross-check (degree 0
-    # is the 1x1 identity)
+def _connected_conjugate(p, k, seed):
+    """A validated conjugate of the canonical (p, k) action that is one block."""
     G = crystal.canonical_gamma(p, k)
     g, g_inv = verify._random_unimodular(random.Random(seed), G.n)
     H = crystal.validate_gamma(p, g @ G.rho @ g_inv)
     assert len(zpmod._components(H.rho)) == 1
-    shapes = _guarded_compound(monkeypatch, G.n)
+    return H
+
+
+@pytest.mark.parametrize("p, k, seed", [(3, 2, 5), (5, 2, 3)])
+def test_connected_conjugate_report_builds_block_compounds_only(monkeypatch, p, k, seed):
+    # the cross-check reads the p-local normal form, k cyclotomic blocks,
+    # so no compound is wider than one (p-1)-block although the supplied
+    # action is one n x n block
+    H = _connected_conjugate(p, k, seed)
+    shapes = _guarded_compound(monkeypatch, p - 1)
     rep = crystal.build_report(H)
     assert rep.warnings == []
-    assert shapes.count((G.n, G.n)) == G.n
+    assert shapes and set(shapes) == {(p - 1, p - 1)}
+
+
+@pytest.mark.parametrize("p, k, seed", [(3, 2, 5), (5, 2, 3)])
+def test_connected_conjugate_verify_builds_the_full_compound(monkeypatch, p, k, seed):
+    # the r-oracle and Tate checkerboard cells keep the literal route: the
+    # compound of the whole supplied action in every degree 1..n (degree 0
+    # is the 1x1 identity)
+    H = _connected_conjugate(p, k, seed)
+    shapes = _guarded_compound(monkeypatch, H.n)
+    results = verify.run_all(p, k, gamma=H)
+    assert results and [r.name for r in results if not r.ok] == []
+    assert shapes.count((H.n, H.n)) == H.n
