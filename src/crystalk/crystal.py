@@ -8,7 +8,8 @@ invariant: integral (co)homology, complex K-theory, real KO-theory and
 connective ko-theory of the classifying space and of the orbit space, the
 K-theory of the reduced group C*-algebras, and the equivariant groups of
 the proper classifying space.  A spectral assembly from the module layer
-provides an independent derivation of the cohomology for cross-checking.
+gives an independent derivation of the cohomology, which the verify grid
+compares with the closed forms.
 """
 
 from __future__ import annotations
@@ -75,22 +76,6 @@ class GammaDescriptor(zpmod.Memoized):
         """j-th exterior power of the lattice module, kept per degree."""
         return self._memo(("ext", j), lambda: zpmod.exterior_power(
             self.module(), j))
-
-    def local_model(self) -> zpmod.ZpModule:
-        """The p-local normal form of the lattice module
-        (`zpmod.local_model`); the canonical action is its own."""
-        if self.canonical:
-            return self.module()
-        return self._memo("local_model", lambda: zpmod.local_model(
-            self.module()))
-
-    def local_exterior(self, j: int) -> zpmod.ZpModule:
-        """j-th exterior power of `local_model()`, kept per degree; for the
-        canonical action the same object as `exterior(j)`."""
-        if self.canonical:
-            return self.exterior(j)
-        return self._memo(("local_ext", j), lambda: zpmod.exterior_power(
-            self.local_model(), j))
 
     def r(self) -> tuple[int, ...]:
         return self._memo("r", lambda: repring.r_vector(self.p, self.k))
@@ -462,14 +447,10 @@ def brute_force_cohomology_bgamma(G: GammaDescriptor, m: int) -> GroupExpression
     give Tate^i(M*) = Tate^-i(M) = Tate^i(M), and M* and M have the same
     fixed rank (Brown, Cohomology of Groups, VI 7); `zpmod.fixed_rank`
     and `zpmod.tate` read only prime-field ranks of T = A - I, which
-    transposing keeps and Lambda^j of the p-local normal form of rho shares
-    (`zpmod.local_model`).  So this reads `G.local_exterior(j)`:
-    `G.exterior(j)` for the canonical action, and for a validated conjugate
-    Lambda^j of the k-fold cyclotomic block sum, whose summands are
-    Kronecker products of (p-1)-dimensional compounds; no compound of the
-    literal matrix is built.  The verify r-oracle and checkerboard cells
-    keep the literal route, and the cell "tate: duality against the
-    transposed module (random)" checks the duality against `tate_reference`.
+    transposing keeps.  So this reads `G.exterior(j)`, Lambda^j of the
+    action as given, the same modules as the verify r-oracle and
+    checkerboard cells; the cell "tate: duality against the transposed
+    module (random)" checks the duality against `tate_reference`.
     """
     if m < 0:
         raise ValueError("negative degree")
@@ -477,7 +458,7 @@ def brute_force_cohomology_bgamma(G: GammaDescriptor, m: int) -> GroupExpression
     torsion = []
     for j in range(0, min(m, G.n) + 1):
         i = m - j
-        mod = G.local_exterior(j)
+        mod = G.exterior(j)
         if i == 0:
             free += zpmod.fixed_rank(mod)
         else:
@@ -542,10 +523,10 @@ def build_report(G: GammaDescriptor,
                  window: tuple[int, int] | None = None) -> TheoremReport:
     """Evaluate every theorem family over its degree window.
 
-    For non-canonical actions the closed forms depend only on (p, k); the
-    spectral assembly then runs on the p-local normal form of the supplied
-    matrix (see `brute_force_cohomology_bgamma`) and any disagreement is
-    recorded as a warning rather than an error.
+    The action is checked through the one Smith form of rho - id
+    (`finite_subgroup_data`); every family is a closed form in (p, k), so
+    a supplied action builds no exterior power.  `verify` compares the
+    closed forms with the spectral assembly.
     """
     fsd = finite_subgroup_data(G)
     abelianization(G)
@@ -558,9 +539,8 @@ def build_report(G: GammaDescriptor,
     }
     if window is not None and window[0] > window[1]:
         raise ValueError(f"empty degree window {window}")
-    h_window = window or (0, G.n)
     # window kind -> (degree window, whether degrees start at 0)
-    windows = {"H": (h_window, True), "K": (window or (0, 1), False),
+    windows = {"H": (window or (0, G.n), True), "K": (window or (0, 1), False),
                "KO": (window or (0, 7), False), "ko": (window or (0, 7), True)}
     groups: dict[str, dict[int, GroupExpression]] = {}
     for name, evaluate, kind, odd_only in REPORT_FAMILIES:
@@ -572,24 +552,4 @@ def build_report(G: GammaDescriptor,
     warnings: list[str] = []
     if G.p == 2:
         warnings.append("KO/ko sections omitted: p odd required")
-    if not G.canonical:
-        warnings.extend(_cross_check_cohomology(G, h_window))
     return TheoremReport(G, scalars, groups, warnings)
-
-
-def _cross_check_cohomology(G: GammaDescriptor,
-                            window: tuple[int, int]) -> list[str]:
-    out = []
-    for m in range(max(window[0], 0), min(window[1], G.n) + 1):
-        try:
-            assembled = brute_force_cohomology_bgamma(G, m)
-        except zpmod.ExteriorGuardrailError:
-            out.append(f"cross-check skipped in degree {m}: "
-                       "exterior dimension guardrail")
-            break
-        closed = cohomology_bgamma(G, m)
-        if assembled != closed:
-            out.append(
-                f"degree {m}: assembled cohomology {assembled} disagrees "
-                f"with closed form {closed}")
-    return out

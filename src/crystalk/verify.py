@@ -2,9 +2,10 @@
 
 Each check compares an independently computed quantity against a closed
 form (or two independent computations against each other) and reports a
-pass/fail line.  Mismatches are ordinary failures; exceptions out of the
-exact-arithmetic layer are hard internal errors and carry a minimal
-reproducer.
+pass/fail line.  Mismatches are ordinary failures; the exterior-dimension
+guardrail's refusal passes through as the ValueError it is; any other
+exception out of the exact-arithmetic layer is a hard internal error and
+carries a minimal reproducer.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ def _cell(name: str, fn, reproducer: str) -> CheckResult:
         return CheckResult(name, True)
     except AssertionError as exc:
         return CheckResult(name, False, str(exc))
+    except zpmod.ExteriorGuardrailError:
+        raise
     except Exception as exc:  # noqa: BLE001 - anything else is a hard error
         raise HardError(f"{type(exc).__name__}: {exc}", reproducer) from exc
 
@@ -394,6 +397,7 @@ def all_checks(p: int, k: int, seed: int = 20240801,
 
 def run_all(p: int, k: int, seed: int = 20240801,
             gamma: crystal.GammaDescriptor | None = None) -> list[CheckResult]:
-    """Run the whole grid for one (p, k); raises HardError on internal bugs."""
+    """Run the whole grid for one (p, k); raises HardError on internal bugs
+    and ExteriorGuardrailError when the guardrail refuses an exterior power."""
     return [_cell(name, fn, repro)
             for name, fn, repro in all_checks(p, k, seed, gamma)]

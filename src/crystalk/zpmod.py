@@ -20,8 +20,7 @@ diagonal blocks of the base action (see `ExteriorPower`); the functors
 rank or diagonalize each distinct summand once and scale by its
 multiplicity.  The dense compound `action` is built only when something
 reads it (the norm matrix, `tate_reference`, tests).  A base action with
-one block gives one summand, its full compound; `local_model` gives a
-block-diagonal module with the same ranks in every exterior degree.
+one block gives one summand, its full compound.
 
 Only input from outside is checked: `ZpModule(p, action)` validates by
 default, while the standard modules and the combinators' results are valid
@@ -163,47 +162,6 @@ def conjugate(m: ZpModule, g, g_inv) -> ZpModule:
     if g.shape != g_inv.shape or np.any(g @ g_inv != la.eye(g.shape[0])):
         raise ValueError("g_inv is not the inverse of g")
     return ZpModule(m.p, g @ m.action @ g_inv, check=False)
-
-
-def local_model(m: ZpModule) -> ZpModule:
-    """trivial^r + cyclotomic^s + regular^t, block-diagonal, agreeing with m
-    on every rank that `fixed_rank` and `tate` read, in every exterior degree.
-
-    Over the p-adic integers every lattice over Z_p[Z/p] is a direct sum of
-    copies of Z_p, Z_p[z] and Z_p[Z/p], z a primitive p-th root of unity
-    (Diederichsen, Reiner; Curtis-Reiner, Methods of Representation
-    Theory I, section 34): m (x) Z_p = Z_p^r + Z_p[z]^s + Z_p[Z/p]^t.  The
-    counts come from the two field ranks of m, with n the rank:
-
-        a = rank_Q N            = r + t
-        (n - a) / (p - 1)       = s + t     (copies of Q(z) in m (x) Q)
-        rho_p = rank_Fp T       = (p - 2) s + (p - 1) t
-
-    since T mod p is zero on Z/p, one Jordan block of size p - 1 on Z[z]/p
-    and one of size p on F_p[Z/p].  Lambda^j commutes with (x) Z_p, so
-    Lambda^j m and Lambda^j of the model have isomorphic completions.
-    Every rank that `fixed_rank` and `tate` read is either a rank over F_p
-    of (Lambda^j m)/p, which the completion determines, or a rank over F_l
-    fixed by Lambda^j m (x) Q, which m (x) Q = Q^a + Q(z)^(s + t)
-    determines.  So the model and m agree in every exterior degree, and the
-    model's exterior powers are Kronecker products of block compounds of
-    size at most p.
-
-    Raises ArithmeticError, naming the ranks, when the counts come out
-    negative or fractional (ranks no Z/p-lattice has).
-    """
-    p, n = m.p, m.rank
-    a, rho_p = _field_ranks(m)
-    b, rest = divmod(n - a, p - 1)
-    t = rho_p - (p - 2) * b
-    r, s = a - t, b - t
-    if rest or min(r, s, t) < 0:
-        raise ArithmeticError(
-            f"no p-local type has rank {n}, rank_Q N = {a} and "
-            f"rank_F{p} T = {rho_p}")
-    return direct_sum_modules([make_trivial(p, 1)] * r
-                              + [make_cyclotomic(p)] * s
-                              + [make_regular(p)] * t)
 
 
 class ExteriorGuardrailError(ValueError):

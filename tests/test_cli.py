@@ -48,7 +48,7 @@ def test_render_report_json_is_json_dumps(p, k):
 
 
 def test_render_report_json_is_json_dumps_off_canonical():
-    # wide entries, a warning-free cross-check and a degree window
+    # wide entries, no warnings and a degree window
     G = crystal.canonical_gamma(5, 1)
     g = la.intmat([[1, 3, 0, 0], [0, 1, 0, 0], [0, 0, 1, -7], [0, 0, 0, 1]])
     g_inv = la.intmat([[1, -3, 0, 0], [0, 1, 0, 0], [0, 0, 1, 7], [0, 0, 0, 1]])
@@ -223,6 +223,15 @@ def test_verify_internal_error_exit4(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--p", "3", "--k", "1")
     assert code == 4
     assert "p=3 k=1 m=2 i=1" in err
+
+
+def test_verify_guardrail_refusal_exit2(capsys, monkeypatch):
+    # a refused exterior power is an invalid request, not an internal error
+    monkeypatch.setenv("CRYSTALK_MAX_EXT_DIM", "3")
+    code, out, err = run(capsys, "verify", "--p", "3", "--k", "2")
+    assert code == 2
+    assert out == ""
+    assert "CRYSTALK_MAX_EXT_DIM" in err and "internal error" not in err
 
 
 # -- oracle ------------------------------------------------------------------

@@ -412,19 +412,6 @@ def test_report_json_dict_shape():
     assert d["groups"]["H^*(BGamma)"]["2"] == "Z (+) (Z/3)^2"
 
 
-def test_report_warns_on_assembly_mismatch(monkeypatch):
-    monkeypatch.setattr(crystal, "brute_force_cohomology_bgamma",
-                        lambda G, m: GroupExpression.free(99))
-    g = la.intmat([[1, 2], [0, 1]])
-    ginv = la.intmat([[1, -2], [0, 1]])
-    H = validate_gamma(3, g @ G31.rho @ ginv)
-    assert not H.canonical
-    rep = build_report(H)
-    assert any("disagrees" in w for w in rep.warnings)
-    # a canonical action runs no cross-check
-    assert build_report(G31).warnings == []
-
-
 def test_one_smith_form_of_rho_minus_id(monkeypatch):
     from crystalk import cli
     seen = []
@@ -442,33 +429,6 @@ def test_one_smith_form_of_rho_minus_id(monkeypatch):
     assert payload["coker_invariant_factors"] == [3, 3]
 
 
-def test_report_warns_when_guardrail_blocks_cross_check(monkeypatch):
-    monkeypatch.setenv("CRYSTALK_MAX_EXT_DIM", "1")
-    g = la.intmat([[1, 1], [0, 1]])
-    ginv = la.intmat([[1, -1], [0, 1]])
-    H = crystal.validate_gamma(3, g @ G31.rho @ ginv)
-    rep = build_report(H)
-    assert any("guardrail" in w for w in rep.warnings)
-
-
-def test_cross_check_builds_no_norm_matrix(monkeypatch):
-    # the assembly reads prime-field ranks of each compound action; the
-    # norm matrix belongs to the reference oracle only
-    import random
-    from crystalk import zpmod
-    from crystalk.verify import _random_unimodular
-
-    def refuse(self):
-        raise AssertionError("norm matrix built")
-    monkeypatch.setattr(zpmod.ZpModule, "norm_matrix", refuse)
-    g, g_inv = _random_unimodular(random.Random(5), G32.n)
-    H = validate_gamma(3, g @ G32.rho @ g_inv)
-    assert not H.canonical
-    rep = build_report(H)
-    assert rep.warnings == []
-    assert rep.groups["H^*(BGamma)"] == build_report(G32).groups["H^*(BGamma)"]
-
-
 def _seeded_conjugate(p, k, seed):
     import random
     from crystalk.verify import _random_unimodular
@@ -483,7 +443,8 @@ def _seeded_conjugate(p, k, seed):
                                         (7, 1, 13)])
 def test_assembly_matches_the_dual_route(p, k, seed):
     # the paper's E2 term reads Lambda^j of the dual lattice; the assembly
-    # reads Lambda^j rho, which has the same Tate groups and fixed ranks
+    # reads Lambda^j of the supplied rho, which has the same Tate groups and
+    # fixed ranks
     H = _seeded_conjugate(p, k, seed)
     dual = zpmod.dual(H.module())
     for m in range(H.n + 1):
@@ -499,7 +460,44 @@ def test_assembly_matches_the_dual_route(p, k, seed):
         assert brute_force_cohomology_bgamma(H, m) == by_dual, m
 
 
+def test_cokernel_mismatch_guards_the_coinvariants(monkeypatch):
+    # coker(rho - id) is read off the lattice module's coinvariants, and a
+    # group other than (Z/p)^k is still refused
+    monkeypatch.setattr(zpmod, "coinvariants",
+                        lambda m: FGAbelianGroup.elementary(3, 1))
+    with pytest.raises(crystal.CokernelMismatchError):
+        finite_subgroup_data(canonical_gamma(3, 2))
+
+
+@pytest.mark.parametrize("p, k, seed", [(3, 2, 5), (5, 2, 3)])
+def test_conjugate_report_builds_no_exterior_power(monkeypatch, p, k, seed):
+    # the closed forms depend only on (p, k): a report on a supplied action
+    # reads it through validation and the Smith form of rho - id alone
+
+    def refuse(*args):
+        raise AssertionError("exterior power built")
+    monkeypatch.setattr(zpmod, "exterior_power", refuse)
+    H = _seeded_conjugate(p, k, seed)
+    rep = build_report(H)
+    assert rep.warnings == []
+    assert rep.groups == build_report(canonical_gamma(p, k)).groups
+
+
+def test_cross_check_builds_no_norm_matrix(monkeypatch):
+    # the norm matrix belongs to verify's reference oracle only; a report on
+    # a supplied action, whose groups are the closed forms, never needs it
+
+    def refuse(self):
+        raise AssertionError("norm matrix built")
+    monkeypatch.setattr(zpmod.ZpModule, "norm_matrix", refuse)
+    H = _seeded_conjugate(3, 2, 5)
+    rep = build_report(H)
+    assert rep.warnings == []
+    assert rep.groups["H^*(BGamma)"] == build_report(G32).groups["H^*(BGamma)"]
+
+
 def test_cross_check_builds_no_dual_module(monkeypatch):
+    # the dual lattice is read only by the dual-route test above
 
     def refuse(m):
         raise AssertionError("dual module built")
@@ -510,37 +508,12 @@ def test_cross_check_builds_no_dual_module(monkeypatch):
     assert rep.groups["H^*(BGamma)"] == build_report(G32).groups["H^*(BGamma)"]
 
 
-def test_rank_errors_are_not_reported_as_the_guardrail(monkeypatch):
-    # only the exterior-dimension refusal turns into the guardrail warning;
-    # any other ValueError out of the assembly is a bug and propagates
-
-    def broken(m):
-        raise ValueError("negative free rank")
-    monkeypatch.setattr(zpmod, "fixed_rank", broken)
-    with pytest.raises(ValueError, match="negative free rank"):
-        build_report(_seeded_conjugate(3, 2, 5))
-    assert issubclass(zpmod.ExteriorGuardrailError, ValueError)
-
-
-def test_cokernel_mismatch_guards_the_coinvariants(monkeypatch):
-    # coker(rho - id) is read off the lattice module's coinvariants, and a
-    # group other than (Z/p)^k is still refused
-    monkeypatch.setattr(zpmod, "coinvariants",
-                        lambda m: FGAbelianGroup.elementary(3, 1))
-    with pytest.raises(crystal.CokernelMismatchError):
-        finite_subgroup_data(canonical_gamma(3, 2))
-
-
-@pytest.mark.parametrize("p, k, seed", [(3, 3, 11), (5, 2, 3), (7, 1, 13)])
-def test_local_model_of_a_conjugate_is_the_canonical_action(p, k, seed):
-    # a free action has no trivial or regular part p-locally, so the
-    # cross-check of any validated conjugate reads the k-fold cyclotomic sum
-    H = _seeded_conjugate(p, k, seed)
-    G = canonical_gamma(p, k)
-    assert np.array_equal(H.local_model().action, G.rho)
-    assert H.local_exterior(2) is H.local_exterior(2)
-    assert H.local_exterior(2) is not H.exterior(2)
-    # the canonical action is its own model: the assembly shares the
-    # exterior powers of the verify cells
-    assert G.local_model() is G.module()
-    assert all(G.local_exterior(j) is G.exterior(j) for j in range(G.n + 1))
+def test_conjugate_report_ignores_the_guardrail(monkeypatch):
+    # n = 20: C(20, 6) is over the default exterior-dimension limit, which a
+    # report never meets, at that limit or a lowered one
+    H = _seeded_conjugate(3, 10, 310)
+    rep = build_report(H)
+    assert rep.warnings == []
+    assert rep.groups == build_report(canonical_gamma(3, 10)).groups
+    monkeypatch.setenv("CRYSTALK_MAX_EXT_DIM", "1")
+    assert build_report(_seeded_conjugate(3, 2, 5)).warnings == []

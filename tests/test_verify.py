@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crystalk import crystal, exact_linalg as la, repring, verify, zpmod
-from crystalk.abelian import FGAbelianGroup
+from crystalk.abelian import FGAbelianGroup, GroupExpression
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
@@ -120,23 +120,77 @@ def _connected_conjugate(p, k, seed):
 
 @pytest.mark.parametrize("p, k, seed", [(3, 2, 5), (5, 2, 3)])
 def test_connected_conjugate_report_builds_block_compounds_only(monkeypatch, p, k, seed):
-    # the cross-check reads the p-local normal form, k cyclotomic blocks,
-    # so no compound is wider than one (p-1)-block although the supplied
-    # action is one n x n block
+    # the supplied action is one n x n block, yet a report builds no compound
+    # wider than one (p-1)-block: its groups are the closed forms, so it
+    # builds none at all
     H = _connected_conjugate(p, k, seed)
     shapes = _guarded_compound(monkeypatch, p - 1)
     rep = crystal.build_report(H)
     assert rep.warnings == []
-    assert shapes and set(shapes) == {(p - 1, p - 1)}
+    assert shapes == []
 
 
 @pytest.mark.parametrize("p, k, seed", [(3, 2, 5), (5, 2, 3)])
 def test_connected_conjugate_verify_builds_the_full_compound(monkeypatch, p, k, seed):
-    # the r-oracle and Tate checkerboard cells keep the literal route: the
-    # compound of the whole supplied action in every degree 1..n (degree 0
-    # is the 1x1 identity)
+    # the r-oracle, Tate checkerboard and brute-force cells share the
+    # literal route: the compound of the whole supplied action, once in
+    # every degree 1..n (degree 0 is the 1x1 identity)
     H = _connected_conjugate(p, k, seed)
     shapes = _guarded_compound(monkeypatch, H.n)
     results = verify.run_all(p, k, gamma=H)
     assert results and [r.name for r in results if not r.ok] == []
     assert shapes.count((H.n, H.n)) == H.n
+
+
+@pytest.mark.parametrize("p, k, seed", [(3, 2, 5), (5, 2, 3)])
+def test_brute_force_cells_read_the_literal_exterior_powers(monkeypatch, p, k, seed):
+    # degree m takes the fixed rank of wedge^m and Tate^i of wedge^(m-i):
+    # each must be the descriptor's own exterior power of the supplied action
+    H = _connected_conjugate(p, k, seed)
+    real_assembly, real_fixed, real_tate = (
+        crystal.brute_force_cohomology_bgamma, zpmod.fixed_rank, zpmod.tate)
+    degree, seen = [], []
+
+    def assembly(G, m):
+        degree.append(m)
+        try:
+            return real_assembly(G, m)
+        finally:
+            degree.pop()
+
+    def fixed_rank(mod):
+        if degree:
+            seen.append((mod, degree[-1]))
+        return real_fixed(mod)
+
+    def tate(mod, i):
+        if degree:
+            seen.append((mod, degree[-1] - i))
+        return real_tate(mod, i)
+    monkeypatch.setattr(crystal, "brute_force_cohomology_bgamma", assembly)
+    monkeypatch.setattr(zpmod, "fixed_rank", fixed_rank)
+    monkeypatch.setattr(zpmod, "tate", tate)
+    results = verify.run_all(p, k, gamma=H)
+    assert results and [r.name for r in results if not r.ok] == []
+    assert {j for _mod, j in seen} == set(range(H.n + 1))
+    assert all(mod is H.exterior(j) for mod, j in seen)
+
+
+def test_assembly_mismatch_fails_a_verify_cell(monkeypatch):
+    H = _connected_conjugate(3, 2, 5)
+    monkeypatch.setattr(crystal, "brute_force_cohomology_bgamma",
+                        lambda G, m: GroupExpression.free(99))
+    failed = [r for r in verify.run_all(3, 2, gamma=H) if not r.ok]
+    assert failed and all(r.name.startswith("brute-force: spectral assembly")
+                          for r in failed)
+
+
+def test_rank_errors_are_not_reported_as_the_guardrail(monkeypatch):
+    # only the exterior-dimension refusal passes through a cell as itself;
+    # any other ValueError out of an oracle is a bug, a HardError
+    def broken(m):
+        raise ValueError("negative free rank")
+    monkeypatch.setattr(zpmod, "fixed_rank", broken)
+    with pytest.raises(verify.HardError, match="negative free rank"):
+        verify.run_all(3, 2, gamma=_connected_conjugate(3, 2, 5))
+    assert issubclass(zpmod.ExteriorGuardrailError, ValueError)

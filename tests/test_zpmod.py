@@ -456,63 +456,3 @@ def test_equal_blocks_give_one_summand_per_degree_multiset():
     single = exterior_power(make_cyclotomic(7), 3)
     [(c, S)] = single.summands
     assert c == 1 and np.array_equal(S.action, single.action)
-
-
-# -- the p-local normal form against the literal module ----------------------
-
-def _local_type(model):
-    """(r, s, t): trivial, cyclotomic and regular blocks of a local model."""
-    p = model.p
-    kinds = [make_trivial(p, 1), make_cyclotomic(p), make_regular(p)]
-    counts = [0, 0, 0]
-    for B, count in zpmod._block_types(model):
-        [at] = [i for i, kind in enumerate(kinds)
-                if np.array_equal(kind.action, B)]
-        counts[at] += count
-    return tuple(counts)
-
-
-@given(st.sampled_from(PRIMES), st.randoms(use_true_random=False))
-@settings(max_examples=24, deadline=None)
-@example(2, random.Random(0))
-@example(3, random.Random(1))
-@example(5, random.Random(2))
-@example(7, random.Random(3))
-def test_local_model_matches_the_literal_module(p, rng):
-    # the type is read off two ranks; the Jordan type of T mod p, computed
-    # here from every power of T, must give the same counts, and in every
-    # exterior degree the model's Kronecker summands must give the ranks
-    # and Tate groups of the literal compound
-    mod = random_order_p_module(rng, p, max_rank=8)
-    model = zpmod.local_model(mod)
-    r, s, t = _local_type(model)
-    assert model.rank == mod.rank == r + (p - 1) * s + p * t
-    T = mod.action - la.eye(mod.rank)
-    power = la.eye(mod.rank)
-    for j in range(1, p + 1):
-        power = power @ T
-        assert la.rank_mod(power, p) == (s * max(p - 1 - j, 0)
-                                         + t * max(p - j, 0)), j
-    for d in range(mod.rank + 1):
-        ext = exterior_power(model, d)
-        dense = ZpModule(p, compound_matrix(mod.action, d), check=False)
-        assert zpmod._field_ranks(ext) == zpmod._field_ranks(dense), d
-        assert fixed_rank(ext) == fixed_rank(dense)
-        for i in (0, 1):
-            assert tate(ext, i) == tate(dense, i), (d, i)
-            if mod.rank <= 6:
-                assert tate_reference(ext, i) == tate_reference(dense, i)
-
-
-def test_local_model_refuses_ranks_no_lattice_has(monkeypatch):
-    base = zpmod.direct_sum_modules([make_cyclotomic(5)] * 2)
-    assert _local_type(zpmod.local_model(base)) == (0, 2, 0)
-    # each impossible type breaks one condition: (n - a) / (p - 1) = 6/4
-    # is no integer; rank_F5 T = 5 < (p - 2)(s + t) = 6 asks for t = -1;
-    # rank_F5 T = 7 asks for a regular block that a fixed rank 0 has no
-    # room for (r = -1)
-    for ranks in ((2, 3), (0, 5), (0, 7)):
-        monkeypatch.setattr(zpmod, "_field_ranks", lambda m, ranks=ranks: ranks)
-        with pytest.raises(ArithmeticError, match=(
-                f"rank 8, rank_Q N = {ranks[0]} and rank_F5 T = {ranks[1]}")):
-            zpmod.local_model(base)
