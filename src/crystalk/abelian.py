@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 def factorint(n: int) -> dict[int, int]:
@@ -39,16 +39,31 @@ def factorint(n: int) -> dict[int, int]:
 
 
 def _chain_from_prime_powers(powers: dict[int, list[int]]) -> tuple[int, ...]:
-    descending = [(p, sorted(exps, reverse=True)) for p, exps in powers.items()]
-    depth = max((len(exps) for _p, exps in descending), default=0)
-    chain = []
-    for i in range(depth):
+    """Invariant factors, ascending, of the sum of the cyclic groups Z/p^e
+    for each prime p and each exponent e in powers[p].
+
+    The i-th largest factor is the product over p of p to the i-th largest
+    exponent, so it stays constant on runs where no prime's exponent
+    changes; each run is emitted at once (exterior powers hand over
+    thousands of copies of one Z/p).
+    """
+    # per prime: (e, copies) ascending in e, so the largest exponent is last
+    stacks = [(p, sorted(Counter(exps).items()))
+              for p, exps in powers.items() if exps]
+    runs: list[tuple[int, int]] = []   # (factor, copies), factors descending
+    while stacks:
+        run = min(stack[-1][1] for _p, stack in stacks)
         f = 1
-        for p, exps in descending:
-            if i < len(exps):
-                f *= p ** exps[i]
-        chain.append(f)
-    chain.reverse()
+        for p, stack in stacks:
+            e, copies = stack.pop()
+            f *= p ** e
+            if copies > run:
+                stack.append((e, copies - run))
+        runs.append((f, run))
+        stacks = [(p, stack) for p, stack in stacks if stack]
+    chain: list[int] = []
+    for f, run in reversed(runs):
+        chain.extend([f] * run)
     return tuple(chain)
 
 
@@ -110,28 +125,19 @@ class FGAbelianGroup:
     def torsion_subgroup(self) -> "FGAbelianGroup":
         return FGAbelianGroup(0, self.torsion)
 
-    def primary_decomposition(self) -> dict[int, tuple[int, ...]]:
-        """{prime: ascending exponent tuple}; for display purposes."""
-        powers: dict[int, list[int]] = {}
-        for d in self.torsion:
-            for p, e in factorint(d).items():
-                powers.setdefault(p, []).append(e)
-        return {p: tuple(sorted(v)) for p, v in sorted(powers.items())}
-
     def __str__(self) -> str:
         return self.to_expression().render()
 
     def to_expression(self) -> "GroupExpression":
-        summands: list = []
-        if self.free_rank:
-            summands.append(FreeZ(self.free_rank))
         counts: dict[tuple[int, int], int] = {}
-        for p, exps in self.primary_decomposition().items():
-            for e in exps:
-                counts[(p, e)] = counts.get((p, e), 0) + 1
-        for (p, e), mult in counts.items():
-            summands.append(CyclicPrimePower(p, e, mult))
-        return GroupExpression(tuple(summands))
+        # each distinct order is factored once
+        for d, copies in Counter(self.torsion).items():
+            for p, e in factorint(d).items():
+                counts[(p, e)] = counts.get((p, e), 0) + copies
+        summands: list = [FreeZ(self.free_rank)] if self.free_rank else []
+        summands.extend(CyclicPrimePower(p, e, mult)
+                        for (p, e), mult in sorted(counts.items()))
+        return GroupExpression._canonical(tuple(summands))
 
 
 def direct_sum(a: FGAbelianGroup, b: FGAbelianGroup) -> FGAbelianGroup:
@@ -232,7 +238,15 @@ class UnknownPTorsion:
 
 @dataclass(frozen=True)
 class GroupExpression:
-    """Normalized multiset of group summands."""
+    """Normalized multiset of group summands.
+
+    The canonical summand tuple holds at most one summand per kind and key,
+    none with a zero count, in the order of `_order_key`: free part, cyclic
+    parts by (p, e), p-adic and Pruefer parts by p, KO points by degree in
+    [0, 8), ko points by degree >= 0, then the unknowns by (tag, bounds).
+    The constructor brings any tuple into that form through `_normalize`;
+    the named constructors, `+` and `expr_evaluate` build it directly.
+    """
 
     summands: tuple = ()
 
@@ -240,19 +254,47 @@ class GroupExpression:
         object.__setattr__(self, "summands", _normalize(self.summands))
 
     @classmethod
+    def _canonical(cls, summands: tuple) -> "GroupExpression":
+        """An expression on a tuple already in canonical form (unchecked)."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "summands", summands)
+        return e
+
+    @classmethod
     def zero(cls) -> "GroupExpression":
-        return cls(())
+        return cls._canonical(())
 
     @classmethod
     def free(cls, rank: int) -> "GroupExpression":
-        return cls((FreeZ(rank),))
+        return cls._canonical((FreeZ(rank),) if rank else ())
 
     @classmethod
     def elementary(cls, p: int, copies: int) -> "GroupExpression":
-        return cls((CyclicPrimePower(p, 1, copies),))
+        return cls._canonical((CyclicPrimePower(p, 1, copies),) if copies else ())
+
+    @classmethod
+    def padic(cls, p: int, rank: int) -> "GroupExpression":
+        return cls._canonical((PAdic(p, rank),) if rank else ())
+
+    @classmethod
+    def pruefer(cls, p: int, rank: int) -> "GroupExpression":
+        return cls._canonical((Pruefer(p, rank),) if rank else ())
+
+    @classmethod
+    def unknown(cls, tag: str,
+                layer_bounds: tuple[int, ...] | None) -> "GroupExpression":
+        """Unknown p-torsion; zero when every layer bound is 0."""
+        if layer_bounds is None:
+            return cls._canonical((UnknownPTorsion(tag, None),))
+        bounds = tuple(layer_bounds)
+        return cls._canonical((UnknownPTorsion(tag, bounds),) if any(bounds) else ())
 
     def __add__(self, other: "GroupExpression") -> "GroupExpression":
-        return GroupExpression(self.summands + other.summands)
+        if not other.summands:
+            return self
+        if not self.summands:
+            return other
+        return GroupExpression._canonical(_merge(self.summands, other.summands))
 
     def is_zero(self) -> bool:
         return not self.summands
@@ -289,6 +331,9 @@ class GroupExpression:
 
 
 def _normalize(summands) -> tuple:
+    """The canonical tuple of any iterable of summands: counts of one kind
+    and key are added, zero counts, negative ko degrees and all-zero
+    unknown bounds dropped, KO degrees reduced mod 8."""
     free = 0
     cyclic: dict[tuple[int, int], int] = {}
     padic: dict[int, int] = {}
@@ -297,47 +342,92 @@ def _normalize(summands) -> tuple:
     kolow: dict[int, int] = {}
     unknowns: list[UnknownPTorsion] = []
     for s in summands:
-        if isinstance(s, FreeZ):
+        t = type(s)
+        if t is FreeZ:
             free += s.rank
-        elif isinstance(s, CyclicPrimePower):
-            if s.multiplicity:
-                cyclic[(s.p, s.exponent)] = cyclic.get((s.p, s.exponent), 0) + s.multiplicity
-        elif isinstance(s, PAdic):
-            if s.rank:
-                padic[s.p] = padic.get(s.p, 0) + s.rank
-        elif isinstance(s, Pruefer):
-            if s.rank:
-                pruefer[s.p] = pruefer.get(s.p, 0) + s.rank
-        elif isinstance(s, KOPoint):
-            if s.multiplicity:
-                d = s.degree % 8
-                ko[d] = ko.get(d, 0) + s.multiplicity
-        elif isinstance(s, KoPoint):
+        elif t is CyclicPrimePower:
+            key = (s.p, s.exponent)
+            cyclic[key] = cyclic.get(key, 0) + s.multiplicity
+        elif t is PAdic:
+            padic[s.p] = padic.get(s.p, 0) + s.rank
+        elif t is Pruefer:
+            pruefer[s.p] = pruefer.get(s.p, 0) + s.rank
+        elif t is KOPoint:
+            d = s.degree % 8
+            ko[d] = ko.get(d, 0) + s.multiplicity
+        elif t is KoPoint:
             # connective: negative degrees vanish, no periodicity reduction
-            if s.multiplicity and s.degree >= 0:
+            if s.degree >= 0:
                 kolow[s.degree] = kolow.get(s.degree, 0) + s.multiplicity
-        elif isinstance(s, UnknownPTorsion):
-            if s.layer_bounds is not None and all(b == 0 for b in s.layer_bounds):
-                continue
-            unknowns.append(UnknownPTorsion(s.tag,
-                                            None if s.layer_bounds is None
-                                            else tuple(s.layer_bounds)))
+        elif t is UnknownPTorsion:
+            if s.layer_bounds is None:
+                unknowns.append(s)
+            elif any(s.layer_bounds):
+                unknowns.append(UnknownPTorsion(s.tag, tuple(s.layer_bounds)))
         else:
             raise TypeError(f"unknown summand kind: {s!r}")
+    out: list = [FreeZ(free)] if free else []
+    out.extend(CyclicPrimePower(p, e, c) for (p, e), c in sorted(cyclic.items()) if c)
+    out.extend(PAdic(p, c) for p, c in sorted(padic.items()) if c)
+    out.extend(Pruefer(p, c) for p, c in sorted(pruefer.items()) if c)
+    out.extend(KOPoint(d, c) for d, c in sorted(ko.items()) if c)
+    out.extend(KoPoint(d, c) for d, c in sorted(kolow.items()) if c)
+    out.extend(sorted(unknowns, key=_order_key))
+    return tuple(out)
+
+
+# Canonical position of a summand; equal keys of a counted kind add up.
+_ORDER_KEYS = {
+    FreeZ: lambda s: (0,),
+    CyclicPrimePower: lambda s: (1, s.p, s.exponent),
+    PAdic: lambda s: (2, s.p),
+    Pruefer: lambda s: (3, s.p),
+    KOPoint: lambda s: (4, s.degree),
+    KoPoint: lambda s: (5, s.degree),
+    UnknownPTorsion: lambda s: (6, s.tag, s.layer_bounds or ()),
+}
+
+
+def _order_key(s) -> tuple:
+    return _ORDER_KEYS[type(s)](s)
+
+
+# the field that counts copies, per counted summand kind
+_COUNT_FIELDS = {FreeZ: "rank", CyclicPrimePower: "multiplicity", PAdic: "rank",
+                 Pruefer: "rank", KOPoint: "multiplicity", KoPoint: "multiplicity"}
+
+
+def _plus(s, t) -> tuple:
+    """Canonical summands of s + t for two summands with one order key."""
+    name = _COUNT_FIELDS.get(type(s))
+    if name is None:   # unknown torsion: equal keys are equal summands, kept twice
+        return (s, t)
+    count = getattr(s, name) + getattr(t, name)
+    return (replace(s, **{name: count}),) if count else ()
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """The canonical tuple of a + b for canonical nonempty a and b, in one
+    merge pass."""
     out: list = []
-    if free:
-        out.append(FreeZ(free))
-    for (p, e) in sorted(cyclic):
-        out.append(CyclicPrimePower(p, e, cyclic[(p, e)]))
-    for p in sorted(padic):
-        out.append(PAdic(p, padic[p]))
-    for p in sorted(pruefer):
-        out.append(Pruefer(p, pruefer[p]))
-    for d in sorted(ko):
-        out.append(KOPoint(d, ko[d]))
-    for d in sorted(kolow):
-        out.append(KoPoint(d, kolow[d]))
-    out.extend(sorted(unknowns, key=lambda u: (u.tag, u.layer_bounds or ())))
+    i = j = 0
+    ka, kb = _order_key(a[0]), _order_key(b[0])
+    while True:
+        if ka < kb:
+            out.append(a[i])
+            i += 1
+        elif kb < ka:
+            out.append(b[j])
+            j += 1
+        else:
+            out.extend(_plus(a[i], b[j]))
+            i += 1
+            j += 1
+        if i == len(a) or j == len(b):
+            break
+        ka, kb = _order_key(a[i]), _order_key(b[j])
+    out.extend(a[i:])
+    out.extend(b[j:])
     return tuple(out)
 
 
@@ -420,24 +510,42 @@ def parse_expression(text: str) -> GroupExpression:
     return GroupExpression(tuple(summands))
 
 
+# per degree mod 8: the KO point group as (free rank, copies of Z/2); every
+# point group is Z, Z/2 or 0
+_KO_SHAPE = tuple((g.free_rank, len(g.torsion)) for g in _KO_TABLE)
+
+
 def expr_evaluate(e: GroupExpression) -> GroupExpression:
     """Expand every KO/ko point summand through the point tables.
 
     PAdic, Pruefer and unknown-torsion summands pass through unchanged;
-    the result carries no point summands, so the map is idempotent.
+    the result carries no point summands, so the map is idempotent.  The
+    expansion only adds to the free rank and to the count of Z/2.
     """
-    out: list = []
+    free = twos = 0
+    rest: list = []
     for s in e.summands:
-        if isinstance(s, (KOPoint, KoPoint)):
-            g = ko_point_table(s.degree, connective=isinstance(s, KoPoint))
-            mult = s.multiplicity
-            if g.free_rank:
-                out.append(FreeZ(g.free_rank * mult))
-            for d in g.torsion:
-                out.append(CyclicPrimePower(2, factorint(d)[2], mult))
+        t = type(s)
+        if t is KOPoint or t is KoPoint:
+            # canonical: KO degrees lie in [0, 8), ko degrees are >= 0
+            f, z = _KO_SHAPE[s.degree % 8]
+            free += f * s.multiplicity
+            twos += z * s.multiplicity
         else:
-            out.append(s)
-    return GroupExpression(tuple(out))
+            rest.append(s)
+    if len(rest) == len(e.summands):
+        return e
+    if rest and type(rest[0]) is FreeZ:
+        free += rest.pop(0).rank
+    # (2, 1) is the least key of a cyclic part, so Z/2 comes first
+    first = rest[0] if rest else None
+    if type(first) is CyclicPrimePower and (first.p, first.exponent) == (2, 1):
+        twos += rest.pop(0).multiplicity
+    if twos:
+        rest.insert(0, CyclicPrimePower(2, 1, twos))
+    if free:
+        rest.insert(0, FreeZ(free))
+    return GroupExpression._canonical(tuple(rest))
 
 
 def fg_expression(free_rank: int = 0, p: int | None = None,
@@ -448,4 +556,4 @@ def fg_expression(free_rank: int = 0, p: int | None = None,
         summands.append(FreeZ(free_rank))
     if p is not None and p_copies:
         summands.append(CyclicPrimePower(p, 1, p_copies))
-    return GroupExpression(tuple(summands))
+    return GroupExpression._canonical(tuple(summands))

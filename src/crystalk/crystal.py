@@ -21,8 +21,7 @@ import numpy as np
 from . import exact_linalg as la
 from . import repring, zpmod
 from .abelian import (FGAbelianGroup, GroupExpression, KOPoint, KoPoint,
-                      PAdic, Pruefer, UnknownPTorsion, direct_sum,
-                      direct_sum_all, expr_evaluate, fg_expression)
+                      direct_sum, direct_sum_all, expr_evaluate, fg_expression)
 
 
 class GammaError(ValueError):
@@ -230,7 +229,7 @@ def homology_quotient(G: GammaDescriptor, m: int) -> GroupExpression:
 
 def _t1_unknown(G: GammaDescriptor) -> GroupExpression:
     bounds = tuple(G.p ** G.k - G.s(2 * i + 1) for i in range(1, G.n // 2 + 1))
-    return GroupExpression((UnknownPTorsion("T1", bounds),))
+    return GroupExpression.unknown("T1", bounds)
 
 
 def k_theory_bgamma(G: GammaDescriptor, m: int,
@@ -240,12 +239,12 @@ def k_theory_bgamma(G: GammaDescriptor, m: int,
     if variant == "cohomology":
         if even:
             return (GroupExpression.free(G.r_even_sum())
-                    + GroupExpression((PAdic(G.p, (G.p - 1) * G.p ** G.k),)))
+                    + GroupExpression.padic(G.p, (G.p - 1) * G.p ** G.k))
         return GroupExpression.free(G.r_odd_sum())
     if even:
         return GroupExpression.free(G.r_even_sum())
     return (GroupExpression.free(G.r_odd_sum())
-            + GroupExpression((Pruefer(G.p, (G.p - 1) * G.p ** G.k),)))
+            + GroupExpression.pruefer(G.p, (G.p - 1) * G.p ** G.k))
 
 
 def k_theory_quotient(G: GammaDescriptor, m: int,
@@ -285,13 +284,23 @@ def _require_odd(G: GammaDescriptor) -> None:
 
 def _point_sum(G: GammaDescriptor, point, m: int,
                sign: int = 1) -> GroupExpression:
-    """Sum over l of r_l copies of the point group `point` in degree
-    sign * (m - l); cohomology takes sign = -1.  Kept in the descriptor's
-    memo: every KO/ko family of a report reads the same few sums."""
+    """Sum over l of r_l copies of the point group `point` (KOPoint or
+    KoPoint) in degree sign * (m - l); cohomology takes sign = -1.  Kept in
+    the descriptor's memo: every KO/ko family of a report reads the same
+    few sums."""
     def compute():
         rv = G.r()
-        return GroupExpression(tuple(point(sign * (m - l), rv[l])
-                                     for l in range(G.n + 1) if rv[l]))
+        if point is KOPoint:
+            # one summand per degree class mod 8
+            counts = [0] * 8
+            for l, r in enumerate(rv):
+                counts[sign * (m - l) % 8] += r
+            summands = [KOPoint(d, c) for d, c in enumerate(counts) if c]
+        else:
+            # connective: negative degrees vanish, the others are distinct
+            summands = sorted(KoPoint(sign * (m - l), r) for l, r in enumerate(rv)
+                              if r and sign * (m - l) >= 0)
+        return GroupExpression._canonical(tuple(summands))
     return G._memo(("point_sum", point, m, sign), compute)
 
 
@@ -301,7 +310,7 @@ def _to_unknown(G: GammaDescriptor, degree: int) -> GroupExpression:
     eps = 1 if d % 4 == 1 else -1
     layers = (G.n + 4 - eps) // 4
     bounds = tuple(G.p ** G.k - G.s(4 * i + eps) for i in range(1, layers))
-    return GroupExpression((UnknownPTorsion(f"TO^{d}", bounds),))
+    return GroupExpression.unknown(f"TO^{d}", bounds)
 
 
 def ko_theory(G: GammaDescriptor, m: int, space: str = "bgamma",
@@ -316,9 +325,9 @@ def ko_theory(G: GammaDescriptor, m: int, space: str = "bgamma",
     out = _point_sum(G, KOPoint, m, -1 if cohomology else 1)
     if space == "bgamma":
         if cohomology and even:
-            out = out + GroupExpression((PAdic(G.p, half),))
+            out = out + GroupExpression.padic(G.p, half)
         elif not cohomology and not even:
-            out = out + GroupExpression((Pruefer(G.p, half),))
+            out = out + GroupExpression.pruefer(G.p, half)
     elif even != cohomology:
         # odd cohomological / even homological degree
         out = out + _to_unknown(G, m if cohomology else m + 5)
@@ -428,10 +437,10 @@ def connective_ko(G: GammaDescriptor, m: int,
     out = _point_sum(G, KoPoint, m)
     odd = m % 2 == 1
     if space == "bgamma" and odd:
-        out = out + GroupExpression((UnknownPTorsion(f"to_{m}", None),))
+        out = out + GroupExpression.unknown(f"to_{m}", None)
     if space == "quotient" and not odd and m >= 2:
         # in degree 0 the boundary lands in negative connective degrees
-        out = out + GroupExpression((UnknownPTorsion(f"to_{m}", None),))
+        out = out + GroupExpression.unknown(f"to_{m}", None)
     return out
 
 

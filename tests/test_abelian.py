@@ -1,11 +1,12 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crystalk.abelian import (CyclicPrimePower, FGAbelianGroup, FreeZ,
                               GroupExpression, KOPoint, KoPoint, PAdic,
-                              Pruefer, UnknownPTorsion, direct_sum, ext_dual,
-                              expr_evaluate, fg_expression, hom_dual,
-                              ko_point_table, parse_expression)
+                              Pruefer, UnknownPTorsion,
+                              _chain_from_prime_powers, direct_sum, ext_dual,
+                              expr_evaluate, factorint, fg_expression,
+                              hom_dual, ko_point_table, parse_expression)
 
 
 # -- canonical form ----------------------------------------------------------
@@ -164,17 +165,18 @@ def test_render_examples():
 
 
 summand_strategy = st.one_of(
-    st.builds(FreeZ, st.integers(1, 9)),
+    st.builds(FreeZ, st.integers(0, 9)),
     st.builds(CyclicPrimePower, st.sampled_from([2, 3, 5, 7]),
-              st.integers(1, 3), st.integers(1, 9)),
-    st.builds(PAdic, st.sampled_from([2, 3, 5]), st.integers(1, 9)),
-    st.builds(Pruefer, st.sampled_from([2, 3, 5]), st.integers(1, 9)),
-    st.builds(KOPoint, st.integers(-8, 15), st.integers(1, 9)),
-    st.builds(KoPoint, st.integers(-2, 11), st.integers(1, 9)),
+              st.integers(1, 3), st.integers(0, 9)),
+    st.builds(PAdic, st.sampled_from([2, 3, 5]), st.integers(0, 9)),
+    st.builds(Pruefer, st.sampled_from([2, 3, 5]), st.integers(0, 9)),
+    st.builds(KOPoint, st.integers(-20, 27), st.integers(0, 9)),
+    st.builds(KoPoint, st.integers(-10, 11), st.integers(0, 9)),
     st.builds(UnknownPTorsion,
               st.sampled_from(["T1", "TO^1", "TO^5", "to_3"]),
               st.one_of(st.none(),
-                        st.lists(st.integers(0, 9), max_size=3).map(tuple))),
+                        st.lists(st.integers(0, 9), max_size=3).map(tuple),
+                        st.lists(st.just(0), max_size=3).map(tuple))),
 )
 
 expressions = st.lists(summand_strategy, max_size=5).map(
@@ -203,3 +205,112 @@ def test_expression_sum_commutes(a, b):
 def test_fg_to_expression_roundtrip():
     g = FGAbelianGroup(2, (2, 12))
     assert g.to_expression().to_fg() == g
+
+
+# -- fast paths against the general normalizer -------------------------------
+#
+# Every constructor other than GroupExpression(...) builds the canonical
+# tuple without `_normalize`; each must give what `_normalize` gives.
+
+summand_lists = st.lists(summand_strategy, max_size=6)
+
+
+def _reference(xs):
+    return GroupExpression(tuple(xs)).summands
+
+
+@given(st.integers(0, 9), st.sampled_from([2, 3, 5, 7]), st.integers(0, 9),
+       st.sampled_from(["T1", "TO^3", "to_5"]),
+       st.one_of(st.none(), st.lists(st.integers(0, 3), max_size=3)))
+@settings(max_examples=100, deadline=None)
+def test_named_constructors_are_canonical(count, p, copies, tag, bounds):
+    assert GroupExpression.zero().summands == _reference([])
+    assert GroupExpression.free(count).summands == _reference([FreeZ(count)])
+    assert GroupExpression.elementary(p, copies).summands \
+        == _reference([CyclicPrimePower(p, 1, copies)])
+    assert fg_expression(count, p, copies).summands \
+        == _reference([FreeZ(count), CyclicPrimePower(p, 1, copies)])
+    assert fg_expression(count).summands == _reference([FreeZ(count)])
+    assert GroupExpression.padic(p, count).summands == _reference([PAdic(p, count)])
+    assert GroupExpression.pruefer(p, count).summands \
+        == _reference([Pruefer(p, count)])
+    assert GroupExpression.unknown(tag, bounds).summands \
+        == _reference([UnknownPTorsion(tag, bounds)])
+
+
+@given(fg_groups)
+@settings(max_examples=60, deadline=None)
+def test_fg_to_expression_is_canonical(g):
+    summands = g.to_expression().summands
+    assert summands == _reference(summands)
+
+
+@given(summand_lists, summand_lists)
+@settings(max_examples=100, deadline=None)
+def test_sum_merges_like_normalize(xs, ys):
+    got = GroupExpression(tuple(xs)) + GroupExpression(tuple(ys))
+    assert got.summands == _reference(xs + ys)
+
+
+def _expand_points(xs):
+    """Every point summand replaced by its point group, element-wise."""
+    out = []
+    for s in xs:
+        if isinstance(s, (KOPoint, KoPoint)):
+            g = ko_point_table(s.degree, connective=isinstance(s, KoPoint))
+            out.append(FreeZ(g.free_rank * s.multiplicity))
+            out.extend(CyclicPrimePower(2, factorint(d)[2], s.multiplicity)
+                       for d in g.torsion)
+        else:
+            out.append(s)
+    return out
+
+
+@given(summand_lists)
+@example([CyclicPrimePower(2, 1, 2), KOPoint(9, 3), KoPoint(2, 1), FreeZ(1),
+          KOPoint(-4, 2), CyclicPrimePower(3, 1, 1), KoPoint(-7, 5)])
+@settings(max_examples=100, deadline=None)
+def test_evaluate_matches_normalize(xs):
+    e = GroupExpression(tuple(xs))
+    got = expr_evaluate(e)
+    assert got.summands == _reference(_expand_points(xs))
+    if not any(isinstance(s, (KOPoint, KoPoint)) for s in e.summands):
+        assert got is e
+
+
+# the element-wise invariant-factor chain, kept as the reference
+def _chain_elementwise(powers):
+    descending = [(p, sorted(exps, reverse=True)) for p, exps in powers.items()]
+    depth = max((len(exps) for _p, exps in descending), default=0)
+    chain = []
+    for i in range(depth):
+        f = 1
+        for p, exps in descending:
+            if i < len(exps):
+                f *= p ** exps[i]
+        chain.append(f)
+    chain.reverse()
+    return tuple(chain)
+
+
+prime_powers = st.dictionaries(
+    st.sampled_from([2, 3, 5, 7, 11]),
+    st.one_of(
+        st.lists(st.integers(1, 4), max_size=12),
+        # the shape of a Tate group of an exterior power: many copies of
+        # one prime with a few higher powers mixed in
+        st.tuples(st.integers(1000, 1500), st.lists(st.integers(2, 4), max_size=4))
+        .map(lambda t: [1] * t[0] + t[1])),
+    max_size=4)
+
+
+@given(prime_powers)
+@settings(max_examples=60, deadline=None)
+def test_chain_runs_match_elementwise(powers):
+    assert _chain_from_prime_powers(powers) == _chain_elementwise(powers)
+
+
+def test_large_elementary_chain():
+    g = FGAbelianGroup(0, (3,) * 1200 + (9, 27, 2))
+    assert g.torsion == (3,) * 1200 + (9, 54)
+    assert g == FGAbelianGroup(0, (6, 3, 27, 9) + (3,) * 1198)

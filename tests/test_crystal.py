@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystalk import crystal, exact_linalg as la, repring, zpmod
 from crystalk.abelian import (CyclicPrimePower, FGAbelianGroup, FreeZ,
-                              GroupExpression, PAdic, Pruefer,
-                              UnknownPTorsion, direct_sum, direct_sum_all,
-                              expr_evaluate, ext_dual, fg_expression,
-                              hom_dual)
+                              GroupExpression, KOPoint, KoPoint, PAdic,
+                              Pruefer, UnknownPTorsion, direct_sum,
+                              direct_sum_all, expr_evaluate, ext_dual,
+                              fg_expression, hom_dual)
 from crystalk.crystal import (BadRankError, NotFreeError, NotPrimeError,
                               OddPrimeRequiredError, WrongOrderError,
                               brute_force_cohomology_bgamma, build_report,
@@ -343,6 +344,20 @@ def test_connective_quotient_matches_bgamma_away_from_p():
         assert strip(connective_ko(G31, m, "bgamma")) \
             == strip(connective_ko(G31, m, "quotient"))
 
+
+
+@given(st.sampled_from([(3, 1), (3, 4), (5, 2), (7, 1), (2, 3)]),
+       st.sampled_from([KOPoint, KoPoint]), st.integers(-12, 20),
+       st.sampled_from([1, -1]))
+@settings(max_examples=100, deadline=None)
+def test_point_sum_matches_normalize(shape, point, m, sign):
+    # _point_sum builds its canonical tuple directly; the reference is the
+    # element-wise list through the general normalizer
+    G = canonical_gamma(*shape)
+    rv = G.r()
+    expect = GroupExpression(tuple(point(sign * (m - l), rv[l])
+                                   for l in range(G.n + 1)))
+    assert crystal._point_sum(G, point, m, sign).summands == expect.summands
 
 # -- spectral assembly -------------------------------------------------------
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from crystalk import verify
-from crystalk.cli import render_report_json
+from crystalk.cli import render_report_json, render_report_text
 from crystalk.crystal import build_report, canonical_gamma, validate_gamma
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
@@ -62,6 +62,17 @@ def test_conjugate_reports_match_golden(p, k, path):
     for key in ("scalars", "groups", "warnings"):
         assert got[key] == golden[key], key
 
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 4), (5, 2), (7, 1)])
+def test_conjugate_report_text_matches_canonical(p, k):
+    # the text report of a conjugate differs only in its header line
+    got = render_report_text(build_report(_seeded_conjugate(p, k, 1000 * p + k)))
+    expect = render_report_text(build_report(canonical_gamma(p, k)))
+    got_head, got_body = got.split("\n", 1)
+    expect_head, expect_body = expect.split("\n", 1)
+    assert got_head == expect_head.replace("canonical=yes", "canonical=no")
+    assert got_body == expect_body
 
 def test_large_conjugate_report_is_clean():
     # rank 14: a report on a supplied action builds no exterior power, so
