@@ -5,20 +5,21 @@ group: a free rank plus an ascending divisibility chain of invariant
 factors.  Two values compare equal exactly when the groups are isomorphic.
 
 GroupExpression is the output vocabulary for the theorem evaluators: a
-normalized multiset of summands drawn from a fixed list of kinds, namely
-free parts, cyclic prime-power parts, p-adic and Pruefer summands, copies
-of (connective) real K-theory point groups, and bounded unknown torsion.
-Everything renders through one text grammar:
-
-    Z^a (+) (Z/q^e)^b (+) Zp^[p]^c (+) Pruefer[p]^d (+) KO[m](pt)^r
-        (+) ko[m](pt)^r (+) T{tag; bounds=[...]}
+normalized multiset of summands drawn from seven kinds, namely free parts,
+cyclic prime-power parts, p-adic and Pruefer summands, copies of
+(connective) real K-theory point groups, and bounded unknown torsion.  Each
+kind is defined once, by its entry in the table `_KINDS`: its canonical
+position, the field counting its copies, the canonical form of one summand,
+its text, and the regex and builder that parse that text back.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 
 def factorint(n: int) -> dict[int, int]:
@@ -164,17 +165,9 @@ def ext_dual(a: FGAbelianGroup) -> FGAbelianGroup:
     return a.torsion_subgroup()
 
 
-# 8-periodic point groups of real K-theory, degrees 0..7.
-_KO_TABLE: tuple[FGAbelianGroup, ...] = (
-    FGAbelianGroup.free(1),
-    FGAbelianGroup.cyclic(2),
-    FGAbelianGroup.cyclic(2),
-    FGAbelianGroup.trivial(),
-    FGAbelianGroup.free(1),
-    FGAbelianGroup.trivial(),
-    FGAbelianGroup.trivial(),
-    FGAbelianGroup.trivial(),
-)
+# KO_m(pt) for m = 0..7 (8-periodic) as (free rank, copies of Z/2)
+_KO_SHAPE = ((1, 0), (0, 1), (0, 1), (0, 0), (1, 0), (0, 0), (0, 0), (0, 0))
+_KO_TABLE = tuple(FGAbelianGroup(f, (2,) * z) for f, z in _KO_SHAPE)
 
 
 def ko_point_table(m: int, connective: bool = False) -> FGAbelianGroup:
@@ -236,16 +229,98 @@ class UnknownPTorsion:
     layer_bounds: tuple[int, ...] | None = None
 
 
+def _pow_suffix(n: int) -> str:
+    return "" if n == 1 else f"^{n}"
+
+
+def _ints(m) -> list[int]:
+    """The integers a regex match captured; a missing `^n` suffix is 1."""
+    return [int(g) for g in m.groups("1")]
+
+
+def _refuse(s, why: str):
+    raise ValueError(f"{s!r} is not a canonical summand: {why}")
+
+
+def _canon_prime(s):
+    if s.p < 2 or factorint(s.p) != {s.p: 1}:
+        _refuse(s, f"{s.p} is not prime")
+    return s
+
+
+def _parse_cyclic(m) -> CyclicPrimePower:
+    q = int(m[1] or m[2])
+    fac = factorint(q)
+    if len(fac) != 1:
+        raise ValueError(f"cyclic order {q} is not a prime power")
+    ((p, e),) = fac.items()
+    return CyclicPrimePower(p, e, int(m[3] or 1))
+
+
+def _canon_unknown(s):
+    if s.layer_bounds is None:
+        return s
+    if min(s.layer_bounds, default=0) < 0:
+        _refuse(s, "negative layer bound")
+    return UnknownPTorsion(s.tag, tuple(s.layer_bounds)) if any(s.layer_bounds) else None
+
+
+class _Kind(NamedTuple):
+    key: Callable      # canonical position first, then the order within the kind
+    count: str | None  # the field counting copies; None: unknown torsion, never added
+    canon: Callable    # a summand of positive count in canonical form, None if zero
+    text: Callable     # the rendered text
+    pattern: str       # the regex of that text
+    parse: Callable    # the summand from a match of `pattern`
+
+
+# One entry per summand kind; each key starts with the kind's place here.
+_KINDS = {
+    FreeZ: _Kind(lambda s: (0,), "rank", lambda s: s,
+                 lambda s: "Z" + _pow_suffix(s.rank),
+                 r"Z(?:\^(\d+))?", lambda m: FreeZ(*_ints(m))),
+    CyclicPrimePower: _Kind(
+        lambda s: (1, s.p, s.exponent), "multiplicity",
+        lambda s: _canon_prime(s) if s.exponent >= 1 else _refuse(s, "exponent below 1"),
+        lambda s: (f"Z/{s.p ** s.exponent}" if s.multiplicity == 1
+                   else f"(Z/{s.p ** s.exponent})^{s.multiplicity}"),
+        r"Z/(\d+)|\(Z/(\d+)\)\^(\d+)", _parse_cyclic),
+    PAdic: _Kind(lambda s: (2, s.p), "rank", _canon_prime,
+                 lambda s: f"Zp^[{s.p}]" + _pow_suffix(s.rank),
+                 r"Zp\^\[(\d+)\](?:\^(\d+))?", lambda m: PAdic(*_ints(m))),
+    Pruefer: _Kind(lambda s: (3, s.p), "rank", _canon_prime,
+                   lambda s: f"Pruefer[{s.p}]" + _pow_suffix(s.rank),
+                   r"Pruefer\[(\d+)\](?:\^(\d+))?", lambda m: Pruefer(*_ints(m))),
+    KOPoint: _Kind(lambda s: (4, s.degree), "multiplicity",
+                   lambda s: KOPoint(s.degree % 8, s.multiplicity),
+                   lambda s: f"KO[{s.degree}](pt)" + _pow_suffix(s.multiplicity),
+                   r"KO\[(-?\d+)\]\(pt\)(?:\^(\d+))?", lambda m: KOPoint(*_ints(m))),
+    # connective: negative degrees vanish, no degree is reduced
+    KoPoint: _Kind(lambda s: (5, s.degree), "multiplicity",
+                   lambda s: s if s.degree >= 0 else None,
+                   lambda s: f"ko[{s.degree}](pt)" + _pow_suffix(s.multiplicity),
+                   r"ko\[(-?\d+)\]\(pt\)(?:\^(\d+))?", lambda m: KoPoint(*_ints(m))),
+    UnknownPTorsion: _Kind(
+        lambda s: (6, s.tag, s.layer_bounds or ()), None, _canon_unknown,
+        lambda s: (f"T{{{s.tag}; finite}}" if s.layer_bounds is None else
+                   f"T{{{s.tag}; bounds=[{', '.join(map(str, s.layer_bounds))}]}}"),
+        r"T\{([^;]+); (?:finite|bounds=\[([0-9, ]*)\])\}",
+        lambda m: UnknownPTorsion(
+            m[1], None if m[2] is None else tuple(map(int, re.findall(r"\d+", m[2]))))),
+}
+_PARSERS = [(re.compile(kind.pattern), kind.parse) for kind in _KINDS.values()]
+_ORDER_KEYS = {cls: kind.key for cls, kind in _KINDS.items()}   # the hot path of `+`
+
+
 @dataclass(frozen=True)
 class GroupExpression:
     """Normalized multiset of group summands.
 
-    The canonical summand tuple holds at most one summand per kind and key,
-    none with a zero count, in the order of `_order_key`: free part, cyclic
-    parts by (p, e), p-adic and Pruefer parts by p, KO points by degree in
-    [0, 8), ko points by degree >= 0, then the unknowns by (tag, bounds).
-    The constructor brings any tuple into that form through `_normalize`;
-    the named constructors, `+` and `expr_evaluate` build it directly.
+    The canonical summand tuple holds each summand in its kind's canonical
+    form, at most one per order key, sorted by `_order_key` (see `_KINDS`).
+    The constructor brings any summands into that form through `_normalize`,
+    the one general normalizer; the named constructors, `+` and
+    `expr_evaluate` build it directly.
     """
 
     summands: tuple = ()
@@ -324,82 +399,42 @@ class GroupExpression:
     def render(self) -> str:
         if not self.summands:
             return "0"
-        return " (+) ".join(_render_summand(s) for s in self.summands)
+        return " (+) ".join([_KINDS[type(s)].text(s) for s in self.summands])
 
     def __str__(self) -> str:
         return self.render()
 
 
 def _normalize(summands) -> tuple:
-    """The canonical tuple of any iterable of summands: counts of one kind
-    and key are added, zero counts, negative ko degrees and all-zero
-    unknown bounds dropped, KO degrees reduced mod 8."""
-    free = 0
-    cyclic: dict[tuple[int, int], int] = {}
-    padic: dict[int, int] = {}
-    pruefer: dict[int, int] = {}
-    ko: dict[int, int] = {}
-    kolow: dict[int, int] = {}
-    unknowns: list[UnknownPTorsion] = []
+    """The canonical tuple of any iterable of summands: each summand in its
+    kind's canonical form (zero counts dropped, negative ones refused; see
+    `_Kind`), sorted by `_order_key`, equal keys added by `_plus`."""
+    kept: list = []
     for s in summands:
-        t = type(s)
-        if t is FreeZ:
-            free += s.rank
-        elif t is CyclicPrimePower:
-            key = (s.p, s.exponent)
-            cyclic[key] = cyclic.get(key, 0) + s.multiplicity
-        elif t is PAdic:
-            padic[s.p] = padic.get(s.p, 0) + s.rank
-        elif t is Pruefer:
-            pruefer[s.p] = pruefer.get(s.p, 0) + s.rank
-        elif t is KOPoint:
-            d = s.degree % 8
-            ko[d] = ko.get(d, 0) + s.multiplicity
-        elif t is KoPoint:
-            # connective: negative degrees vanish, no periodicity reduction
-            if s.degree >= 0:
-                kolow[s.degree] = kolow.get(s.degree, 0) + s.multiplicity
-        elif t is UnknownPTorsion:
-            if s.layer_bounds is None:
-                unknowns.append(s)
-            elif any(s.layer_bounds):
-                unknowns.append(UnknownPTorsion(s.tag, tuple(s.layer_bounds)))
-        else:
+        kind = _KINDS.get(type(s))
+        if kind is None:
             raise TypeError(f"unknown summand kind: {s!r}")
-    out: list = [FreeZ(free)] if free else []
-    out.extend(CyclicPrimePower(p, e, c) for (p, e), c in sorted(cyclic.items()) if c)
-    out.extend(PAdic(p, c) for p, c in sorted(padic.items()) if c)
-    out.extend(Pruefer(p, c) for p, c in sorted(pruefer.items()) if c)
-    out.extend(KOPoint(d, c) for d, c in sorted(ko.items()) if c)
-    out.extend(KoPoint(d, c) for d, c in sorted(kolow.items()) if c)
-    out.extend(sorted(unknowns, key=_order_key))
+        count = 1 if kind.count is None else getattr(s, kind.count)
+        if count < 0:
+            _refuse(s, "negative count")
+        if count and (s := kind.canon(s)) is not None:
+            kept.append(s)
+    out: list = []
+    for s in sorted(kept, key=_order_key):
+        if out and _order_key(out[-1]) == _order_key(s):
+            out[-1:] = _plus(out[-1], s)
+        else:
+            out.append(s)
     return tuple(out)
-
-
-# Canonical position of a summand; equal keys of a counted kind add up.
-_ORDER_KEYS = {
-    FreeZ: lambda s: (0,),
-    CyclicPrimePower: lambda s: (1, s.p, s.exponent),
-    PAdic: lambda s: (2, s.p),
-    Pruefer: lambda s: (3, s.p),
-    KOPoint: lambda s: (4, s.degree),
-    KoPoint: lambda s: (5, s.degree),
-    UnknownPTorsion: lambda s: (6, s.tag, s.layer_bounds or ()),
-}
 
 
 def _order_key(s) -> tuple:
     return _ORDER_KEYS[type(s)](s)
 
 
-# the field that counts copies, per counted summand kind
-_COUNT_FIELDS = {FreeZ: "rank", CyclicPrimePower: "multiplicity", PAdic: "rank",
-                 Pruefer: "rank", KOPoint: "multiplicity", KoPoint: "multiplicity"}
-
-
 def _plus(s, t) -> tuple:
     """Canonical summands of s + t for two summands with one order key."""
-    name = _COUNT_FIELDS.get(type(s))
+    name = _KINDS[type(s)].count
     if name is None:   # unknown torsion: equal keys are equal summands, kept twice
         return (s, t)
     count = getattr(s, name) + getattr(t, name)
@@ -431,44 +466,6 @@ def _merge(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-def _pow_suffix(n: int) -> str:
-    return "" if n == 1 else f"^{n}"
-
-
-def _render_summand(s) -> str:
-    if isinstance(s, FreeZ):
-        return "Z" + _pow_suffix(s.rank)
-    if isinstance(s, CyclicPrimePower):
-        q = s.p ** s.exponent
-        return f"Z/{q}" if s.multiplicity == 1 else f"(Z/{q})^{s.multiplicity}"
-    if isinstance(s, PAdic):
-        return f"Zp^[{s.p}]" + _pow_suffix(s.rank)
-    if isinstance(s, Pruefer):
-        return f"Pruefer[{s.p}]" + _pow_suffix(s.rank)
-    if isinstance(s, KOPoint):
-        return f"KO[{s.degree}](pt)" + _pow_suffix(s.multiplicity)
-    if isinstance(s, KoPoint):
-        return f"ko[{s.degree}](pt)" + _pow_suffix(s.multiplicity)
-    if isinstance(s, UnknownPTorsion):
-        if s.layer_bounds is None:
-            return f"T{{{s.tag}; finite}}"
-        inner = ", ".join(str(b) for b in s.layer_bounds)
-        return f"T{{{s.tag}; bounds=[{inner}]}}"
-    raise TypeError(f"unknown summand kind: {s!r}")
-
-
-_TOKEN_RES: list[tuple[re.Pattern, object]] = [
-    (re.compile(r"^Z(?:\^(\d+))?$"), "free"),
-    (re.compile(r"^Z/(\d+)$"), "cyc1"),
-    (re.compile(r"^\(Z/(\d+)\)\^(\d+)$"), "cyc"),
-    (re.compile(r"^Zp\^\[(\d+)\](?:\^(\d+))?$"), "padic"),
-    (re.compile(r"^Pruefer\[(\d+)\](?:\^(\d+))?$"), "pruefer"),
-    (re.compile(r"^KO\[(-?\d+)\]\(pt\)(?:\^(\d+))?$"), "ko"),
-    (re.compile(r"^ko\[(-?\d+)\]\(pt\)(?:\^(\d+))?$"), "kolow"),
-    (re.compile(r"^T\{([^;]+); finite\}$"), "unk_fin"),
-    (re.compile(r"^T\{([^;]+); bounds=\[([0-9, ]*)\]\}$"), "unk"),
-]
-
 
 def parse_expression(text: str) -> GroupExpression:
     """Inverse of GroupExpression.render for the canonical grammar."""
@@ -477,42 +474,14 @@ def parse_expression(text: str) -> GroupExpression:
         return GroupExpression.zero()
     summands: list = []
     for tok in text.split(" (+) "):
-        for rx, kind in _TOKEN_RES:
-            m = rx.match(tok)
-            if not m:
-                continue
-            if kind == "free":
-                summands.append(FreeZ(int(m.group(1) or 1)))
-            elif kind in ("cyc1", "cyc"):
-                q = int(m.group(1))
-                mult = int(m.group(2)) if kind == "cyc" else 1
-                fac = factorint(q)
-                if len(fac) != 1:
-                    raise ValueError(f"cyclic order {q} is not a prime power")
-                ((p, e),) = fac.items()
-                summands.append(CyclicPrimePower(p, e, mult))
-            elif kind == "padic":
-                summands.append(PAdic(int(m.group(1)), int(m.group(2) or 1)))
-            elif kind == "pruefer":
-                summands.append(Pruefer(int(m.group(1)), int(m.group(2) or 1)))
-            elif kind == "ko":
-                summands.append(KOPoint(int(m.group(1)), int(m.group(2) or 1)))
-            elif kind == "kolow":
-                summands.append(KoPoint(int(m.group(1)), int(m.group(2) or 1)))
-            elif kind == "unk_fin":
-                summands.append(UnknownPTorsion(m.group(1), None))
-            elif kind == "unk":
-                bounds = tuple(int(x) for x in m.group(2).split(",") if x.strip())
-                summands.append(UnknownPTorsion(m.group(1), bounds))
-            break
+        for rx, build in _PARSERS:
+            m = rx.fullmatch(tok)
+            if m:
+                summands.append(build(m))
+                break
         else:
             raise ValueError(f"cannot parse summand {tok!r}")
     return GroupExpression(tuple(summands))
-
-
-# per degree mod 8: the KO point group as (free rank, copies of Z/2); every
-# point group is Z, Z/2 or 0
-_KO_SHAPE = tuple((g.free_rank, len(g.torsion)) for g in _KO_TABLE)
 
 
 def expr_evaluate(e: GroupExpression) -> GroupExpression:

@@ -1,10 +1,13 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crystalk.abelian import (CyclicPrimePower, FGAbelianGroup, FreeZ,
                               GroupExpression, KOPoint, KoPoint, PAdic,
-                              Pruefer, UnknownPTorsion,
-                              _chain_from_prime_powers, direct_sum, ext_dual,
+                              Pruefer, UnknownPTorsion, _KINDS,
+                              _chain_from_prime_powers, _order_key,
+                              direct_sum, ext_dual,
                               expr_evaluate, factorint, fg_expression,
                               hom_dual, ko_point_table, parse_expression)
 
@@ -151,17 +154,64 @@ def test_to_fg():
 
 # -- rendering and parsing ---------------------------------------------------
 
+# one summand of each kind, in canonical order
+SEVEN_KINDS = [FreeZ(2), CyclicPrimePower(3, 2, 1), PAdic(3, 6), Pruefer(5, 1),
+               KOPoint(2, 3), KoPoint(4, 1), UnknownPTorsion("T1", (3, 0))]
+
+
 def test_render_examples():
     assert GroupExpression.zero().render() == "0"
     assert GroupExpression.free(1).render() == "Z"
     assert GroupExpression.free(8).render() == "Z^8"
-    e = GroupExpression((FreeZ(2), CyclicPrimePower(3, 2, 1),
-                         PAdic(3, 6), Pruefer(5, 1),
-                         KOPoint(2, 3), KoPoint(4, 1),
-                         UnknownPTorsion("T1", (3, 0))))
-    assert e.render() == ("Z^2 (+) Z/9 (+) Zp^[3]^6 (+) Pruefer[5] "
-                          "(+) KO[2](pt)^3 (+) ko[4](pt) "
-                          "(+) T{T1; bounds=[3, 0]}")
+    # the canonical order, stated here apart from the kind table
+    for summands in (SEVEN_KINDS, SEVEN_KINDS[::-1]):
+        assert GroupExpression(tuple(summands)).render() == (
+            "Z^2 (+) Z/9 (+) Zp^[3]^6 (+) Pruefer[5] "
+            "(+) KO[2](pt)^3 (+) ko[4](pt) "
+            "(+) T{T1; bounds=[3, 0]}")
+
+
+def test_kind_table_lists_the_kinds_in_canonical_order():
+    assert list(_KINDS) == [type(s) for s in SEVEN_KINDS]
+    assert [_order_key(s)[0] for s in SEVEN_KINDS] == list(range(7))
+
+
+# -- refused summands: GroupExpression(...) takes only canonical values ------
+
+def _refused(summand):
+    with pytest.raises(ValueError, match=re.escape(repr(summand))):
+        GroupExpression((FreeZ(1), summand))
+
+
+@pytest.mark.parametrize("summand", [
+    FreeZ(-3), CyclicPrimePower(3, 1, -2), PAdic(3, -1), Pruefer(5, -1),
+    KOPoint(1, -1), KoPoint(-2, -1)], ids=repr)
+def test_refuses_negative_count(summand):
+    _refused(summand)
+
+
+def test_refuses_negative_layer_bound():
+    _refused(UnknownPTorsion("T1", (2, -1)))
+
+
+def test_refuses_cyclic_non_prime():
+    # Z/4 is CyclicPrimePower(2, 2, 1), never CyclicPrimePower(4, 1, 1)
+    _refused(CyclicPrimePower(4, 1, 1))
+
+
+def test_refuses_cyclic_exponent_below_one():
+    _refused(CyclicPrimePower(2, 0, 2))
+
+
+@pytest.mark.parametrize("summand", [PAdic(4, 1), Pruefer(1, 2), Pruefer(9, 1)],
+                         ids=repr)
+def test_refuses_padic_pruefer_non_prime(summand):
+    _refused(summand)
+
+
+def test_parse_refuses_non_prime():
+    with pytest.raises(ValueError):
+        parse_expression("Z (+) Zp^[4]^2")
 
 
 summand_strategy = st.one_of(
@@ -181,6 +231,15 @@ summand_strategy = st.one_of(
 
 expressions = st.lists(summand_strategy, max_size=5).map(
     lambda xs: GroupExpression(tuple(xs)))
+
+
+@given(st.lists(summand_strategy, max_size=6).flatmap(
+    lambda xs: st.tuples(st.just(xs), st.permutations(xs))))
+@settings(max_examples=100, deadline=None)
+def test_normalize_ignores_summand_order(lists):
+    # the canonical order is total: no input order shows through
+    xs, ys = lists
+    assert GroupExpression(tuple(ys)) == GroupExpression(tuple(xs))
 
 
 @given(expressions)

@@ -1,12 +1,13 @@
 """The README names only code that exists: a deleted or renamed function
 must take its mention in the README with it.  Its report-family table
-lists the families a report holds, in report order."""
+lists the families a report holds, in report order, and its expression
+grammar lists the summand kinds in canonical order."""
 
 import importlib
 import re
 from pathlib import Path
 
-from crystalk import crystal
+from crystalk import abelian, crystal
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = ("abelian", "cli", "crystal", "exact_linalg", "repring", "verify",
@@ -61,3 +62,34 @@ def test_report_family_table_matches_the_report():
         assert sorted(groups[name]) == list(range(int(lo), int(hi) + 1)), name
         assert odd in ("yes", "no")
         assert (name not in groups2) == (odd == "yes"), name
+
+
+# one rendered summand of each kind
+SAMPLES = {
+    abelian.FreeZ: abelian.FreeZ(2),
+    abelian.CyclicPrimePower: abelian.CyclicPrimePower(3, 2, 2),
+    abelian.PAdic: abelian.PAdic(3, 6),
+    abelian.Pruefer: abelian.Pruefer(5, 2),
+    abelian.KOPoint: abelian.KOPoint(2, 3),
+    abelian.KoPoint: abelian.KoPoint(4, 2),
+    abelian.UnknownPTorsion: abelian.UnknownPTorsion("T1", (3, 0)),
+}
+
+
+def _grammar_tokens():
+    """The summand tokens of the README's expression grammar block."""
+    text = README.read_text()
+    block = text.split("Group expressions use one grammar everywhere:")[1]
+    block = block.split("```")[1].split("\n", 1)[1]
+    return [tok.strip() for tok in " ".join(block.split()).split("(+)")]
+
+
+def test_grammar_block_matches_the_kind_table():
+    # one token per kind, in table order, each starting like a rendered
+    # summand of its kind up to its first `^`, `/`, `[` or `{`
+    tokens = _grammar_tokens()
+    assert len(tokens) == len(abelian._KINDS) == 7
+    for token, kind in zip(tokens, abelian._KINDS):
+        prefix = re.match(r"[^^/\[{]*[\^/\[{]", token)[0]
+        rendered = abelian.GroupExpression((SAMPLES[kind],)).render()
+        assert rendered.startswith(prefix), (token, rendered)
