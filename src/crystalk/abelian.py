@@ -9,8 +9,9 @@ normalized multiset of summands drawn from seven kinds, namely free parts,
 cyclic prime-power parts, p-adic and Pruefer summands, copies of
 (connective) real K-theory point groups, and bounded unknown torsion.  Each
 kind is defined once, by its entry in the table `_KINDS`: its canonical
-position, the field counting its copies, the canonical form of one summand,
-its text, and the regex and builder that parse that text back.
+position, the field counting its copies and the constructor call that
+sets it, the canonical form of one summand, its text, and the regex and
+builder that parse that text back.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -268,6 +269,7 @@ def _canon_unknown(s):
 class _Kind(NamedTuple):
     key: Callable      # canonical position first, then the order within the kind
     count: str | None  # the field counting copies; None: unknown torsion, never added
+    recount: Callable | None  # the summand with another count, by its constructor
     canon: Callable    # a summand of positive count in canonical form, None if zero
     text: Callable     # the rendered text
     pattern: str       # the regex of that text
@@ -276,32 +278,37 @@ class _Kind(NamedTuple):
 
 # One entry per summand kind; each key starts with the kind's place here.
 _KINDS = {
-    FreeZ: _Kind(lambda s: (0,), "rank", lambda s: s,
+    FreeZ: _Kind(lambda s: (0,), "rank", lambda s, c: FreeZ(c), lambda s: s,
                  lambda s: "Z" + _pow_suffix(s.rank),
                  r"Z(?:\^(\d+))?", lambda m: FreeZ(*_ints(m))),
     CyclicPrimePower: _Kind(
         lambda s: (1, s.p, s.exponent), "multiplicity",
+        lambda s, c: CyclicPrimePower(s.p, s.exponent, c),
         lambda s: _canon_prime(s) if s.exponent >= 1 else _refuse(s, "exponent below 1"),
         lambda s: (f"Z/{s.p ** s.exponent}" if s.multiplicity == 1
                    else f"(Z/{s.p ** s.exponent})^{s.multiplicity}"),
         r"Z/(\d+)|\(Z/(\d+)\)\^(\d+)", _parse_cyclic),
-    PAdic: _Kind(lambda s: (2, s.p), "rank", _canon_prime,
+    PAdic: _Kind(lambda s: (2, s.p), "rank", lambda s, c: PAdic(s.p, c),
+                 _canon_prime,
                  lambda s: f"Zp^[{s.p}]" + _pow_suffix(s.rank),
                  r"Zp\^\[(\d+)\](?:\^(\d+))?", lambda m: PAdic(*_ints(m))),
-    Pruefer: _Kind(lambda s: (3, s.p), "rank", _canon_prime,
+    Pruefer: _Kind(lambda s: (3, s.p), "rank", lambda s, c: Pruefer(s.p, c),
+                   _canon_prime,
                    lambda s: f"Pruefer[{s.p}]" + _pow_suffix(s.rank),
                    r"Pruefer\[(\d+)\](?:\^(\d+))?", lambda m: Pruefer(*_ints(m))),
     KOPoint: _Kind(lambda s: (4, s.degree), "multiplicity",
+                   lambda s, c: KOPoint(s.degree, c),
                    lambda s: KOPoint(s.degree % 8, s.multiplicity),
                    lambda s: f"KO[{s.degree}](pt)" + _pow_suffix(s.multiplicity),
                    r"KO\[(-?\d+)\]\(pt\)(?:\^(\d+))?", lambda m: KOPoint(*_ints(m))),
     # connective: negative degrees vanish, no degree is reduced
     KoPoint: _Kind(lambda s: (5, s.degree), "multiplicity",
+                   lambda s, c: KoPoint(s.degree, c),
                    lambda s: s if s.degree >= 0 else None,
                    lambda s: f"ko[{s.degree}](pt)" + _pow_suffix(s.multiplicity),
                    r"ko\[(-?\d+)\]\(pt\)(?:\^(\d+))?", lambda m: KoPoint(*_ints(m))),
     UnknownPTorsion: _Kind(
-        lambda s: (6, s.tag, s.layer_bounds or ()), None, _canon_unknown,
+        lambda s: (6, s.tag, s.layer_bounds or ()), None, None, _canon_unknown,
         lambda s: (f"T{{{s.tag}; finite}}" if s.layer_bounds is None else
                    f"T{{{s.tag}; bounds=[{', '.join(map(str, s.layer_bounds))}]}}"),
         r"T\{([^;]+); (?:finite|bounds=\[([0-9, ]*)\])\}",
@@ -434,11 +441,11 @@ def _order_key(s) -> tuple:
 
 def _plus(s, t) -> tuple:
     """Canonical summands of s + t for two summands with one order key."""
-    name = _KINDS[type(s)].count
-    if name is None:   # unknown torsion: equal keys are equal summands, kept twice
+    kind = _KINDS[type(s)]
+    if kind.count is None:   # unknown torsion: equal keys are equal summands, kept twice
         return (s, t)
-    count = getattr(s, name) + getattr(t, name)
-    return (replace(s, **{name: count}),) if count else ()
+    count = getattr(s, kind.count) + getattr(t, kind.count)
+    return (kind.recount(s, count),) if count else ()
 
 
 def _merge(a: tuple, b: tuple) -> tuple:

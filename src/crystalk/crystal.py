@@ -7,14 +7,19 @@ characteristic of the orbit space), and evaluates every closed-form
 invariant: integral (co)homology, complex K-theory, real KO-theory and
 connective ko-theory of the classifying space and of the orbit space, the
 K-theory of the reduced group C*-algebras, and the equivariant groups of
-the proper classifying space.  A spectral assembly from the module layer
+the proper classifying space.  Every closed form depends on (p, k) alone,
+so its tables are kept once per shape (`shape`), shared by every action
+of that shape.  A spectral assembly from the module layer
 gives an independent derivation of the cohomology, which the verify grid
 compares with the closed forms.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -58,7 +63,36 @@ class OddPrimeRequiredError(GammaError):
 
 
 @dataclass(frozen=True, eq=False)
+class Shape(zpmod.Memoized):
+    """What every action of one shape (p, k) shares: the tables r and s,
+    the r-sums checked against r, and in `_cache` the point sums and the
+    report families over their default windows.  Every value is immutable,
+    so threads may share a shape: two threads that miss one memo entry at
+    once both compute it, and either equal result is kept."""
+
+    p: int
+    k: int
+    r: tuple[int, ...]
+    s: tuple[int, ...]
+    r_sums: Mapping[str, int]
+    _cache: dict = field(default_factory=dict, repr=False)
+
+
+@functools.lru_cache(maxsize=16)
+def shape(p: int, k: int) -> Shape:
+    """The closed-form memo of the shape (p, k), one per process; the 16
+    shapes used last are kept."""
+    r = repring.r_vector(p, k)
+    return Shape(p, k, r, repring.s_vector(p, k),
+                 MappingProxyType(repring.r_sum_identities(p, k, r)))
+
+
+@dataclass(frozen=True, eq=False)
 class GammaDescriptor(zpmod.Memoized):
+    """A validated action.  Its memo holds what the action itself gives,
+    the lattice module and its exterior powers; the closed forms are read
+    from `shape(p, k)`."""
+
     p: int
     n: int
     k: int
@@ -77,16 +111,14 @@ class GammaDescriptor(zpmod.Memoized):
             self.module(), j))
 
     def r(self) -> tuple[int, ...]:
-        return self._memo("r", lambda: repring.r_vector(self.p, self.k))
+        return shape(self.p, self.k).r
 
     def s(self, m: int) -> int:
-        sv = self._memo("s", lambda: repring.s_vector(self.p, self.k))
-        return repring.s_at(sv, m)
+        return repring.s_at(shape(self.p, self.k).s, m)
 
-    def r_sums(self) -> dict[str, int]:
+    def r_sums(self) -> Mapping[str, int]:
         """The closed-form r-sums, each checked against summing `r()`."""
-        return self._memo("r_sums", lambda: repring.r_sum_identities(
-            self.p, self.k, self.r()))
+        return shape(self.p, self.k).r_sums
 
     def r_even_sum(self) -> int:
         return self.r_sums()["sum_even"]
@@ -113,15 +145,17 @@ def validate_gamma(p: int, rho) -> GammaDescriptor:
         raise WrongOrderError(f"matrix does not have order {p}: rho^{p} != id")
     if not np.any(rho != ident):
         raise WrongOrderError("matrix is the identity, order 1")
-    kern = la.kernel_basis(rho - ident)
-    if kern.shape[1]:
-        vec = tuple(int(x) for x in kern[:, 0])
+    # coker(rho - id) is finite exactly when no nonzero vector is fixed; the
+    # module keeps it, as the one Smith form `finite_subgroup_data` reads
+    module = zpmod.ZpModule(p, rho, check=False)
+    if zpmod.coinvariants(module).free_rank:
+        vec = tuple(int(x) for x in la.kernel_basis(rho - ident)[:, 0])
         raise NotFreeError(f"fixed vector {vec}")
     if n % (p - 1):
         raise BadRankError(f"rank {n} is not divisible by p - 1 = {p - 1}")
     k = n // (p - 1)
     canonical = not np.any(rho != _canonical_action(p, k))
-    return GammaDescriptor(p, n, k, rho, canonical)
+    return GammaDescriptor(p, n, k, rho, canonical, {"module": module})
 
 
 def _canonical_action(p: int, k: int) -> np.ndarray:
@@ -286,10 +320,13 @@ def _point_sum(G: GammaDescriptor, point, m: int,
                sign: int = 1) -> GroupExpression:
     """Sum over l of r_l copies of the point group `point` (KOPoint or
     KoPoint) in degree sign * (m - l); cohomology takes sign = -1.  Kept in
-    the descriptor's memo: every KO/ko family of a report reads the same
-    few sums."""
+    the shape's memo: every KO/ko family reads the same few sums."""
+    sh = shape(G.p, G.k)
+    if point is KOPoint:
+        m %= 8   # the sum depends on m mod 8 only: 16 entries at most
+
     def compute():
-        rv = G.r()
+        rv = sh.r
         if point is KOPoint:
             # one summand per degree class mod 8
             counts = [0] * 8
@@ -301,7 +338,7 @@ def _point_sum(G: GammaDescriptor, point, m: int,
             summands = sorted(KoPoint(sign * (m - l), r) for l, r in enumerate(rv)
                               if r and sign * (m - l) >= 0)
         return GroupExpression._canonical(tuple(summands))
-    return G._memo(("point_sum", point, m, sign), compute)
+    return sh._memo(("point_sum", point, m, sign), compute)
 
 
 def _to_unknown(G: GammaDescriptor, degree: int) -> GroupExpression:
@@ -505,7 +542,8 @@ class TheoremReport:
 
 # The report families in report order: (name, evaluator, window kind,
 # odd p only).  Evaluators look the module functions up when called, so a
-# rebinding of those names (as perfbench/tracer.py does) is seen.
+# rebinding of those names (as perfbench/tracer.py does) is seen; over the
+# default windows they run once per shape, so only on a miss of `shape`.
 REPORT_FAMILIES = (
     ("H^*(BGamma)", lambda G, m: cohomology_bgamma(G, m), "H", False),
     ("H_*(BGamma)", lambda G, m: homology_bgamma(G, m), "H", False),
@@ -528,14 +566,34 @@ REPORT_FAMILIES = (
 )
 
 
+def _evaluate_families(G: GammaDescriptor,
+                       window: tuple[int, int] | None) -> tuple:
+    """(name, ((m, group), ...)) for every report family of G, in report
+    order, over `window` or each family's default window."""
+    # window kind -> (degree window, whether degrees start at 0)
+    windows = {"H": (window or (0, G.n), True), "K": (window or (0, 1), False),
+               "KO": (window or (0, 7), False), "ko": (window or (0, 7), True)}
+    families = []
+    for name, evaluate, kind, odd_only in REPORT_FAMILIES:
+        if odd_only and G.p == 2:
+            continue
+        (lo, hi), from_zero = windows[kind]
+        families.append((name, tuple(
+            (m, expr_evaluate(evaluate(G, m)))
+            for m in range(max(lo, 0) if from_zero else lo, hi + 1))))
+    return tuple(families)
+
+
 def build_report(G: GammaDescriptor,
                  window: tuple[int, int] | None = None) -> TheoremReport:
     """Evaluate every theorem family over its degree window.
 
     The action is checked through the one Smith form of rho - id
     (`finite_subgroup_data`); every family is a closed form in (p, k), so
-    a supplied action builds no exterior power.  `verify` compares the
-    closed forms with the spectral assembly.
+    a supplied action builds no exterior power, and over the default
+    windows the families are evaluated once per shape and kept in
+    `shape(p, k)`.  Each report holds its own copy of them.  `verify`
+    compares the closed forms with the spectral assembly.
     """
     fsd = finite_subgroup_data(G)
     abelianization(G)
@@ -546,18 +604,14 @@ def build_report(G: GammaDescriptor,
         "euler": euler_characteristic_quotient(G),
         "fixed_points": fsd.fixed_point_count,
     }
-    if window is not None and window[0] > window[1]:
+    if window is None:
+        families = shape(G.p, G.k)._memo(
+            "families", lambda: _evaluate_families(G, None))
+    elif window[0] > window[1]:
         raise ValueError(f"empty degree window {window}")
-    # window kind -> (degree window, whether degrees start at 0)
-    windows = {"H": (window or (0, G.n), True), "K": (window or (0, 1), False),
-               "KO": (window or (0, 7), False), "ko": (window or (0, 7), True)}
-    groups: dict[str, dict[int, GroupExpression]] = {}
-    for name, evaluate, kind, odd_only in REPORT_FAMILIES:
-        if odd_only and G.p == 2:
-            continue
-        (lo, hi), from_zero = windows[kind]
-        groups[name] = {m: expr_evaluate(evaluate(G, m))
-                        for m in range(max(lo, 0) if from_zero else lo, hi + 1)}
+    else:
+        families = _evaluate_families(G, window)
+    groups = {name: dict(table) for name, table in families}
     warnings: list[str] = []
     if G.p == 2:
         warnings.append("KO/ko sections omitted: p odd required")

@@ -46,7 +46,34 @@ def test_validate_infinite_dihedral():
 def test_validate_not_free():
     with pytest.raises(NotFreeError) as err:
         validate_gamma(2, [[0, 1], [1, 0]])
-    assert "fixed vector" in str(err.value)
+    assert str(err.value) == "NotFree: fixed vector (1, 1)"
+    # a fixed vector is named before a rank that p - 1 does not divide
+    with pytest.raises(NotFreeError) as err:
+        validate_gamma(3, [[0, -1, 0], [1, -1, 0], [0, 0, 1]])
+    assert str(err.value) == "NotFree: fixed vector (0, 0, 1)"
+
+
+def test_validation_keeps_its_smith_form(tmp_path, monkeypatch, capsys):
+    # validation reads freeness off coker(rho - id) and hands the module
+    # over, so a --matrix report takes no second Smith form and no kernel
+    import json
+    from crystalk import cli
+    seen = []
+    original = la.cokernel_structure
+
+    def counting(M):
+        seen.append(np.shape(M))
+        return original(M)
+
+    def refuse(M):
+        raise AssertionError("kernel_basis on a valid action")
+    monkeypatch.setattr(la, "cokernel_structure", counting)
+    monkeypatch.setattr(la, "kernel_basis", refuse)
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"p": 3, "matrix": [[2, -7], [1, -3]]}))
+    assert cli.main(["report", "--matrix", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["descriptor"]["canonical"] is False
+    assert seen == [(2, 2)]
 
 
 def test_validate_not_prime():
@@ -270,7 +297,7 @@ PAPER_SHAPES = ([(2, k) for k in range(1, 13)] + [(3, k) for k in range(1, 9)]
 
 
 @pytest.mark.parametrize("p, k", PAPER_SHAPES)
-def test_scalars_match_the_papers_closed_forms(p, k, monkeypatch):
+def test_scalars_match_the_papers_closed_forms(p, k, monkeypatch, fresh_shapes):
     # Davis-Lueck: rk K_0 = d_ev and rk K_1 = d_odd of C*_r(Gamma), and the
     # orbit space has Euler characteristic (p - 1)p^(k-1)
     G = canonical_gamma(p, k)
@@ -289,6 +316,7 @@ def test_scalars_match_the_papers_closed_forms(p, k, monkeypatch):
     rv = G.r()
     monkeypatch.setattr(repring, "r_vector",
                         lambda p, k: (rv[0] + 1,) + rv[1:])
+    crystal.shape.cache_clear()
     fresh = crystal.GammaDescriptor(p, G.n, k, G.rho, True)
     with pytest.raises(ArithmeticError):
         d_even(fresh)
@@ -532,3 +560,114 @@ def test_conjugate_report_ignores_the_guardrail(monkeypatch):
     assert rep.groups == build_report(canonical_gamma(3, 10)).groups
     monkeypatch.setenv("CRYSTALK_MAX_EXT_DIM", "1")
     assert build_report(_seeded_conjugate(3, 2, 5)).warnings == []
+
+
+# -- the shape memo ------------------------------------------------------------
+
+def _action_of_shape(p, k, seed):
+    """A seeded conjugate of the canonical (p, k) action (for p = 2, whose
+    canonical action -I is its only conjugate, that action)."""
+    return canonical_gamma(p, k) if p == 2 else _seeded_conjugate(p, k, seed)
+
+
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 2), (3, 4), (5, 2), (7, 1)])
+def test_every_action_of_a_shape_has_the_memoized_families(p, k, fresh_shapes):
+    # the premise of the memo: each family is a function of (p, k) alone,
+    # so evaluating it afresh on any action of the shape gives the table
+    build_report(canonical_gamma(p, k))
+    table = dict(crystal.shape(p, k)._cache["families"])
+    assert list(table) == [name for name, _e, _w, odd in crystal.REPORT_FAMILIES
+                           if not (odd and p == 2)]
+    for seed in (3, 4):
+        crystal.shape.cache_clear()
+        H = _action_of_shape(p, k, seed)
+        for name, evaluate, _w, _odd in crystal.REPORT_FAMILIES:
+            for m, group in table.get(name, ()):
+                assert expr_evaluate(evaluate(H, m)) == group, (name, m)
+        assert "families" not in crystal.shape(p, k)._cache
+
+
+def test_a_report_owns_its_groups():
+    from crystalk import cli
+    G = _seeded_conjugate(3, 2, 5)
+    first = build_report(G)
+    expect = cli.render_report_json(build_report(G))
+    first.groups["H^*(BGamma)"][0] = GroupExpression.free(99)
+    del first.groups["K_*(Cstar)"]
+    first.groups["extra"] = {}
+    assert cli.render_report_json(build_report(G)) == expect
+
+
+def test_the_memo_keeps_at_most_its_bound(fresh_shapes):
+    shapes = [(2, k) for k in range(1, 13)] + [(3, k) for k in range(1, 7)]
+    for p, k in shapes:
+        build_report(canonical_gamma(p, k))
+    info = crystal.shape.cache_info()
+    assert info.maxsize == 16 and info.misses == 18
+    assert info.currsize == 16
+
+
+@pytest.mark.parametrize("window", [(-11, 19), (2, 2), (0, 30)])
+def test_a_windowed_report_is_evaluated_directly(window, fresh_shapes):
+    G = _seeded_conjugate(5, 2, 3)
+    default = build_report(G)
+    table = crystal.shape(5, 2)._cache["families"]
+    windowed = build_report(G, window)
+    lo, hi = window
+    for name, evaluate, kind, _odd in crystal.REPORT_FAMILIES:
+        from_zero = kind in ("H", "ko")
+        degrees = range(max(lo, 0) if from_zero else lo, hi + 1)
+        assert windowed.groups[name] == {
+            m: expr_evaluate(evaluate(G, m)) for m in degrees}, name
+    assert crystal.shape(5, 2)._cache["families"] is table
+    assert build_report(G).groups == default.groups
+    # a KO point sum depends on the degree mod 8, so any window keeps 16
+    assert len([key for key in crystal.shape(5, 2)._cache
+                if isinstance(key, tuple) and key[1] is KOPoint]) == 16
+
+
+def test_a_descriptor_memoizes_only_what_its_action_gives():
+    H = _seeded_conjugate(3, 2, 5)
+    build_report(H)
+    assert set(H._cache) == {"module"}
+    for m in range(H.n + 1):
+        brute_force_cohomology_bgamma(H, m)
+    assert all(key == "module" or key[0] == "ext" for key in H._cache)
+    assert ("ext", H.n) in H._cache
+
+
+def test_threads_share_the_shape_memo(fresh_shapes):
+    # descriptors stay per thread; the shape memo is shared, and a race on
+    # it may compute an entry twice but must not change a report
+    import sys
+    import threading
+    from crystalk import cli
+    actions = [(p, _seeded_conjugate(p, k, seed).rho)
+               for p, k in ((3, 2), (5, 1)) for seed in (5, 7, 11)]
+
+    def reports(order):
+        return {i: cli.render_report_json(build_report(validate_gamma(*actions[i])))
+                for i in order}
+    serial = reports(range(len(actions)))
+    rounds = 8
+    # each round starts from an empty memo, all four threads at once
+    start = threading.Barrier(4, action=crystal.shape.cache_clear, timeout=60)
+    results = [[] for _ in range(4)]
+
+    def work(t):
+        for _ in range(rounds):
+            start.wait()
+            results[t].append(reports([(i + t) % len(actions)
+                                       for i in range(len(actions))]))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[serial] * rounds] * 4

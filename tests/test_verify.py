@@ -69,7 +69,7 @@ def test_grid_beyond_the_benchmark_passes(p, k):
     assert results and [r.name for r in results if not r.ok] == []
 
 
-def test_five_term_cell_catches_a_shifted_s_table(monkeypatch):
+def test_five_term_cell_catches_a_shifted_s_table(monkeypatch, fresh_shapes):
     # s read one degree late still satisfies the bound, but no longer
     # counts the a_2m that inclusion-exclusion gives
     name = "crystal: five-term sequence bookkeeping"
@@ -78,6 +78,7 @@ def test_five_term_cell_catches_a_shifted_s_table(monkeypatch):
     real = repring.s_vector
     monkeypatch.setattr(repring, "s_vector",
                         lambda p, k: real(p, k)[1:] + (p ** k,))
+    crystal.shape.cache_clear()
     cells = {n: fn for n, fn, _repro in verify.all_checks(3, 2)}
     with pytest.raises(AssertionError, match="five-term count"):
         cells[name]()
