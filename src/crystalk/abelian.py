@@ -40,6 +40,10 @@ def factorint(n: int) -> dict[int, int]:
     return out
 
 
+def is_prime(n: int) -> bool:
+    return n >= 2 and factorint(n) == {n: 1}
+
+
 def _chain_from_prime_powers(powers: dict[int, list[int]]) -> tuple[int, ...]:
     """Invariant factors, ascending, of the sum of the cyclic groups Z/p^e
     for each prime p and each exponent e in powers[p].
@@ -244,7 +248,7 @@ def _refuse(s, why: str):
 
 
 def _canon_prime(s):
-    if s.p < 2 or factorint(s.p) != {s.p: 1}:
+    if not is_prime(s.p):
         _refuse(s, f"{s.p} is not prime")
     return s
 
@@ -316,7 +320,6 @@ _KINDS = {
             m[1], None if m[2] is None else tuple(map(int, re.findall(r"\d+", m[2]))))),
 }
 _PARSERS = [(re.compile(kind.pattern), kind.parse) for kind in _KINDS.values()]
-_ORDER_KEYS = {cls: kind.key for cls, kind in _KINDS.items()}   # the hot path of `+`
 
 
 @dataclass(frozen=True)
@@ -325,9 +328,10 @@ class GroupExpression:
 
     The canonical summand tuple holds each summand in its kind's canonical
     form, at most one per order key, sorted by `_order_key` (see `_KINDS`).
-    The constructor brings any summands into that form through `_normalize`,
-    the one general normalizer; the named constructors, `+` and
-    `expr_evaluate` build it directly.
+    The constructor, `+` and `expr_evaluate` bring any summands into that
+    form through `_normalize`, the one normalizer; only the named
+    constructors, `fg_expression` and `FGAbelianGroup.to_expression` build
+    it directly.
     """
 
     summands: tuple = ()
@@ -372,11 +376,7 @@ class GroupExpression:
         return cls._canonical((UnknownPTorsion(tag, bounds),) if any(bounds) else ())
 
     def __add__(self, other: "GroupExpression") -> "GroupExpression":
-        if not other.summands:
-            return self
-        if not self.summands:
-            return other
-        return GroupExpression._canonical(_merge(self.summands, other.summands))
+        return GroupExpression(self.summands + other.summands)
 
     def is_zero(self) -> bool:
         return not self.summands
@@ -436,7 +436,7 @@ def _normalize(summands) -> tuple:
 
 
 def _order_key(s) -> tuple:
-    return _ORDER_KEYS[type(s)](s)
+    return _KINDS[type(s)].key(s)
 
 
 def _plus(s, t) -> tuple:
@@ -446,32 +446,6 @@ def _plus(s, t) -> tuple:
         return (s, t)
     count = getattr(s, kind.count) + getattr(t, kind.count)
     return (kind.recount(s, count),) if count else ()
-
-
-def _merge(a: tuple, b: tuple) -> tuple:
-    """The canonical tuple of a + b for canonical nonempty a and b, in one
-    merge pass."""
-    out: list = []
-    i = j = 0
-    ka, kb = _order_key(a[0]), _order_key(b[0])
-    while True:
-        if ka < kb:
-            out.append(a[i])
-            i += 1
-        elif kb < ka:
-            out.append(b[j])
-            j += 1
-        else:
-            out.extend(_plus(a[i], b[j]))
-            i += 1
-            j += 1
-        if i == len(a) or j == len(b):
-            break
-        ka, kb = _order_key(a[i]), _order_key(b[j])
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
 
 
 def parse_expression(text: str) -> GroupExpression:
@@ -495,33 +469,20 @@ def expr_evaluate(e: GroupExpression) -> GroupExpression:
     """Expand every KO/ko point summand through the point tables.
 
     PAdic, Pruefer and unknown-torsion summands pass through unchanged;
-    the result carries no point summands, so the map is idempotent.  The
-    expansion only adds to the free rank and to the count of Z/2.
+    the result carries no point summands, so the map is idempotent, and
+    an expression without point summands is returned as it is.
     """
-    free = twos = 0
-    rest: list = []
-    for s in e.summands:
-        t = type(s)
-        if t is KOPoint or t is KoPoint:
-            # canonical: KO degrees lie in [0, 8), ko degrees are >= 0
-            f, z = _KO_SHAPE[s.degree % 8]
-            free += f * s.multiplicity
-            twos += z * s.multiplicity
-        else:
-            rest.append(s)
-    if len(rest) == len(e.summands):
+    if not any(type(s) in (KOPoint, KoPoint) for s in e.summands):
         return e
-    if rest and type(rest[0]) is FreeZ:
-        free += rest.pop(0).rank
-    # (2, 1) is the least key of a cyclic part, so Z/2 comes first
-    first = rest[0] if rest else None
-    if type(first) is CyclicPrimePower and (first.p, first.exponent) == (2, 1):
-        twos += rest.pop(0).multiplicity
-    if twos:
-        rest.insert(0, CyclicPrimePower(2, 1, twos))
-    if free:
-        rest.insert(0, FreeZ(free))
-    return GroupExpression._canonical(tuple(rest))
+    out: list = []
+    for s in e.summands:
+        if type(s) in (KOPoint, KoPoint):
+            f, z = _KO_SHAPE[s.degree % 8]
+            out.append(FreeZ(f * s.multiplicity))
+            out.append(CyclicPrimePower(2, 1, z * s.multiplicity))
+        else:
+            out.append(s)
+    return GroupExpression(tuple(out))
 
 
 def fg_expression(free_rank: int = 0, p: int | None = None,

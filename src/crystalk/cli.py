@@ -54,7 +54,7 @@ def _load_descriptor(args: argparse.Namespace) -> GammaDescriptor:
             data = json.load(fh)
         if not isinstance(data, dict) or "p" not in data or "matrix" not in data:
             raise OSError(f"{args.matrix_file}: expected keys 'p' and 'matrix'")
-        if not isinstance(data["p"], int):
+        if not isinstance(data["p"], int) or isinstance(data["p"], bool):
             raise OSError(f"{args.matrix_file}: 'p' must be an integer")
         p = data["p"]
         if args.p is not None and args.p != p:

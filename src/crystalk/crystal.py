@@ -26,7 +26,8 @@ import numpy as np
 from . import exact_linalg as la
 from . import repring, zpmod
 from .abelian import (FGAbelianGroup, GroupExpression, KOPoint, KoPoint,
-                      direct_sum, direct_sum_all, expr_evaluate, fg_expression)
+                      direct_sum, direct_sum_all, expr_evaluate, fg_expression,
+                      is_prime)
 
 
 class GammaError(ValueError):
@@ -65,7 +66,7 @@ class OddPrimeRequiredError(GammaError):
 @dataclass(frozen=True, eq=False)
 class Shape(zpmod.Memoized):
     """What every action of one shape (p, k) shares: the tables r and s,
-    the r-sums checked against r, and in `_cache` the point sums and the
+    the r-sums checked against r, and in `_cache` the KO point sums and the
     report families over their default windows.  Every value is immutable,
     so threads may share a shape: two threads that miss one memo entry at
     once both compute it, and either equal result is kept."""
@@ -133,7 +134,7 @@ class GammaDescriptor(zpmod.Memoized):
 
 def validate_gamma(p: int, rho) -> GammaDescriptor:
     """Check the defining data and derive k; raises GammaError subclasses."""
-    if not repring.is_prime(p):
+    if not is_prime(p):
         raise NotPrimeError(f"p = {p} must be prime")
     rho = la.intmat(rho)
     if rho.shape[0] != rho.shape[1] or rho.shape[0] == 0:
@@ -171,7 +172,7 @@ def canonical_gamma(p: int, k: int) -> GammaDescriptor:
     """
     if k < 1:
         raise BadRankError(f"k = {k} must be >= 1")
-    if not repring.is_prime(p):
+    if not is_prime(p):
         raise NotPrimeError(f"p = {p} must be prime")
     return GammaDescriptor(p, k * (p - 1), k, _canonical_action(p, k), True)
 
@@ -319,26 +320,26 @@ def _require_odd(G: GammaDescriptor) -> None:
 def _point_sum(G: GammaDescriptor, point, m: int,
                sign: int = 1) -> GroupExpression:
     """Sum over l of r_l copies of the point group `point` (KOPoint or
-    KoPoint) in degree sign * (m - l); cohomology takes sign = -1.  Kept in
-    the shape's memo: every KO/ko family reads the same few sums."""
+    KoPoint) in degree sign * (m - l); cohomology takes sign = -1.  A KO
+    sum depends on m mod 8 only, so every KO family reads the same 16 sums,
+    kept in the shape's memo; a ko sum is built when asked for, so a wide
+    window leaves no entry per degree there."""
     sh = shape(G.p, G.k)
-    if point is KOPoint:
-        m %= 8   # the sum depends on m mod 8 only: 16 entries at most
+    if point is KoPoint:
+        # connective: negative degrees vanish, the others are distinct
+        return GroupExpression._canonical(tuple(sorted(
+            KoPoint(sign * (m - l), r) for l, r in enumerate(sh.r)
+            if r and sign * (m - l) >= 0)))
+    m %= 8
 
     def compute():
-        rv = sh.r
-        if point is KOPoint:
-            # one summand per degree class mod 8
-            counts = [0] * 8
-            for l, r in enumerate(rv):
-                counts[sign * (m - l) % 8] += r
-            summands = [KOPoint(d, c) for d, c in enumerate(counts) if c]
-        else:
-            # connective: negative degrees vanish, the others are distinct
-            summands = sorted(KoPoint(sign * (m - l), r) for l, r in enumerate(rv)
-                              if r and sign * (m - l) >= 0)
-        return GroupExpression._canonical(tuple(summands))
-    return sh._memo(("point_sum", point, m, sign), compute)
+        # one summand per degree class mod 8
+        counts = [0] * 8
+        for l, r in enumerate(sh.r):
+            counts[sign * (m - l) % 8] += r
+        return GroupExpression._canonical(
+            tuple(KOPoint(d, c) for d, c in enumerate(counts) if c))
+    return sh._memo(("point_sum", KOPoint, m, sign), compute)
 
 
 def _to_unknown(G: GammaDescriptor, degree: int) -> GroupExpression:

@@ -54,16 +54,11 @@ def intmat(rows) -> np.ndarray:
 
 
 def zeros(m: int, n: int) -> np.ndarray:
-    out = np.empty((m, n), dtype=object)
-    out[...] = 0
-    return out
+    return np.zeros((m, n), dtype=object)
 
 
 def eye(n: int) -> np.ndarray:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i, i] = 1
-    return out
+    return np.eye(n, dtype=object)
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)

@@ -15,16 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+from .abelian import is_prime
 
 
 @dataclass(frozen=True)

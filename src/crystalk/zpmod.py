@@ -41,8 +41,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from . import exact_linalg as la
-from .abelian import FGAbelianGroup, direct_sum_all
-from .repring import is_prime
+from .abelian import FGAbelianGroup, direct_sum_all, is_prime
 
 DEFAULT_MAX_EXTERIOR_DIM = 20000
 
@@ -129,23 +128,28 @@ def make_cyclotomic(p: int) -> ZpModule:
 
 
 def direct_sum(m1: ZpModule, m2: ZpModule) -> ZpModule:
-    if m1.p != m2.p:
-        raise ValueError("mismatched primes in direct sum")
-    return ZpModule(m1.p, _block_diag(m1.action, m2.action), check=False)
+    return direct_sum_modules([m1, m2])
 
 
 def direct_sum_modules(mods: list[ZpModule]) -> ZpModule:
-    out = mods[0]
-    for m in mods[1:]:
-        out = direct_sum(out, m)
-    return out
+    """The block-diagonal sum, each block written once."""
+    p = mods[0].p
+    if any(m.p != p for m in mods):
+        raise ValueError("mismatched primes in direct sum")
+    n = sum(m.rank for m in mods)
+    out = la.zeros(n, n)
+    start = 0
+    for m in mods:
+        out[start:start + m.rank, start:start + m.rank] = m.action
+        start += m.rank
+    return ZpModule(p, out, check=False)
 
 
 def tensor(m1: ZpModule, m2: ZpModule) -> ZpModule:
     """Tensor product with basis e_i (x) f_j ordered lexicographically."""
     if m1.p != m2.p:
         raise ValueError("mismatched primes in tensor product")
-    return ZpModule(m1.p, _kron(m1.action, m2.action), check=False)
+    return ZpModule(m1.p, np.kron(m1.action, m2.action), check=False)
 
 
 def dual(m: ZpModule) -> ZpModule:
@@ -215,11 +219,6 @@ class ExteriorPower(ZpModule):
     def action(self) -> np.ndarray:
         return self._memo("action", lambda: compound_matrix(
             self.base.action, self.deg))
-
-    def power(self, j: int) -> np.ndarray:
-        # the compound of the base power: far cheaper than multiplying the
-        # compound action
-        return compound_matrix(self.base.power(j), self.deg)
 
     @property
     def summands(self) -> list[tuple[int, ZpModule]]:
@@ -291,7 +290,7 @@ def _kron_summand(m: ZpModule, factors: tuple) -> ZpModule:
         for t, d in factors:
             C = m._memo(("block_compound", t, d), lambda t=t, d=d:
                         compound_matrix(_block_types(m)[t][0], d))
-            out = C if out is None else _kron(out, C)
+            out = C if out is None else np.kron(out, C)
         return ZpModule(m.p, la.eye(1) if out is None else out, check=False)
     return m._memo(("summand", factors), compute)
 
@@ -329,25 +328,6 @@ def compound_matrix(A: np.ndarray, deg: int) -> np.ndarray:
             terms = nxt
         for rows, coeff in terms.items():
             out[index[rows], cj] = coeff
-    return out
-
-
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = la.zeros(a.shape[0] + b.shape[0], a.shape[1] + b.shape[1])
-    out[:a.shape[0], :a.shape[1]] = a
-    out[a.shape[0]:, a.shape[1]:] = b
-    return out
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = la.zeros(ra * rb, ca * cb)
-    for i in range(ra):
-        for j in range(ca):
-            v = a[i, j]
-            if v != 0:
-                out[i * rb:(i + 1) * rb, j * cb:(j + 1) * cb] = v * b
     return out
 
 

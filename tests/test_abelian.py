@@ -9,7 +9,8 @@ from crystalk.abelian import (CyclicPrimePower, FGAbelianGroup, FreeZ,
                               _chain_from_prime_powers, _order_key,
                               direct_sum, ext_dual,
                               expr_evaluate, factorint, fg_expression,
-                              hom_dual, ko_point_table, parse_expression)
+                              hom_dual, is_prime, ko_point_table,
+                              parse_expression)
 
 
 # -- canonical form ----------------------------------------------------------
@@ -31,6 +32,18 @@ def test_rejects_bad_orders():
         FGAbelianGroup(0, (1,))
     with pytest.raises(ValueError):
         FGAbelianGroup(-1, ())
+
+
+def test_is_prime_matches_a_sieve():
+    bound = 5000
+    sieve = [False, False] + [True] * (bound - 2)
+    for i in range(2, bound):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    for n in range(-5, bound):
+        assert is_prime(n) == (n >= 0 and sieve[n]), n
+    assert is_prime(1_000_003)
+    assert not is_prime(1_000_001)   # 101 * 9901
 
 
 def test_order():
@@ -268,8 +281,10 @@ def test_fg_to_expression_roundtrip():
 
 # -- fast paths against the general normalizer -------------------------------
 #
-# Every constructor other than GroupExpression(...) builds the canonical
-# tuple without `_normalize`; each must give what `_normalize` gives.
+# The named constructors, `fg_expression` and `FGAbelianGroup.to_expression`
+# build the canonical tuple without `_normalize`; each must give what
+# `_normalize` gives.  `+` and `expr_evaluate` go through `_normalize`, and
+# the tests below pin what they must return.
 
 summand_lists = st.lists(summand_strategy, max_size=6)
 

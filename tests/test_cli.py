@@ -125,6 +125,16 @@ def test_report_float_entries_exit3(tmp_path, capsys):
     assert "not an integer" in err
 
 
+def test_report_boolean_p_exit3(tmp_path, capsys):
+    # JSON true is a Python bool, an int subclass; like a boolean matrix
+    # entry it is malformed input, not a non-prime p
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"p": True, "matrix": [[-1]]}))
+    code, _, err = run(capsys, "report", "--matrix", str(path))
+    assert code == 3
+    assert "'p' must be an integer" in err
+
+
 def test_report_nonlist_matrix_exit3(tmp_path, capsys):
     path = tmp_path / "rho.json"
     path.write_text(json.dumps({"p": 3, "matrix": "nonsense"}))

@@ -626,6 +626,19 @@ def test_a_windowed_report_is_evaluated_directly(window, fresh_shapes):
                 if isinstance(key, tuple) and key[1] is KOPoint]) == 16
 
 
+def test_a_wide_window_leaves_only_the_ko_point_sums(fresh_shapes):
+    # a connective sum is built on demand, so a window does not leave one
+    # memo entry per degree in the shape
+    G = _seeded_conjugate(5, 2, 3)
+    build_report(G)
+    build_report(G, (-2000, 2000))
+    cache = crystal.shape(5, 2)._cache
+    ko_keys = [key for key in cache
+               if isinstance(key, tuple) and key[1] is KOPoint]
+    assert set(cache) == {"families", *ko_keys}
+    assert len(ko_keys) <= 16
+
+
 def test_a_descriptor_memoizes_only_what_its_action_gives():
     H = _seeded_conjugate(3, 2, 5)
     build_report(H)

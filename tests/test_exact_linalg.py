@@ -29,6 +29,16 @@ def rational_rank(M) -> int:
     return rank
 
 
+def test_zeros_and_eye_hold_python_ints():
+    for M in (la.zeros(3, 2), la.eye(3), la.eye(0)):
+        assert M.dtype == object
+        assert all(type(x) is int for x in M.flat)
+    assert la.zeros(3, 2).tolist() == [[0, 0]] * 3
+    assert la.eye(3).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    # arithmetic on them stays exact past int64
+    assert (la.eye(2) * 2 ** 70 + la.zeros(2, 2))[1, 1] == 2 ** 70
+
+
 small_entries = st.integers(min_value=-9, max_value=9)
 
 

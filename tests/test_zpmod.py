@@ -98,6 +98,53 @@ def test_mismatched_primes():
         tensor(make_cyclotomic(3), make_cyclotomic(5))
 
 
+def _kron_reference(A, B):
+    """Kronecker product entry by entry in Python ints."""
+    A, B = A.tolist(), B.tolist()
+    return [[a * b for a in row_a for b in row_b]
+            for row_a in A for row_b in B]
+
+
+def test_kronecker_products_stay_exact_past_int64():
+    # a conjugate of the cyclotomic Z/3 module by a unimodular g with a
+    # 2^70 entry: still order 3, with entries near 2^140
+    big = 2 ** 70
+    H = zpmod.conjugate(make_cyclotomic(3), [[1, big], [0, 1]],
+                        [[1, -big], [0, 1]])
+    H.validate()
+    got = tensor(H, H).action
+    assert got.tolist() == _kron_reference(H.action, H.action)
+    assert all(type(x) is int for x in got.flat)
+    # Lambda^2 of H + H holds the summand Lambda^1 H (x) Lambda^1 H
+    (pair,) = [S for _c, S in exterior_power(direct_sum(H, H), 2).summands
+               if S.rank == 4]
+    assert pair.action.tolist() == _kron_reference(H.action, H.action)
+    assert all(type(x) is int for x in pair.action.flat)
+
+
+def test_direct_sum_of_many_blocks():
+    blocks = [make_cyclotomic(5), make_trivial(5, 1), make_regular(5)]
+    got = zpmod.direct_sum_modules(blocks)
+    a, b, c = blocks
+    for nested in (direct_sum(direct_sum(a, b), c),
+                   direct_sum(a, direct_sum(b, c))):
+        assert got.rank == nested.rank == 10
+        assert got.action.tolist() == nested.action.tolist()
+    start = 0
+    for m in blocks:
+        block = slice(start, start + m.rank)
+        assert got.action[block, block].tolist() == m.action.tolist()
+        start += m.rank
+    # nothing outside the diagonal blocks
+    assert np.count_nonzero(got.action != 0) == sum(
+        np.count_nonzero(m.action != 0) for m in blocks)
+    got.validate()
+    for i in range(len(blocks)):
+        mixed = blocks[:i] + [make_trivial(3, 1)] + blocks[i + 1:]
+        with pytest.raises(ValueError, match="mismatched primes"):
+            zpmod.direct_sum_modules(mixed)
+
+
 def test_exterior_degree_zero():
     got = exterior_power(make_cyclotomic(5), 0)
     assert got.action.tolist() == [[1]]
