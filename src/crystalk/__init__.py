@@ -2,9 +2,8 @@
 
 The library computes group (co)homology, topological K/KO/ko-theory of the
 classifying space and the torus orbit space, and the K-theory of the
-reduced group C*-algebras, with every value produced by exact integer or
-rational arithmetic and cross-checkable against brute-force linear-algebra
-oracles.
+reduced group C*-algebras, with every value produced by exact integer
+arithmetic and cross-checkable against brute-force linear-algebra oracles.
 """
 
 from .abelian import (FGAbelianGroup, GroupExpression, FreeZ,
@@ -23,7 +22,7 @@ from .crystal import (GammaDescriptor, GammaError, NotPrimeError,
                       equivariant_k, equivariant_ko,
                       equivariant_exact_sequences,
                       brute_force_cohomology_bgamma, TheoremReport)
-from .repring import RepClass, lambda_class, lambda_class_total, r_m, a_j, s_m
+from .repring import lambda_class, r_m, a_j, s_m
 from .zpmod import (ZpModule, make_trivial, make_regular, make_cyclotomic,
                     exterior_power, tensor, dual, tate, tate_reference,
                     coinvariants)

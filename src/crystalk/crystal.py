@@ -136,7 +136,8 @@ def validate_gamma(p: int, rho) -> GammaDescriptor:
     """Check the defining data and derive k; raises GammaError subclasses."""
     if not is_prime(p):
         raise NotPrimeError(f"p = {p} must be prime")
-    rho = la.intmat(rho)
+    # an array from outside gets the per-entry check a list gets
+    rho = la.intmat(rho.tolist() if isinstance(rho, np.ndarray) else rho)
     if rho.shape[0] != rho.shape[1] or rho.shape[0] == 0:
         raise BadRankError("action matrix must be square and nonempty")
     n = rho.shape[0]

@@ -31,7 +31,9 @@ def _as_int(x) -> int:
 
 
 def intmat(rows) -> np.ndarray:
-    """Build an exact integer matrix (dtype=object) from nested sequences."""
+    """Build an exact integer matrix (dtype=object) from nested sequences.
+
+    A 2-D object array is trusted to hold Python ints and returned as is."""
     if isinstance(rows, np.ndarray):
         arr = rows
         if arr.dtype == object and arr.ndim == 2:

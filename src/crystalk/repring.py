@@ -1,80 +1,22 @@
 """Closed-form combinatorics in the rational representation ring of Z/p.
 
 The ring in play has Z-basis the trivial class [Q] and the regular class
-[Q[Z/p]], with [Q] the unit and [Q[Z/p]]^2 = p*[Q[Z/p]].  From exterior
-power classes of the rank-(p-1) cyclotomic constituent one obtains the
-fixed-rank counts r_m, the bounded-composition counts a_j and their
-partial sums s_m, together with closed-form sum identities; every
-computation is exact rational arithmetic and any residual denominator is
-a hard error.
+[Q[Z/p]], with [Q] the unit and [Q[Z/p]]^2 = p*[Q[Z/p]].  A class is the
+pair (q, reg) of Python ints standing for q*[Q] + reg*[Q[Z/p]].  From the
+exterior power classes of the rank-(p-1) cyclotomic constituent one obtains
+the fixed-rank counts r_m, the bounded-composition counts a_j and their
+partial sums s_m, together with closed-form sum identities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .abelian import is_prime
 
 
-@dataclass(frozen=True)
-class RepClass:
-    """q_coeff*[Q] + reg_coeff*[Q[Z/p]], coefficients exact rationals."""
-
-    p: int
-    q_coeff: Fraction
-    reg_coeff: Fraction
-
-    @classmethod
-    def zero(cls, p: int) -> "RepClass":
-        return cls(p, Fraction(0), Fraction(0))
-
-    @classmethod
-    def unit(cls, p: int) -> "RepClass":
-        return cls(p, Fraction(1), Fraction(0))
-
-    @classmethod
-    def regular(cls, p: int) -> "RepClass":
-        return cls(p, Fraction(0), Fraction(1))
-
-    def __add__(self, other: "RepClass") -> "RepClass":
-        self._check(other)
-        return RepClass(self.p, self.q_coeff + other.q_coeff,
-                        self.reg_coeff + other.reg_coeff)
-
-    def __sub__(self, other: "RepClass") -> "RepClass":
-        self._check(other)
-        return RepClass(self.p, self.q_coeff - other.q_coeff,
-                        self.reg_coeff - other.reg_coeff)
-
-    def __mul__(self, other: "RepClass") -> "RepClass":
-        self._check(other)
-        a, b = self.q_coeff, self.reg_coeff
-        c, d = other.q_coeff, other.reg_coeff
-        # [Q] is the unit, [Q[Z/p]]^2 = p*[Q[Z/p]]
-        return RepClass(self.p, a * c, a * d + b * c + b * d * self.p)
-
-    def scale(self, r) -> "RepClass":
-        r = Fraction(r)
-        return RepClass(self.p, self.q_coeff * r, self.reg_coeff * r)
-
-    def _check(self, other: "RepClass") -> None:
-        if self.p != other.p:
-            raise ValueError("mixed primes in representation-ring arithmetic")
-
-    def fixed_rank(self) -> int:
-        """Rank of the fixed subspace: sends [Q] and [Q[Z/p]] both to 1."""
-        val = self.q_coeff + self.reg_coeff
-        if val.denominator != 1 or val < 0:
-            raise ArithmeticError(
-                f"fixed rank {val} is not a nonnegative integer; "
-                "cancellation of 1/p factors failed")
-        return int(val)
-
-
-def lambda_class(p: int, l: int) -> RepClass:
-    """Class of the l-th exterior power of the cyclotomic constituent.
+def lambda_class(p: int, l: int) -> tuple[int, int]:
+    """Class (q, reg) of the l-th exterior power of the cyclotomic constituent.
 
     Equals (-1)^l [Q] + (1/p)(C(p-1, l) - (-1)^l) [Q[Z/p]] for
     0 <= l <= p-1 and the zero class for l >= p.
@@ -82,26 +24,22 @@ def lambda_class(p: int, l: int) -> RepClass:
     if l < 0:
         raise ValueError("negative exterior degree")
     if l >= p:
-        return RepClass.zero(p)
+        return (0, 0)
     sign = -1 if l % 2 else 1
-    reg = Fraction(comb(p - 1, l) - sign, p)
-    if reg.denominator != 1:
+    reg, rest = divmod(comb(p - 1, l) - sign, p)
+    if rest:
         raise ArithmeticError("binomial congruence C(p-1,l) = (-1)^l mod p failed")
-    return RepClass(p, Fraction(sign), reg)
+    return (sign, reg)
 
 
-def lambda_classes(p: int, k: int) -> tuple[RepClass, ...]:
-    """Classes of the 0th to nth exterior powers of k cyclotomic constituents.
-
-    One convolution over bounded compositions into k parts in [0, p-1],
-    with n = k(p-1).  It runs on integer pairs (q, reg): every single
-    class is integral (lambda_class checks it) and the ring product has
-    integer structure constants, so no denominator can arise.
+def lambda_classes(p: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Classes (q, reg) of the 0th to nth exterior powers of k cyclotomic
+    constituents, n = k(p-1), by one convolution over bounded compositions
+    into k parts in [0, p-1].
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    singles = [(int(c.q_coeff), int(c.reg_coeff))
-               for c in (lambda_class(p, l) for l in range(p))]
+    singles = [lambda_class(p, l) for l in range(p)]
     # classes[j] = class of Lambda^j of the constituents taken so far
     classes = [(1, 0)]
     for _ in range(k):
@@ -112,25 +50,26 @@ def lambda_classes(p: int, k: int) -> tuple[RepClass, ...]:
                 # [Q] is the unit, [Q[Z/p]]^2 = p*[Q[Z/p]]
                 nxt[j + l] = (q + a * c, reg + a * d + b * c + b * d * p)
         classes = nxt
-    return tuple(RepClass(p, Fraction(q), Fraction(reg)) for q, reg in classes)
+    return tuple(classes)
 
 
-def lambda_class_total(p: int, k: int, m: int) -> RepClass:
-    """Class of the m-th exterior power of k cyclotomic constituents."""
-    if m < 0:
-        raise ValueError("negative exterior degree")
-    classes = lambda_classes(p, k)
-    return classes[m] if m < len(classes) else RepClass.zero(p)
+def r_vector(p: int, k: int) -> tuple[int, ...]:
+    """(r_0, ..., r_n) for n = k(p-1); r vanishes above n.
+
+    [Q] and [Q[Z/p]] both have rank-1 fixed subspaces, so r_m = q + reg.
+    """
+    rv = tuple(q + reg for q, reg in lambda_classes(p, k))
+    if min(rv) < 0:
+        raise ArithmeticError(f"fixed rank {min(rv)} is negative")
+    return rv
 
 
 def r_m(p: int, k: int, m: int) -> int:
     """Fixed rank of the m-th exterior power of the rank-k(p-1) module."""
-    return lambda_class_total(p, k, m).fixed_rank()
-
-
-def r_vector(p: int, k: int) -> tuple[int, ...]:
-    """(r_0, ..., r_n) for n = k(p-1); r vanishes above n."""
-    return tuple(c.fixed_rank() for c in lambda_classes(p, k))
+    if m < 0:
+        raise ValueError("negative exterior degree")
+    rv = r_vector(p, k)
+    return rv[m] if m < len(rv) else 0
 
 
 def a_vector(p: int, k: int) -> tuple[int, ...]:

@@ -69,6 +69,8 @@ class ZpModule(Memoized):
 
     def __init__(self, p: int, action, check: bool = True):
         self.p = p
+        if check and isinstance(action, np.ndarray):
+            action = action.tolist()  # outside input: check every entry
         self.action = la.intmat(action)
         if self.action.shape[0] != self.action.shape[1]:
             raise ValueError("action matrix must be square")

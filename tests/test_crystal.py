@@ -76,6 +76,20 @@ def test_validation_keeps_its_smith_form(tmp_path, monkeypatch, capsys):
     assert seen == [(2, 2)]
 
 
+def test_validate_checks_every_entry_of_an_array():
+    # an object array from outside gets the per-entry check a list gets:
+    # floats are refused, numpy integers become Python ints
+    floats = np.array([[0.0, -1.0], [1.0, -1.0]], dtype=object)
+    with pytest.raises(ValueError, match="not an integer"):
+        validate_gamma(3, floats)
+    for rho in (np.array([[0, -1], [1, -1]], dtype=np.int64),
+                np.array([[0, -1], [1, -1]], dtype=np.int64).astype(object)):
+        G = validate_gamma(3, rho)
+        assert G.rho.dtype == object
+        assert all(type(x) is int for x in G.rho.flat)
+        assert G.canonical
+
+
 def test_validate_not_prime():
     with pytest.raises(NotPrimeError):
         validate_gamma(4, [[-1]])

@@ -1,12 +1,11 @@
-from fractions import Fraction
 from math import comb
 
 import pytest
 
-from crystalk.repring import (RepClass, a_j, a_j_inclusion_exclusion,
-                              a_vector, lambda_class, lambda_class_total,
-                              lambda_classes, r_m, r_sum_identities, r_vector,
-                              s_m, s_vector)
+from crystalk import repring
+from crystalk.repring import (a_j, a_j_inclusion_exclusion, a_vector,
+                              lambda_class, lambda_classes, r_m,
+                              r_sum_identities, r_vector, s_m, s_vector)
 
 PRIMES = (2, 3, 5, 7)
 GRID = [(p, k) for p in PRIMES for k in (1, 2)]
@@ -15,15 +14,22 @@ TABLE_GRID = [(2, 1), (2, 12), (3, 8), (5, 4), (7, 2), (13, 3), (31, 1),
               (61, 1)]
 
 
+def pair_product(p, x, y):
+    """Product of classes (q, reg): [Q] is the unit, [Q[Z/p]]^2 = p*[Q[Z/p]]."""
+    (a, b), (c, d) = x, y
+    return (a * c, a * d + b * c + b * d * p)
+
+
 def naive_lambda_class_total(p, k, m):
-    """Class of Lambda^m by its own convolution up to degree m, in RepClass."""
+    """Class of Lambda^m by its own convolution up to degree m."""
     singles = [lambda_class(p, l) for l in range(p)]
-    classes = [RepClass.unit(p)] + [RepClass.zero(p)] * m
+    classes = [(1, 0)] + [(0, 0)] * m
     for _ in range(k):
-        nxt = [RepClass.zero(p)] * (m + 1)
+        nxt = [(0, 0)] * (m + 1)
         for j in range(m + 1):
             for l in range(min(j, p - 1) + 1):
-                nxt[j] = nxt[j] + classes[j - l] * singles[l]
+                q, reg = pair_product(p, classes[j - l], singles[l])
+                nxt[j] = (nxt[j][0] + q, nxt[j][1] + reg)
         classes = nxt
     return classes[m]
 
@@ -42,50 +48,25 @@ def naive_a_j(p, k, j):
     return counts[j]
 
 
-# -- ring arithmetic ---------------------------------------------------------
-
-def test_regular_class_square():
-    for p in PRIMES:
-        reg = RepClass.regular(p)
-        assert reg * reg == reg.scale(p)
-
-
-def test_unit():
-    x = RepClass(5, Fraction(2), Fraction(3))
-    assert RepClass.unit(5) * x == x
-
-
-def test_fixed_rank_requires_integer():
-    bad = RepClass(3, Fraction(1, 3), Fraction(0))
-    with pytest.raises(ArithmeticError):
-        bad.fixed_rank()
-
-
-def test_mixed_prime_rejected():
-    with pytest.raises(ValueError):
-        RepClass.unit(3) * RepClass.unit(5)
-
-
 # -- wedge classes -----------------------------------------------------------
 
 def test_lambda_class_degree_zero():
     for p in PRIMES:
-        assert lambda_class(p, 0) == RepClass.unit(p)
+        assert lambda_class(p, 0) == (1, 0)
 
 
 def test_lambda_class_degree_one():
     for p in PRIMES:
-        got = lambda_class(p, 1)
-        assert got == RepClass(p, Fraction(-1), Fraction(1))
+        assert lambda_class(p, 1) == (-1, 1)
 
 
 def test_lambda_class_top_is_trivial_p3():
-    assert lambda_class(3, 2) == RepClass.unit(3)
+    assert lambda_class(3, 2) == (1, 0)
 
 
 def test_lambda_class_vanishes_high():
-    assert lambda_class(3, 3) == RepClass.zero(3)
-    assert lambda_class(5, 7) == RepClass.zero(5)
+    assert lambda_class(3, 3) == (0, 0)
+    assert lambda_class(5, 7) == (0, 0)
 
 
 def test_lambda_class_negative_rejected():
@@ -96,31 +77,42 @@ def test_lambda_class_negative_rejected():
 def test_consecutive_relation():
     for p in PRIMES:
         for l in range(1, p):
-            got = lambda_class(p, l) + lambda_class(p, l - 1)
-            assert got == RepClass(p, Fraction(0), Fraction(comb(p, l), p))
+            (q1, reg1), (q0, reg0) = lambda_class(p, l), lambda_class(p, l - 1)
+            assert q1 + q0 == 0
+            assert p * (reg1 + reg0) == comb(p, l)
 
 
 def test_total_class_sum():
-    for p in (3, 5, 7):
-        total = RepClass.zero(p)
-        for l in range(p):
-            total = total + lambda_class(p, l)
-        assert total == RepClass(p, Fraction(1), Fraction(2 ** (p - 1) - 1, p))
-    total2 = lambda_class(2, 0) + lambda_class(2, 1)
-    assert total2 == RepClass.regular(2)
+    for p in PRIMES:
+        q, reg = map(sum, zip(*(lambda_class(p, l) for l in range(p))))
+        if p == 2:
+            assert (q, reg) == (0, 1)
+        else:
+            assert q == 1 and p * reg == 2 ** (p - 1) - 1
 
 
 def test_lambda_total_degree_zero():
-    assert lambda_class_total(5, 2, 0) == RepClass.unit(5)
+    assert lambda_classes(5, 2)[0] == (1, 0)
+    assert r_m(5, 2, 0) == 1
 
 
 def test_lambda_total_p3_k2_m2():
     # 2*(wedge^0 x wedge^2) + (wedge^1)^2 expands to 3[Q] + [Q[Z/3]]
-    assert lambda_class_total(3, 2, 2) == RepClass(3, Fraction(3), Fraction(1))
+    assert lambda_classes(3, 2)[2] == (3, 1)
+    assert r_m(3, 2, 2) == 4
 
 
 def test_lambda_total_vanishes_above_top():
-    assert lambda_class_total(3, 1, 3) == RepClass.zero(3)
+    assert len(lambda_classes(3, 1)) == 3
+    assert r_m(3, 1, 3) == 0
+
+
+def test_negative_fixed_rank_refused(monkeypatch):
+    # q + reg < 0 is no rank: r_vector refuses it rather than reporting it
+    monkeypatch.setattr(repring, "lambda_classes",
+                        lambda p, k: ((1, 0), (-2, 1)))
+    with pytest.raises(ArithmeticError):
+        r_vector(3, 1)
 
 
 @pytest.mark.parametrize("p,k", TABLE_GRID)
@@ -129,15 +121,14 @@ def test_lambda_table_matches_per_degree_convolution(p, k):
     table = lambda_classes(p, k)
     assert len(table) == n + 1
     for m in range(n + 1):
-        naive = naive_lambda_class_total(p, k, m)
-        assert table[m] == naive, (p, k, m)
-        assert lambda_class_total(p, k, m) == naive, (p, k, m)
-    assert r_vector(p, k) == tuple(c.fixed_rank() for c in table)
+        assert table[m] == naive_lambda_class_total(p, k, m), (p, k, m)
+    rv = r_vector(p, k)
+    assert rv == tuple(q + reg for q, reg in table)
+    # exact Python ints, not numpy scalars or Fractions
+    assert all(type(x) is int for pair in table for x in pair)
+    assert all(type(x) is int for x in rv)
     for m in (n + 1, n + 2, n + 7):
-        assert lambda_class_total(p, k, m) == RepClass.zero(p)
         assert r_m(p, k, m) == 0
-    with pytest.raises(ValueError):
-        lambda_class_total(p, k, -1)
     with pytest.raises(ValueError):
         r_m(p, k, -2)
 

@@ -84,6 +84,21 @@ def test_five_term_cell_catches_a_shifted_s_table(monkeypatch, fresh_shapes):
         cells[name]()
 
 
+def test_wedge_class_cells_catch_a_wrong_class(monkeypatch, fresh_shapes):
+    # reg of Lambda^1 off by one breaks both wedge-class relations; the
+    # cells run alone, since the sum-identity cell raises on it first
+    names = ("repring: consecutive wedge-class relation",
+             "repring: total wedge-class sum")
+    real = repring.lambda_class
+    monkeypatch.setattr(repring, "lambda_class", lambda p, l: (
+        (real(p, l)[0], real(p, l)[1] + 1) if l == 1 else real(p, l)))
+    G = crystal.canonical_gamma(5, 1)
+    cells = {n: (fn, repro) for n, fn, repro in verify.checks_repring(G, 0)}
+    for name in names:
+        result = verify._cell(name, *cells[name])
+        assert result.name == name and not result.ok, result
+
+
 def _guarded_compound(monkeypatch, limit):
     """Patch compound_matrix to refuse inputs above limit x limit; returns
     the list of input shapes it was called on."""

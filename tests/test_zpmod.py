@@ -49,6 +49,17 @@ def test_nonprime_rejected():
         ZpModule(4, [[0, 1], [-1, -1]])
 
 
+def test_checked_module_checks_every_entry_of_an_array():
+    # a checked module refuses floats in an object array and turns numpy
+    # integers into Python ints; an unchecked one keeps the library's array
+    with pytest.raises(ValueError, match="not an integer"):
+        ZpModule(3, np.array([[0.0, -1.0], [1.0, -1.0]], dtype=object))
+    A = np.array([[0, -1], [1, -1]], dtype=np.int64).astype(object)
+    mod = ZpModule(3, A)
+    assert all(type(x) is int for x in mod.action.flat)
+    assert ZpModule(3, mod.action, check=False).action is mod.action
+
+
 def test_wrong_order_rejected():
     with pytest.raises(ValueError):
         ZpModule(3, [[2]])
