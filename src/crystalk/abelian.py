@@ -135,23 +135,17 @@ class FGAbelianGroup:
         return self.to_expression().render()
 
     def to_expression(self) -> "GroupExpression":
-        counts: dict[tuple[int, int], int] = {}
-        # each distinct order is factored once
-        for d, copies in Counter(self.torsion).items():
-            for p, e in factorint(d).items():
-                counts[(p, e)] = counts.get((p, e), 0) + copies
-        summands: list = [FreeZ(self.free_rank)] if self.free_rank else []
-        summands.extend(CyclicPrimePower(p, e, mult)
-                        for (p, e), mult in sorted(counts.items()))
-        return GroupExpression._canonical(tuple(summands))
+        # each distinct order is factored once; the normalizer adds the
+        # copies of equal prime powers
+        return GroupExpression((FreeZ(self.free_rank),) + tuple(
+            CyclicPrimePower(p, e, copies)
+            for d, copies in Counter(self.torsion).items()
+            for p, e in factorint(d).items()))
 
 
-def direct_sum(a: FGAbelianGroup, b: FGAbelianGroup) -> FGAbelianGroup:
-    return FGAbelianGroup(a.free_rank + b.free_rank, a.torsion + b.torsion)
-
-
-def direct_sum_all(groups) -> FGAbelianGroup:
-    """Direct sum of any number of groups, normalized once."""
+def direct_sum(*groups: FGAbelianGroup) -> FGAbelianGroup:
+    """Direct sum of any number of groups, normalized once; with none it
+    is the trivial group."""
     free = 0
     torsion: list[int] = []
     for g in groups:
@@ -328,10 +322,10 @@ class GroupExpression:
 
     The canonical summand tuple holds each summand in its kind's canonical
     form, at most one per order key, sorted by `_order_key` (see `_KINDS`).
-    The constructor, `+` and `expr_evaluate` bring any summands into that
-    form through `_normalize`, the one normalizer; only the named
-    constructors, `fg_expression` and `FGAbelianGroup.to_expression` build
-    it directly.
+    Every way of building one, the named constructors included, brings
+    its summands into that form through `_normalize`, the one normalizer,
+    and so refuses what it refuses; only `fg_expression` builds the
+    canonical tuple directly.
     """
 
     summands: tuple = ()
@@ -340,40 +334,27 @@ class GroupExpression:
         object.__setattr__(self, "summands", _normalize(self.summands))
 
     @classmethod
-    def _canonical(cls, summands: tuple) -> "GroupExpression":
-        """An expression on a tuple already in canonical form (unchecked)."""
-        e = object.__new__(cls)
-        object.__setattr__(e, "summands", summands)
-        return e
-
-    @classmethod
     def zero(cls) -> "GroupExpression":
-        return cls._canonical(())
+        return cls()
 
     @classmethod
     def free(cls, rank: int) -> "GroupExpression":
-        return cls._canonical((FreeZ(rank),) if rank else ())
-
-    @classmethod
-    def elementary(cls, p: int, copies: int) -> "GroupExpression":
-        return cls._canonical((CyclicPrimePower(p, 1, copies),) if copies else ())
+        return cls((FreeZ(rank),))
 
     @classmethod
     def padic(cls, p: int, rank: int) -> "GroupExpression":
-        return cls._canonical((PAdic(p, rank),) if rank else ())
+        return cls((PAdic(p, rank),))
 
     @classmethod
     def pruefer(cls, p: int, rank: int) -> "GroupExpression":
-        return cls._canonical((Pruefer(p, rank),) if rank else ())
+        return cls((Pruefer(p, rank),))
 
     @classmethod
     def unknown(cls, tag: str,
                 layer_bounds: tuple[int, ...] | None) -> "GroupExpression":
         """Unknown p-torsion; zero when every layer bound is 0."""
-        if layer_bounds is None:
-            return cls._canonical((UnknownPTorsion(tag, None),))
-        bounds = tuple(layer_bounds)
-        return cls._canonical((UnknownPTorsion(tag, bounds),) if any(bounds) else ())
+        bounds = None if layer_bounds is None else tuple(layer_bounds)
+        return cls((UnknownPTorsion(tag, bounds),))
 
     def __add__(self, other: "GroupExpression") -> "GroupExpression":
         return GroupExpression(self.summands + other.summands)
@@ -487,10 +468,17 @@ def expr_evaluate(e: GroupExpression) -> GroupExpression:
 
 def fg_expression(free_rank: int = 0, p: int | None = None,
                   p_copies: int = 0) -> GroupExpression:
-    """Shorthand for Z^a (+) (Z/p)^b expressions."""
+    """Shorthand for Z^a (+) (Z/p)^b expressions.
+
+    The one unchecked construction: the tuple is built in canonical order
+    without `_normalize` (whose primality test costs on a cold report), so
+    p must be prime and neither count negative.
+    """
     summands: list = []
     if free_rank:
         summands.append(FreeZ(free_rank))
     if p is not None and p_copies:
         summands.append(CyclicPrimePower(p, 1, p_copies))
-    return GroupExpression._canonical(tuple(summands))
+    e = object.__new__(GroupExpression)
+    object.__setattr__(e, "summands", tuple(summands))
+    return e

@@ -130,8 +130,6 @@ def run_report(args: argparse.Namespace) -> int:
 
 
 def run_verify(args: argparse.Namespace) -> int:
-    if args.matrix_file is None and (args.p is None or args.k is None):
-        raise GammaError("verify needs --p and --k (or --matrix)")
     G = _load_descriptor(args)
     p, k = G.p, G.k
     results = verify.run_all(p, k, gamma=G)

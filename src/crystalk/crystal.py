@@ -26,8 +26,7 @@ import numpy as np
 from . import exact_linalg as la
 from . import repring, zpmod
 from .abelian import (FGAbelianGroup, GroupExpression, KOPoint, KoPoint,
-                      direct_sum, direct_sum_all, expr_evaluate, fg_expression,
-                      is_prime)
+                      direct_sum, expr_evaluate, fg_expression, is_prime)
 
 
 class GammaError(ValueError):
@@ -162,7 +161,7 @@ def validate_gamma(p: int, rho) -> GammaDescriptor:
 
 def _canonical_action(p: int, k: int) -> np.ndarray:
     """The k-fold sum of the cyclotomic twist."""
-    return zpmod.direct_sum_modules([zpmod.make_cyclotomic(p)] * k).action
+    return zpmod.direct_sum(*[zpmod.make_cyclotomic(p)] * k).action
 
 
 def canonical_gamma(p: int, k: int) -> GammaDescriptor:
@@ -328,9 +327,9 @@ def _point_sum(G: GammaDescriptor, point, m: int,
     sh = shape(G.p, G.k)
     if point is KoPoint:
         # connective: negative degrees vanish, the others are distinct
-        return GroupExpression._canonical(tuple(sorted(
+        return GroupExpression(tuple(
             KoPoint(sign * (m - l), r) for l, r in enumerate(sh.r)
-            if r and sign * (m - l) >= 0)))
+            if r and sign * (m - l) >= 0))
     m %= 8
 
     def compute():
@@ -338,8 +337,7 @@ def _point_sum(G: GammaDescriptor, point, m: int,
         counts = [0] * 8
         for l, r in enumerate(sh.r):
             counts[sign * (m - l) % 8] += r
-        return GroupExpression._canonical(
-            tuple(KOPoint(d, c) for d, c in enumerate(counts) if c))
+        return GroupExpression(tuple(KOPoint(d, c) for d, c in enumerate(counts)))
     return sh._memo(("point_sum", KOPoint, m, sign), compute)
 
 
@@ -511,7 +509,7 @@ def brute_force_cohomology_bgamma(G: GammaDescriptor, m: int) -> GroupExpression
             free += zpmod.fixed_rank(mod)
         else:
             torsion.append(zpmod.tate(mod, i))
-    return GroupExpression.free(free) + direct_sum_all(torsion).to_expression()
+    return GroupExpression.free(free) + direct_sum(*torsion).to_expression()
 
 
 # --------------------------------------------------------------------------

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from . import crystal, exact_linalg as la, repring, zpmod
-from .abelian import FGAbelianGroup, direct_sum, ext_dual, hom_dual
+from .abelian import (FGAbelianGroup, FreeZ, UnknownPTorsion, direct_sum,
+                      ext_dual, hom_dual)
 
 
 @dataclass
@@ -74,33 +76,19 @@ def random_order_p_module(rng: random.Random, p: int,
     """
     if max_rank < p - 1:
         raise ValueError(f"max_rank {max_rank} cannot hold an order-{p} block")
-    first = ["cyc", "reg"] if p <= max_rank else ["cyc"]
+    # (block, its rank) per kind, in draw order
+    kinds = ((zpmod.make_cyclotomic(p), p - 1), (zpmod.make_regular(p), p),
+             (zpmod.make_trivial(p, 1), 1))
     blocks: list[zpmod.ZpModule] = []
     rank = 0
-    while True:
-        options = first if not blocks else []
-        if blocks:
-            if rank + (p - 1) <= max_rank:
-                options.append("cyc")
-            if rank + p <= max_rank:
-                options.append("reg")
-            if rank + 1 <= max_rank:
-                options.append("triv")
-            if not options:
-                break
-        kind = rng.choice(options)
-        if kind == "cyc":
-            blocks.append(zpmod.make_cyclotomic(p))
-            rank += p - 1
-        elif kind == "reg":
-            blocks.append(zpmod.make_regular(p))
-            rank += p
-        else:
-            blocks.append(zpmod.make_trivial(p, 1))
-            rank += 1
+    while options := [(block, r) for block, r in kinds[:3 if blocks else 2]
+                      if rank + r <= max_rank]:
+        block, r = rng.choice(options)
+        blocks.append(block)
+        rank += r
         if rng.random() < 0.4:
             break
-    mod = zpmod.direct_sum_modules(blocks)
+    mod = zpmod.direct_sum(*blocks)
     return zpmod.conjugate(mod, *_random_unimodular(rng, mod.rank))
 
 
@@ -160,18 +148,17 @@ def checks_repring(G: crystal.GammaDescriptor, seed: int):
     yield "repring: closed-form sum identities", sum_identities, f"p={p} k={k}"
 
     def aj_two_ways():
+        av = repring.a_vector(p, k)
         for j in range(n + 2):
-            dp = repring.a_j(p, k, j)
+            dp = av[j] if j < len(av) else 0
             ie = repring.a_j_inclusion_exclusion(p, k, j)
             assert dp == ie, f"a_{j}: DP {dp} != inclusion-exclusion {ie}"
-        total = sum(repring.a_j(p, k, j) for j in range(n + 1))
+        total = sum(av)
         assert total == p ** k, f"sum a_j = {total} != p^k"
-        for j in range(n + 1):
-            assert repring.a_j(p, k, j) == repring.a_j(p, k, n - j), "a_j not symmetric"
+        assert av == av[::-1], "a_j not symmetric"
     yield "repring: a_j count two ways / symmetry / total", aj_two_ways, f"p={p} k={k}"
 
     def consecutive_lambda():
-        from math import comb
         for l in range(1, p):
             q1, reg1 = repring.lambda_class(p, l)
             q0, reg0 = repring.lambda_class(p, l - 1)
@@ -189,12 +176,12 @@ def checks_repring(G: crystal.GammaDescriptor, seed: int):
 
     if k == 1:
         def k1_closed_form():
-            from math import comb
+            rv = repring.r_vector(p, 1)
             for m in range(p):
-                expect = (comb(p - 1, m) + (-1) ** m * (p - 1)) // p
-                assert (comb(p - 1, m) + (-1) ** m * (p - 1)) % p == 0
-                assert repring.r_m(p, 1, m) == expect, f"k=1 closed form at m={m}"
-            assert repring.r_m(p, 1, p) == 0
+                expect, rest = divmod(comb(p - 1, m) + (-1) ** m * (p - 1), p)
+                assert rest == 0
+                assert rv[m] == expect, f"k=1 closed form at m={m}"
+            assert len(rv) == p, "r_m nonzero above m = p - 1"
         yield "repring: k=1 closed form for r_m", k1_closed_form, f"p={p} k={k}"
 
 
@@ -342,15 +329,14 @@ def checks_crystal(G: crystal.GammaDescriptor, seed: int):
     def k_parity():
         for m in (0, 1):
             expr = crystal.cstar_k_theory(G, m, "complex")
-            assert all(type(s).__name__ == "FreeZ" for s in expr.summands), \
+            assert all(isinstance(s, FreeZ) for s in expr.summands), \
                 "complex C*-algebra K-theory must be free"
     yield "crystal: C*-algebra K-theory torsion-free", k_parity, f"p={p} k={k}"
 
     def t1_degeneration():
         bounds = tuple(p ** k - G.s(2 * i + 1) for i in range(1, n // 2 + 1))
         expr = crystal.k_theory_quotient(G, 1, "cohomology")
-        has_unknown = any(type(s).__name__ == "UnknownPTorsion"
-                          for s in expr.summands)
+        has_unknown = any(isinstance(s, UnknownPTorsion) for s in expr.summands)
         assert has_unknown == any(b != 0 for b in bounds), \
             "unknown torsion must appear exactly when a bound is nonzero"
     yield "crystal: unknown-torsion degeneration", t1_degeneration, f"p={p} k={k}"

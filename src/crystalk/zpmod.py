@@ -40,8 +40,8 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from . import exact_linalg as la
-from .abelian import FGAbelianGroup, direct_sum_all, is_prime
+from . import abelian, exact_linalg as la
+from .abelian import FGAbelianGroup, is_prime
 
 DEFAULT_MAX_EXTERIOR_DIM = 20000
 
@@ -129,12 +129,11 @@ def make_cyclotomic(p: int) -> ZpModule:
     return ZpModule(p, A, check=False)
 
 
-def direct_sum(m1: ZpModule, m2: ZpModule) -> ZpModule:
-    return direct_sum_modules([m1, m2])
-
-
-def direct_sum_modules(mods: list[ZpModule]) -> ZpModule:
-    """The block-diagonal sum, each block written once."""
+def direct_sum(*mods: ZpModule) -> ZpModule:
+    """The block-diagonal sum of one or more modules, each block written
+    once."""
+    if not mods:
+        raise ValueError("a direct sum needs at least one module")
     p = mods[0].p
     if any(m.p != p for m in mods):
         raise ValueError("mismatched primes in direct sum")
@@ -365,8 +364,8 @@ def coinvariants(m: ZpModule) -> FGAbelianGroup:
     def compute():
         if m.summands is None:
             return la.cokernel_structure(m.action - la.eye(m.rank))
-        return direct_sum_all([coinvariants(S) for c, S in m.summands
-                               for _ in range(c)])
+        return abelian.direct_sum(*[coinvariants(S) for c, S in m.summands
+                                    for _ in range(c)])
     return m._memo("coinvariants", compute)
 
 

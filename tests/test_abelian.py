@@ -94,6 +94,14 @@ fg_groups = st.builds(
 def test_direct_sum_commutative_associative(a, b, c):
     assert direct_sum(a, b) == direct_sum(b, a)
     assert direct_sum(direct_sum(a, b), c) == direct_sum(a, direct_sum(b, c))
+    assert direct_sum(a, b, c) == direct_sum(direct_sum(a, b), c)
+
+
+@given(fg_groups)
+@settings(max_examples=30, deadline=None)
+def test_direct_sum_of_none_or_one(g):
+    assert direct_sum() == FGAbelianGroup.trivial()
+    assert direct_sum(g) == g
 
 
 @given(fg_groups)
@@ -281,10 +289,10 @@ def test_fg_to_expression_roundtrip():
 
 # -- fast paths against the general normalizer -------------------------------
 #
-# The named constructors, `fg_expression` and `FGAbelianGroup.to_expression`
-# build the canonical tuple without `_normalize`; each must give what
-# `_normalize` gives.  `+` and `expr_evaluate` go through `_normalize`, and
-# the tests below pin what they must return.
+# Only `fg_expression` builds the canonical tuple without `_normalize`; it
+# must give what `_normalize` gives.  The named constructors,
+# `FGAbelianGroup.to_expression`, `+` and `expr_evaluate` go through
+# `_normalize`, and the tests below pin what they must return.
 
 summand_lists = st.lists(summand_strategy, max_size=6)
 
@@ -300,7 +308,7 @@ def _reference(xs):
 def test_named_constructors_are_canonical(count, p, copies, tag, bounds):
     assert GroupExpression.zero().summands == _reference([])
     assert GroupExpression.free(count).summands == _reference([FreeZ(count)])
-    assert GroupExpression.elementary(p, copies).summands \
+    assert fg_expression(0, p, copies).summands \
         == _reference([CyclicPrimePower(p, 1, copies)])
     assert fg_expression(count, p, copies).summands \
         == _reference([FreeZ(count), CyclicPrimePower(p, 1, copies)])
@@ -310,6 +318,31 @@ def test_named_constructors_are_canonical(count, p, copies, tag, bounds):
         == _reference([Pruefer(p, count)])
     assert GroupExpression.unknown(tag, bounds).summands \
         == _reference([UnknownPTorsion(tag, bounds)])
+
+
+@pytest.mark.parametrize("name, args, summand", [
+    ("free", (-3,), FreeZ(-3)),
+    ("padic", (4, 2), PAdic(4, 2)),
+    ("pruefer", (6, 1), Pruefer(6, 1)),
+    ("unknown", ("T", (-1, 2)), UnknownPTorsion("T", (-1, 2))),
+], ids=["free", "padic", "pruefer", "unknown"])
+def test_named_constructors_refuse_what_the_constructor_refuses(name, args, summand):
+    with pytest.raises(ValueError) as direct:
+        GroupExpression((summand,))
+    with pytest.raises(ValueError, match=re.escape(str(direct.value))):
+        getattr(GroupExpression, name)(*args)
+
+
+# the value ranges of `summand_strategy`
+@given(st.integers(0, 9), st.sampled_from([2, 3, 5]),
+       st.sampled_from(["T1", "TO^1", "TO^5", "to_3"]),
+       st.one_of(st.none(), st.lists(st.integers(0, 9), max_size=3).map(tuple)))
+@settings(max_examples=100, deadline=None)
+def test_named_constructors_parse_back(count, p, tag, bounds):
+    for e in (GroupExpression.zero(), GroupExpression.free(count),
+              GroupExpression.padic(p, count), GroupExpression.pruefer(p, count),
+              GroupExpression.unknown(tag, bounds)):
+        assert parse_expression(e.render()) == e
 
 
 @given(fg_groups)

@@ -13,7 +13,7 @@ from math import comb
 from crystalk import crystal, repring, verify, zpmod
 from crystalk.abelian import (CyclicPrimePower, FGAbelianGroup, FreeZ,
                               GroupExpression, direct_sum, expr_evaluate,
-                              ext_dual, hom_dual)
+                              ext_dual, fg_expression, hom_dual)
 
 FULL_GRID = [(p, k) for p in (2, 3, 5, 7) for k in (1, 2)]
 ODD_GRID = [(p, k) for p in (3, 5, 7) for k in (1, 2)]
@@ -138,7 +138,7 @@ def test_criterion_08_brute_force_cohomology():
             got = crystal.brute_force_cohomology_bgamma(g, m)
             if m % 2 == 0:
                 expect = (GroupExpression.free(g.r()[m])
-                          + GroupExpression.elementary(p, g.s(m)))
+                          + fg_expression(0, p, g.s(m)))
             else:
                 expect = GroupExpression.free(g.r()[m])
             assert got == expect == crystal.cohomology_bgamma(g, m), \

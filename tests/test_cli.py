@@ -224,6 +224,16 @@ def test_verify_json(capsys):
     assert all(c["ok"] for c in data["checks"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--p", "3"), "exactly one of --k and --matrix must be given"),
+    (("--k", "2"), "--p is required with --k"),
+])
+def test_verify_without_a_shape_exit2(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_verify_internal_error_exit4(capsys, monkeypatch):
     from crystalk import verify as verify_mod
 

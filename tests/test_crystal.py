@@ -6,7 +6,7 @@ from crystalk import crystal, exact_linalg as la, repring, zpmod
 from crystalk.abelian import (CyclicPrimePower, FGAbelianGroup, FreeZ,
                               GroupExpression, KOPoint, KoPoint, PAdic,
                               Pruefer, UnknownPTorsion, direct_sum,
-                              direct_sum_all, expr_evaluate, ext_dual,
+                              expr_evaluate, ext_dual,
                               fg_expression, hom_dual)
 from crystalk.crystal import (BadRankError, NotFreeError, NotPrimeError,
                               OddPrimeRequiredError, WrongOrderError,
@@ -513,7 +513,7 @@ def test_assembly_matches_the_dual_route(p, k, seed):
             else:
                 torsion.append(zpmod.tate(ext, m - j))
         by_dual = (GroupExpression.free(free)
-                   + direct_sum_all(torsion).to_expression())
+                   + direct_sum(*torsion).to_expression())
         assert brute_force_cohomology_bgamma(H, m) == by_dual, m
 
 

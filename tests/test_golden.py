@@ -1,9 +1,20 @@
-"""Byte identity with the committed reference outputs in perfbench/golden.
+"""Byte identity with committed reference outputs.
 
-Reports must match `crystalk report --p P --k K --format json` byte for
-byte, and each verify grid must list the same cells in the same order.
-A report on a conjugate of a golden action must give the same scalars,
-groups and warnings.  The files are only read here.
+Reports must match the files in perfbench/golden, the output of
+`crystalk report --p P --k K --format json`, byte for byte, and each
+verify grid must list the same cells in the same order.  A report on a
+conjugate of a golden action must give the same scalars, groups and
+warnings.
+
+The files in tests/golden are the stdout of the commands in `CLI_CASES`,
+written by the CLI before the change that added them:
+
+    crystalk oracle --p P --k K --format json    (2,3) (3,2) (5,2) (7,1)
+    crystalk report --p P --k K --format json --degree-window -11 19
+                                                 (3,2) (5,2)
+    crystalk report --p P --k K                  (2,3) (3,2)
+
+The files are only read here.
 """
 
 import json
@@ -14,10 +25,26 @@ from pathlib import Path
 import pytest
 
 from crystalk import verify
-from crystalk.cli import render_report_json, render_report_text
+from crystalk.cli import main, render_report_json, render_report_text
 from crystalk.crystal import build_report, canonical_gamma, validate_gamma
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+CLI_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _args(command, p, k, *rest):
+    return (command, "--p", str(p), "--k", str(k)) + rest
+
+
+# file in tests/golden -> the crystalk arguments whose stdout it holds
+CLI_CASES = {
+    **{f"oracle-{p}-{k}.json": _args("oracle", p, k, "--format", "json")
+       for p, k in [(2, 3), (3, 2), (5, 2), (7, 1)]},
+    **{f"report-window-{p}-{k}.json": _args(
+        "report", p, k, "--format", "json", "--degree-window", "-11", "19")
+       for p, k in [(3, 2), (5, 2)]},
+    **{f"report-{p}-{k}.txt": _args("report", p, k) for p, k in [(2, 3), (3, 2)]},
+}
 
 
 def _shapes(kind):
@@ -30,6 +57,13 @@ def _shapes(kind):
 
 def test_golden_files_present():
     assert _shapes("report") and _shapes("verify")
+    assert sorted(path.name for path in CLI_GOLDEN.iterdir()) == sorted(CLI_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_bytes_match_golden(name, capsys):
+    assert main(list(CLI_CASES[name])) == 0
+    assert capsys.readouterr().out.encode() == (CLI_GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("p,k,path", _shapes("report"))

@@ -99,6 +99,19 @@ def test_wedge_class_cells_catch_a_wrong_class(monkeypatch, fresh_shapes):
         assert result.name == name and not result.ok, result
 
 
+def test_aj_cell_catches_a_wrong_a_table(monkeypatch, fresh_shapes):
+    # one more composition of 0 than inclusion-exclusion counts
+    name = "repring: a_j count two ways / symmetry / total"
+    G = crystal.canonical_gamma(3, 2)
+    real = repring.a_vector
+    monkeypatch.setattr(repring, "a_vector",
+                        lambda p, k: (real(p, k)[0] + 1,) + real(p, k)[1:])
+    cells = {n: (fn, repro) for n, fn, repro in verify.checks_repring(G, 0)}
+    result = verify._cell(name, *cells[name])
+    assert result.name == name and not result.ok, result
+    assert "inclusion-exclusion" in result.detail
+
+
 def _guarded_compound(monkeypatch, limit):
     """Patch compound_matrix to refuse inputs above limit x limit; returns
     the list of input shapes it was called on."""

@@ -135,7 +135,7 @@ def test_kronecker_products_stay_exact_past_int64():
 
 def test_direct_sum_of_many_blocks():
     blocks = [make_cyclotomic(5), make_trivial(5, 1), make_regular(5)]
-    got = zpmod.direct_sum_modules(blocks)
+    got = zpmod.direct_sum(*blocks)
     a, b, c = blocks
     for nested in (direct_sum(direct_sum(a, b), c),
                    direct_sum(a, direct_sum(b, c))):
@@ -153,7 +153,9 @@ def test_direct_sum_of_many_blocks():
     for i in range(len(blocks)):
         mixed = blocks[:i] + [make_trivial(3, 1)] + blocks[i + 1:]
         with pytest.raises(ValueError, match="mismatched primes"):
-            zpmod.direct_sum_modules(mixed)
+            zpmod.direct_sum(*mixed)
+    with pytest.raises(ValueError, match="at least one module"):
+        zpmod.direct_sum()
 
 
 def test_exterior_degree_zero():
@@ -293,7 +295,7 @@ def test_tate_periodicity():
 
 def test_tate_checkerboard_small():
     for p, k in ((3, 1), (3, 2), (5, 1)):
-        base = zpmod.direct_sum_modules([make_cyclotomic(p)] * k)
+        base = zpmod.direct_sum(*[make_cyclotomic(p)] * k)
         n = k * (p - 1)
         from crystalk.repring import a_j
         for j in range(n + 1):
@@ -379,7 +381,7 @@ def test_herbrand_quotient_of_mixed_modules():
             b = 1
         mods = ([make_trivial(p, 1)] * a + [make_cyclotomic(p)] * b
                 + [make_regular(p)] * c)
-        mod = zpmod.direct_sum_modules(mods)
+        mod = zpmod.direct_sum(*mods)
         mod = zpmod.conjugate(mod, *_random_unimodular(rng, mod.rank))
         h0 = tate(mod, 0).order()
         h1 = tate(mod, 1).order()
@@ -420,7 +422,7 @@ def _module_of_kind(rng, p, kind):
     if kind == "trivial":
         mod = make_trivial(p, rng.randint(1, 4))
     else:
-        mod = zpmod.direct_sum_modules([make_regular(p)] * (2 if p <= 3 else 1))
+        mod = zpmod.direct_sum(*[make_regular(p)] * (2 if p <= 3 else 1))
     return zpmod.conjugate(mod, *_random_unimodular(rng, mod.rank))
 
 
@@ -485,7 +487,7 @@ def test_block_route_matches_dense_compound(p, kinds, rng):
     blocks = [_BLOCKS[kind](p) for kind in kinds]
     while sum(b.rank for b in blocks) > 6:
         blocks.pop()
-    base = zpmod.direct_sum_modules(blocks)
+    base = zpmod.direct_sum(*blocks)
     order = list(range(base.rank))
     rng.shuffle(order)
     perm = la.eye(base.rank)[order]
@@ -507,7 +509,7 @@ def test_block_route_matches_dense_compound(p, kinds, rng):
 
 def test_equal_blocks_give_one_summand_per_degree_multiset():
     # (3,3): three equal 2x2 blocks; wedge^2 = 3 (B (x) B) + 3 Lambda^2 B
-    base = zpmod.direct_sum_modules([make_cyclotomic(3)] * 3)
+    base = zpmod.direct_sum(*[make_cyclotomic(3)] * 3)
     got = sorted((c, S.rank) for c, S in exterior_power(base, 2).summands)
     assert got == [(3, 1), (3, 4)]
     # a connected action is its own single block: one summand, the compound
