@@ -2,9 +2,13 @@
 
 One elimination routine, `_row_reduce`, gives saturated kernel lattices,
 lattice coordinates (`SaturatedBasisSolver`), the diagonalization behind
-cokernel structure and the Smith normal form with its transforms.
-Matrices are numpy arrays of dtype=object holding Python ints, so nothing
-ever overflows and no floating point is involved.
+cokernel structure and the Smith normal form with its transforms.  Inside,
+a matrix is a list of rows of Python ints: most matrices here are at most
+16 wide, where numpy's cost per call outweighs the arithmetic.  At the
+boundary matrices are numpy arrays of dtype=object holding Python ints:
+each public routine reads its argument into rows once (`_rows`, which
+checks every entry) and builds the arrays it returns once.  Nothing ever
+overflows and no floating point is involved.
 
 Two routines stay apart on purpose.  `rank_mod` works over a prime field
 F_q on int64 residues, and refuses a modulus for which a product of two
@@ -13,6 +17,8 @@ independent check.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -33,7 +39,8 @@ def _as_int(x) -> int:
 def intmat(rows) -> np.ndarray:
     """Build an exact integer matrix (dtype=object) from nested sequences.
 
-    A 2-D object array is trusted to hold Python ints and returned as is."""
+    A 2-D object array is returned as is, unchecked; the elimination
+    routines check its entries when they read it into rows (`_rows`)."""
     if isinstance(rows, np.ndarray):
         arr = rows
         if arr.dtype == object and arr.ndim == 2:
@@ -46,13 +53,7 @@ def intmat(rows) -> np.ndarray:
     ncols = {len(r) for r in data}
     if len(data) and len(ncols) != 1:
         raise ValueError("ragged rows in matrix input")
-    m = len(data)
-    n = ncols.pop() if data else 0
-    out = np.empty((m, n), dtype=object)
-    for i, row in enumerate(data):
-        for j, x in enumerate(row):
-            out[i, j] = x
-    return out
+    return _array(data, len(data), ncols.pop() if data else 0)
 
 
 def zeros(m: int, n: int) -> np.ndarray:
@@ -102,52 +103,89 @@ def _swap_rows(W: np.ndarray, i: int, j: int) -> None:
         W[[i, j]] = W[[j, i]]
 
 
-def _row_reduce(W: np.ndarray, ncols: int) -> list[tuple[int, int]]:
-    """In-place integer row echelon reduction of W, pivoting on W[:, :ncols].
+def _rows(M) -> tuple[list[list[int]], int]:
+    """M as a fresh list of rows of Python ints, and its column count.
 
-    Columns beyond ncols (an augmented block) undergo the same row
-    operations.  Pivots are made positive.  Returns the pivot positions
-    (row, col).
+    The one entry check of the elimination: every entry that is not an
+    int goes through `_as_int`, so a float (even in an object array) is
+    refused and a numpy integer becomes a Python int, whose arithmetic
+    cannot wrap.
     """
-    m = W.shape[0]
+    if not (isinstance(M, np.ndarray) and M.ndim == 2):
+        M = intmat(M)
+    rows = M.tolist()
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        rows = [[_as_int(x) for x in row] for row in rows]
+    return rows, M.shape[1]
+
+
+def _transpose(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """The transpose of rows that are ncols long.  Empties `rows` before
+    building the new rows, so only one copy of the matrix is ever held as
+    rows (the other is one flat list, freed at once)."""
+    flat = list(chain.from_iterable(rows))
+    rows.clear()
+    return [flat[j::ncols] for j in range(ncols)]
+
+
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _array(rows: list[list[int]], m: int, n: int) -> np.ndarray:
+    """The m x n object array of rows of Python ints."""
+    return np.array(rows, dtype=object).reshape(m, n)
+
+
+def _row_reduce(W: list[list[int]], T: list[list[int]] | None = None
+                ) -> list[tuple[int, int]]:
+    """In-place integer row echelon reduction of the rows W.
+
+    T, if given, holds one companion row (say, of a transform) for each
+    row of W and undergoes the same row operations; its rows past len(W)
+    are left alone.  Pivots are the first row of least absolute value,
+    reduced by Euclid's algorithm, and are made positive.  Returns the
+    pivot positions (row, col).
+    """
+    m = len(W)
     pivots: list[tuple[int, int]] = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(W[0]) if W else 0):
         if r == m:
             break
-        while True:
-            col = W[r:, c]
-            nz = np.nonzero(col != 0)[0]
-            if len(nz) == 0:
-                break
-            absvals = [abs(col[i]) for i in nz]
-            best = nz[min(range(len(nz)), key=absvals.__getitem__)]
-            _swap_rows(W, r, r + best)
-            if W[r, c] < 0:
-                W[r] = -W[r]
+        nz = [i for i in range(r, m) if W[i][c]]
+        while nz:
+            best = nz[0] if len(nz) == 1 else min(nz, key=lambda i: abs(W[i][c]))
+            W[r], W[best] = W[best], W[r]
+            if T is not None:
+                T[r], T[best] = T[best], T[r]
+            row = W[r]
+            if row[c] < 0:
+                # every row from r down is zero left of column c
+                row[c:] = [-x for x in row[c:]]
+                if T is not None:
+                    T[r] = [-x for x in T[r]]
             if len(nz) == 1:
                 break
-            piv = W[r, c]
-            rest = W[r + 1:, c]
-            q = rest // piv
-            # piv has the least absolute value, so every other nonzero
-            # entry x has x // piv != 0 and upd is never empty
-            upd = np.nonzero(q != 0)[0]
-            W[r + 1 + upd] -= q[upd, None] * W[r][None, :]
-            # loop: remainders are now in [0, piv), Euclid terminates
-            if not np.any(W[r + 1:, c] != 0):
-                break
-        if W[r, c] != 0:
+            piv, tail = row[c], row[c:]
+            # the other rows with a nonzero in column c: if row r had one,
+            # it is now at best and they are nz[1:]; if not, nz without best
+            rest = nz[1:] if nz[0] == r else [i for i in nz if i != best]
+            nz = [r]
+            for i in rest:
+                # piv has the least absolute value, so q != 0
+                q = W[i][c] // piv
+                Wi = W[i]
+                Wi[c:] = [a - q * b for a, b in zip(Wi[c:], tail)]
+                if T is not None:
+                    T[i] = [a - q * b for a, b in zip(T[i], T[r])]
+                if Wi[c]:
+                    nz.append(i)
+            # remainders are now in [0, piv), so Euclid terminates
+        if W[r][c]:
             pivots.append((r, c))
             r += 1
     return pivots
-
-
-def _echelon(A: np.ndarray, T: np.ndarray):
-    """Row-reduce [A | T], pivoting on A; returns (A', T', rank)."""
-    W = np.concatenate([A, T], axis=1)
-    rank = len(_row_reduce(W, A.shape[1]))
-    return W[:, :A.shape[1]], W[:, A.shape[1]:], rank
 
 
 def kernel_basis(M) -> np.ndarray:
@@ -158,41 +196,46 @@ def kernel_basis(M) -> np.ndarray:
     transpose, so the returned columns span the full kernel lattice and
     Z^cols modulo the kernel is torsion-free.
     """
-    M = intmat(M)
-    _, T, rank = _echelon(M.T, eye(M.shape[1]))
-    return T[rank:].T.copy()
+    rows, n = _rows(M)
+    W = _transpose(rows, n)
+    T = _identity(n)
+    rank = len(_row_reduce(W, T))
+    return _array(_transpose(T[rank:], n), n, n - rank)
 
 
-def _diagonalize(D: np.ndarray, U: np.ndarray, Vt: np.ndarray) -> int:
-    """Make D diagonal in place; U and Vt pick up the row and column moves.
+def _diagonalize(D: list[list[int]], U: list[list[int]] | None = None,
+                 Vt: list[list[int]] | None = None) -> int:
+    """Make the rows D diagonal in place; U and Vt pick up the row and
+    column moves.
 
-    Alternates row passes on [D | U] and column passes on [D^T | Vt] (pass
-    zero-width U and Vt when no transform is wanted), so U @ M @ Vt.T = D
-    holds throughout when U and Vt start as identities.  Returns the rank r:
-    the nonzero entries end at D[i, i] for i < r, positive but not yet a
-    divisibility chain.  A pass leaves every row (column) past the rank
-    zero and no later move touches it, so later passes reduce only the
-    leading block; after a row pass the first r columns of D^T are
-    independent, so the column pass puts its pivots on the diagonal.
+    Alternates row passes on D, with U as companion, and column passes on
+    D^T, with Vt, so U @ M @ Vt.T = D holds throughout when U and Vt start
+    as identities.  Returns the rank r, with D cut to its r x r block,
+    whose diagonal is positive but not yet a divisibility chain.  A pass
+    leaves every row (column) past the rank zero and no later move touches
+    it, so it is dropped and later passes reduce only the leading block;
+    after a row pass the rows of D are independent, so the column pass
+    puts its pivots on the diagonal.
     """
-    rows, cols = D.shape   # D is zero outside D[:rows, :cols]
     while True:
-        D[:rows, :cols], U[:rows], rank = _echelon(D[:rows, :cols], U[:rows])
-        rows = rank
-        Dt, Vt[:cols], rank = _echelon(D[:rows, :cols].T, Vt[:cols])
-        D[:rows, :cols] = Dt.T
-        cols = rank
-        if np.count_nonzero(D[:rows, :cols] != 0) == rank:
+        del D[len(_row_reduce(D, U)):]
+        if not D:
+            return 0
+        Dt = _transpose(D, len(D[0]))
+        rank = len(_row_reduce(Dt, Vt))
+        del Dt[rank:]
+        D[:] = _transpose(Dt, len(Dt[0]))
+        if sum(map(bool, chain.from_iterable(D))) == rank:
             return rank
 
 
 def cokernel_structure(M) -> FGAbelianGroup:
     """Structure of Z^rows / column-span(M) as a finitely generated group."""
-    D = intmat(M).copy()
-    m, n = D.shape
-    rank = _diagonalize(D, zeros(m, 0), zeros(n, 0))
+    D, _ = _rows(M)
+    m = len(D)
+    rank = _diagonalize(D)
     return FGAbelianGroup(m - rank,
-                          [D[i, i] for i in range(rank) if D[i, i] != 1])
+                          [D[i][i] for i in range(rank) if D[i][i] != 1])
 
 
 def smith_normal_form(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -203,17 +246,21 @@ def smith_normal_form(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     added to row i and D is diagonalized again; that replaces d_i by a
     proper divisor and leaves d_1 ... d_(i-1) alone, so the repairs end.
     """
-    D = intmat(M).copy()
-    m, n = D.shape
-    U, Vt = eye(m), eye(n)
+    D, n = _rows(M)
+    m = len(D)
+    U, Vt = _identity(m), _identity(n)
     while True:
         rank = _diagonalize(D, U, Vt)
-        bad = [i for i in range(rank - 1) if D[i + 1, i + 1] % D[i, i]]
+        bad = [i for i in range(rank - 1) if D[i + 1][i + 1] % D[i][i]]
         if not bad:
-            return D, U, Vt.T
+            break
         i = bad[0]
-        D[i] += D[i + 1]
-        U[i] += U[i + 1]
+        D[i] = [a + b for a, b in zip(D[i], D[i + 1])]
+        U[i] = [a + b for a, b in zip(U[i], U[i + 1])]
+    out = zeros(m, n)
+    for i in range(rank):
+        out[i, i] = D[i][i]
+    return out, _array(U, m, m), _array(Vt, n, n).T
 
 
 def determinant(M) -> int:
@@ -263,14 +310,17 @@ class SaturatedBasisSolver:
 
     def coefficient_matrix(self, gens: np.ndarray) -> np.ndarray:
         """R @ C (s x g) for the coordinates C of the generator columns."""
-        UB, UG, rank = _echelon(self.basis, intmat(gens))
-        if rank < self.s:
+        B, _ = _rows(self.basis)
+        G, g = _rows(gens)
+        if len(G) != len(B):
+            raise ValueError("generators and basis have different row counts")
+        if len(_row_reduce(B, G)) < self.s:
             raise ValueError("basis columns are not independent")
-        if any(UB[j, j] != 1 for j in range(self.s)):
+        if any(B[j][j] != 1 for j in range(self.s)):
             raise ArithmeticError("basis is not saturated")
-        if np.any(UG[self.s:] != 0):
+        if any(map(any, G[self.s:])):
             raise ArithmeticError("vector outside the spanned lattice")
-        return UG[:self.s]
+        return _array(G[:self.s], self.s, g)
 
     def quotient_by(self, gens: np.ndarray) -> FGAbelianGroup:
         return cokernel_structure(self.coefficient_matrix(gens))

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +49,115 @@ def matrices(max_dim=4):
             lambda n: st.lists(
                 st.lists(small_entries, min_size=n, max_size=n),
                 min_size=m, max_size=m)))
+
+
+# -- the list elimination against the numpy one it replaced -----------------
+
+def _swap_rows(W: np.ndarray, i: int, j: int) -> None:
+    if i != j:
+        W[[i, j]] = W[[j, i]]
+
+
+def row_reduce_reference(W: np.ndarray, ncols: int) -> list[tuple[int, int]]:
+    """In-place integer row echelon reduction of W, pivoting on W[:, :ncols].
+
+    Columns beyond ncols (an augmented block) undergo the same row
+    operations.  Pivots are made positive.  Returns the pivot positions
+    (row, col).  The numpy elimination `exact_linalg._row_reduce` replaced,
+    kept verbatim as its reference.
+    """
+    m = W.shape[0]
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        while True:
+            col = W[r:, c]
+            nz = np.nonzero(col != 0)[0]
+            if len(nz) == 0:
+                break
+            absvals = [abs(col[i]) for i in nz]
+            best = nz[min(range(len(nz)), key=absvals.__getitem__)]
+            _swap_rows(W, r, r + best)
+            if W[r, c] < 0:
+                W[r] = -W[r]
+            if len(nz) == 1:
+                break
+            piv = W[r, c]
+            rest = W[r + 1:, c]
+            q = rest // piv
+            # piv has the least absolute value, so every other nonzero
+            # entry x has x // piv != 0 and upd is never empty
+            upd = np.nonzero(q != 0)[0]
+            W[r + 1 + upd] -= q[upd, None] * W[r][None, :]
+            # loop: remainders are now in [0, piv), Euclid terminates
+            if not np.any(W[r + 1:, c] != 0):
+                break
+        if W[r, c] != 0:
+            pivots.append((r, c))
+            r += 1
+    return pivots
+
+
+wide_entries = st.integers(-2 ** 70, 2 ** 70) | small_entries
+
+
+@given(st.integers(0, 8), st.integers(0, 10), st.data())
+@settings(max_examples=80, deadline=None)
+def test_row_reduce_matches_numpy_reference(m, width, data):
+    ncols = data.draw(st.integers(0, width))
+    rows = data.draw(st.lists(st.lists(wide_entries, min_size=width,
+                                       max_size=width),
+                              min_size=m, max_size=m))
+    ref = la.zeros(m, width)
+    for i, row in enumerate(rows):
+        ref[i, :] = row
+    ref_pivots = row_reduce_reference(ref, ncols)
+    W = [row[:ncols] for row in rows]
+    T = [row[ncols:] for row in rows]
+    assert la._row_reduce(W, T) == ref_pivots
+    assert [w + t for w, t in zip(W, T)] == ref.tolist()
+
+
+def test_results_are_object_arrays_of_python_ints():
+    M = np.array([[4, 6, 2], [2, 8, -2]], dtype=np.int64)
+    D, U, V = la.smith_normal_form(M)
+    K = la.kernel_basis(M)
+    C = la.SaturatedBasisSolver(K).coefficient_matrix(K * 3)
+    for A in (D, U, V, K, C):
+        assert A.dtype == object
+        assert all(type(x) is int for x in A.flat)
+    assert C.tolist() == [[3]]
+
+
+def test_empty_shapes():
+    assert la.cokernel_structure(la.zeros(3, 0)) == FGAbelianGroup(3, [])
+    assert la.cokernel_structure(la.zeros(0, 3)).is_trivial()
+    assert la.kernel_basis(la.zeros(0, 3)).tolist() == la.eye(3).tolist()
+    assert la.kernel_basis(la.zeros(3, 0)).shape == (0, 0)
+    assert [A.shape for A in la.smith_normal_form(la.zeros(0, 2))] \
+        == [(0, 2), (0, 0), (2, 2)]
+    assert [A.shape for A in la.smith_normal_form(la.zeros(2, 0))] \
+        == [(2, 0), (2, 2), (0, 0)]
+
+
+def test_object_array_entries_are_checked():
+    with pytest.raises(ValueError, match="not an integer"):
+        la.cokernel_structure(np.array([[2.5, 0], [0, 3]], dtype=object))
+    with pytest.raises(ValueError, match="not an integer"):
+        la.smith_normal_form(np.array([[1, True]], dtype=object))
+
+
+def test_numpy_integers_in_object_arrays_do_not_wrap():
+    a, b = 2 ** 62 - 1, 2 ** 62 - 3
+    M = np.array([[np.int64(a), np.int64(0)], [np.int64(0), np.int64(b)]],
+                 dtype=object)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        D, U, V = la.smith_normal_form(M)
+    assert [D[0, 0], D[1, 1]] == [1, a * b]
+    assert all(type(x) is int for x in D.flat)
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -213,13 +323,15 @@ def test_saturated_basis_quotient():
 
 class ForwardSubstitutionSolver:
     """Lattice coordinates by a column-echelon form of the basis and exact
-    forward substitution: the reference for `SaturatedBasisSolver`."""
+    forward substitution: the reference for `SaturatedBasisSolver`.  The
+    echelon form comes from `row_reduce_reference`, not from the code
+    under test."""
 
     def __init__(self, basis):
         B = mat(basis)
         self.n, self.s = B.shape
         W = B.T.copy()
-        pivots = la._row_reduce(W, self.n)
+        pivots = row_reduce_reference(W, self.n)
         assert len(pivots) == self.s, "basis columns are not independent"
         self.echelon = W.T.copy()   # n x s, column echelon
         self.pivot_rows = [c for _, c in pivots]
@@ -262,6 +374,8 @@ def test_saturated_basis_solver_refuses_unsaturated_basis():
         la.SaturatedBasisSolver([[2], [0]]).quotient_by([[2], [0]])
     with pytest.raises(ValueError, match="not independent"):
         la.SaturatedBasisSolver([[1, 2], [1, 2]]).quotient_by([[1], [1]])
+    with pytest.raises(ValueError, match="row counts"):
+        la.SaturatedBasisSolver([[1], [0]]).quotient_by([[1], [0], [0]])
 
 
 def test_saturated_basis_solver_rejects_outside_saturated_span():
