@@ -18,7 +18,7 @@ independent check.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -167,18 +167,26 @@ def _row_reduce(W: list[list[int]], T: list[list[int]] | None = None
                     T[r] = [-x for x in T[r]]
             if len(nz) == 1:
                 break
-            piv, tail = row[c], row[c:]
+            piv = row[c]
             # the other rows with a nonzero in column c: if row r had one,
             # it is now at best and they are nz[1:]; if not, nz without best
             rest = nz[1:] if nz[0] == r else [i for i in nz if i != best]
+            # a row update reads only the pivot row's nonzero entries
+            support = list(compress(range(c, len(row)), row[c:]))
+            if T is not None:
+                Tr = T[r]
+                tsupport = list(compress(range(len(Tr)), Tr))
             nz = [r]
             for i in rest:
-                # piv has the least absolute value, so q != 0
-                q = W[i][c] // piv
                 Wi = W[i]
-                Wi[c:] = [a - q * b for a, b in zip(Wi[c:], tail)]
+                # piv has the least absolute value, so q != 0
+                q = Wi[c] // piv
+                for j in support:
+                    Wi[j] -= q * row[j]
                 if T is not None:
-                    T[i] = [a - q * b for a, b in zip(T[i], T[r])]
+                    Ti = T[i]
+                    for j in tsupport:
+                        Ti[j] -= q * Tr[j]
                 if Wi[c]:
                     nz.append(i)
             # remainders are now in [0, piv), so Euclid terminates
@@ -225,7 +233,7 @@ def _diagonalize(D: list[list[int]], U: list[list[int]] | None = None,
         rank = len(_row_reduce(Dt, Vt))
         del Dt[rank:]
         D[:] = _transpose(Dt, len(Dt[0]))
-        if sum(map(bool, chain.from_iterable(D))) == rank:
+        if all(row.count(0) == rank - 1 for row in D):
             return rank
 
 
