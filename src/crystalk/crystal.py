@@ -1,13 +1,13 @@
 """Crystallographic groups Z^n x| Z/p with fixed-point-free twist.
 
 Validates the defining data (prime order, order-p integral action with no
-nonzero fixed vector), derives the structural constants (k, the count of
-conjugacy classes of finite subgroups, torus fixed points, Euler
-characteristic of the orbit space), and evaluates every closed-form
-invariant: integral (co)homology, complex K-theory, real KO-theory and
-connective ko-theory of the classifying space and of the orbit space, the
-K-theory of the reduced group C*-algebras, and the equivariant groups of
-the proper classifying space.  Every closed form depends on (p, k) alone,
+nonzero fixed vector, held as a list of rows of Python ints), derives the
+structural constants (k, the count of conjugacy classes of finite
+subgroups, torus fixed points, Euler characteristic of the orbit space),
+and evaluates every closed-form invariant: integral (co)homology, complex
+K-theory, real KO-theory and connective ko-theory of the classifying space
+and of the orbit space, the K-theory of the reduced group C*-algebras, and
+the equivariant groups of the proper classifying space.  Every closed form depends on (p, k) alone,
 so its tables are kept once per shape (`shape`), shared by every action
 of that shape.  A spectral assembly from the module layer
 gives an independent derivation of the cohomology, which the verify grid
@@ -20,8 +20,6 @@ import functools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
-
-import numpy as np
 
 from . import exact_linalg as la
 from . import repring, zpmod
@@ -91,12 +89,14 @@ def shape(p: int, k: int) -> Shape:
 class GammaDescriptor(zpmod.Memoized):
     """A validated action.  Its memo holds what the action itself gives,
     the lattice module and its exterior powers; the closed forms are read
-    from `shape(p, k)`."""
+    from `shape(p, k)`.  rho is the action as rows of Python ints, owned
+    by the descriptor and its module: never mutate it, and read a copy
+    through `rho_rows`."""
 
     p: int
     n: int
     k: int
-    rho: np.ndarray
+    rho: list[list[int]]
     canonical: bool
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -127,39 +127,39 @@ class GammaDescriptor(zpmod.Memoized):
         return self.r_sums()["sum_odd"]
 
     def rho_rows(self) -> list[list[int]]:
-        # rho comes from intmat or the canonical builder: Python ints only
-        return self.rho.tolist()
+        """A fresh copy of rho."""
+        return [row[:] for row in self.rho]
 
 
 def validate_gamma(p: int, rho) -> GammaDescriptor:
     """Check the defining data and derive k; raises GammaError subclasses."""
     if not is_prime(p):
         raise NotPrimeError(f"p = {p} must be prime")
-    # an array from outside gets the per-entry check a list gets
-    rho = la.intmat(rho.tolist() if isinstance(rho, np.ndarray) else rho)
-    if rho.shape[0] != rho.shape[1] or rho.shape[0] == 0:
+    # a copy, every entry checked, so the caller's rows are never shared
+    rho = la.intmat(rho)
+    n = len(rho)
+    if n == 0 or any(len(row) != n for row in rho):
         raise BadRankError("action matrix must be square and nonempty")
-    n = rho.shape[0]
-    ident = la.eye(n)
-    # repeated squaring: O(log p) exact products on the object array
-    if np.any(np.linalg.matrix_power(rho, p) != ident):
+    ident = la.identity(n)
+    # repeated squaring: O(log p) exact products
+    if la.matrix_power(rho, p) != ident:
         raise WrongOrderError(f"matrix does not have order {p}: rho^{p} != id")
-    if not np.any(rho != ident):
+    if rho == ident:
         raise WrongOrderError("matrix is the identity, order 1")
     # coker(rho - id) is finite exactly when no nonzero vector is fixed; the
     # module keeps it, as the one Smith form `finite_subgroup_data` reads
     module = zpmod.ZpModule(p, rho, check=False)
     if zpmod.coinvariants(module).free_rank:
-        vec = tuple(int(x) for x in la.kernel_basis(rho - ident)[:, 0])
+        vec = tuple(row[0] for row in la.kernel_basis(la.minus_identity(rho)))
         raise NotFreeError(f"fixed vector {vec}")
     if n % (p - 1):
         raise BadRankError(f"rank {n} is not divisible by p - 1 = {p - 1}")
     k = n // (p - 1)
-    canonical = not np.any(rho != _canonical_action(p, k))
+    canonical = rho == _canonical_action(p, k)
     return GammaDescriptor(p, n, k, rho, canonical, {"module": module})
 
 
-def _canonical_action(p: int, k: int) -> np.ndarray:
+def _canonical_action(p: int, k: int) -> list[list[int]]:
     """The k-fold sum of the cyclotomic twist."""
     return zpmod.direct_sum(*[zpmod.make_cyclotomic(p)] * k).action
 

@@ -1,26 +1,34 @@
-"""Exact integer matrix algebra.
+"""Exact integer matrix algebra on lists of rows of Python ints.
 
-One elimination routine, `_row_reduce`, gives saturated kernel lattices,
+A matrix is a list of rows, each a list of Python ints, so nothing ever
+overflows and no floating point is involved; most matrices here are at
+most 16 wide, where numpy's cost per call outweighs the arithmetic.  One
+elimination routine, `_row_reduce`, gives saturated kernel lattices,
 lattice coordinates (`SaturatedBasisSolver`), the diagonalization behind
-cokernel structure and the Smith normal form with its transforms.  Inside,
-a matrix is a list of rows of Python ints: most matrices here are at most
-16 wide, where numpy's cost per call outweighs the arithmetic.  At the
-boundary matrices are numpy arrays of dtype=object holding Python ints:
-each public routine reads its argument into rows once (`_rows`, which
-checks every entry) and builds the arrays it returns once.  Nothing ever
-overflows and no floating point is involved.
+cokernel structure and the Smith normal form with its transforms.
 
-Two routines stay apart on purpose.  `rank_mod` works over a prime field
-F_q on int64 residues, and refuses a modulus for which a product of two
-residues could leave int64.  `determinant` (Bareiss elimination) is an
-independent check.
+A matrix from outside is read by one checked reader, `_rows`: any
+sequence of equally long integer rows, a 2-D numpy array included, has
+every entry checked, so a float is refused and a numpy integer becomes a
+Python int that cannot wrap.  `intmat`, the elimination routines,
+`determinant` and `ranks_mod` read their arguments through it; every
+routine returns new rows.  The row helpers (`identity`, `transpose`,
+`minus_identity`, `matmul`, `matrix_power`, `kron`) take rows as those
+return them, without a second check; `minus_identity` yields its rows
+one at a time, so T = A - I is never held twice.
+
+Two routines stay apart on purpose.  `ranks_mod` (and `rank_mod`, its
+one-prime form) works over prime fields F_q on int64 residues, the one
+use of numpy, imported when first called; it refuses a modulus for which
+a product of two residues could leave int64.  `determinant` (Bareiss
+elimination) is an independent check.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import chain, compress
-
-import numpy as np
+from operator import add
 
 from .abelian import FGAbelianGroup
 
@@ -32,91 +40,50 @@ def _as_int(x) -> int:
         raise ValueError(f"matrix entry {x!r} is not an integer")
     try:
         return int(x.__index__())
-    except AttributeError:
+    except (AttributeError, TypeError):
         raise ValueError(f"matrix entry {x!r} is not an integer") from None
 
 
-def intmat(rows) -> np.ndarray:
-    """Build an exact integer matrix (dtype=object) from nested sequences.
+def _rows(M, copy: bool = True) -> tuple[list[list[int]], int]:
+    """M as a list of fresh rows of Python ints, and its column count.
 
-    A 2-D object array is returned as is, unchecked; the elimination
-    routines check its entries when they read it into rows (`_rows`)."""
-    if isinstance(rows, np.ndarray):
-        arr = rows
-        if arr.dtype == object and arr.ndim == 2:
-            return arr
-        rows = arr.tolist()
-    try:
-        data = [[_as_int(x) for x in row] for row in rows]
-    except TypeError:
-        raise ValueError("matrix input must be a sequence of rows") from None
-    ncols = {len(r) for r in data}
-    if len(data) and len(ncols) != 1:
-        raise ValueError("ragged rows in matrix input")
-    return _array(data, len(data), ncols.pop() if data else 0)
-
-
-def zeros(m: int, n: int) -> np.ndarray:
-    return np.zeros((m, n), dtype=object)
-
-
-def eye(n: int) -> np.ndarray:
-    return np.eye(n, dtype=object)
-
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def rank_mod(M, q: int) -> int:
-    """Rank of M over the prime field F_q, by int64 Gaussian elimination.
-
-    Entries are reduced into [0, q) first; scaling a row and subtracting
-    a multiple of it take products of two residues, so no value leaves
-    int64 while (q - 1)^2 does not.  A larger q is refused with
-    OverflowError.
+    The one entry check: M is any sequence of equally long rows, or a 2-D
+    numpy array, which keeps its column count when it has no rows.  Every
+    entry that is not an int goes through `_as_int`, so a float (even in
+    an object array) is refused and a numpy integer becomes a Python int,
+    whose arithmetic cannot wrap.  With copy=False, for a caller that only
+    reads them, rows that hold only ints come back as given.
     """
-    if (q - 1) ** 2 > _INT64_MAX:
-        raise OverflowError(f"modulus {q} does not fit int64 arithmetic")
-    if not (isinstance(M, np.ndarray) and M.dtype == np.int64):
-        M = intmat(M)
-    W = (M % q).astype(np.int64)
-    rows, cols = W.shape
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        nz = np.flatnonzero(W[rank:, c])
-        if nz.size == 0:
-            continue
-        _swap_rows(W, rank, rank + int(nz[0]))
-        W[rank, c:] = W[rank, c:] * pow(int(W[rank, c]), -1, q) % q
-        below = rank + 1 + np.flatnonzero(W[rank + 1:, c])
-        if below.size:
-            W[below, c:] = (W[below, c:]
-                            - W[below, c, None] * W[rank, c:]) % q
-        rank += 1
-    return rank
-
-
-def _swap_rows(W: np.ndarray, i: int, j: int) -> None:
-    if i != j:
-        W[[i, j]] = W[[j, i]]
-
-
-def _rows(M) -> tuple[list[list[int]], int]:
-    """M as a fresh list of rows of Python ints, and its column count.
-
-    The one entry check of the elimination: every entry that is not an
-    int goes through `_as_int`, so a float (even in an object array) is
-    refused and a numpy integer becomes a Python int, whose arithmetic
-    cannot wrap.
-    """
-    if not (isinstance(M, np.ndarray) and M.ndim == 2):
-        M = intmat(M)
-    rows = M.tolist()
+    shape = getattr(M, "shape", None)
+    if shape is not None and len(shape) == 2:
+        rows, n = M.tolist(), shape[1]
+    else:
+        try:
+            rows = [list(row) for row in M] if copy else list(M)
+            n = len(rows[0]) if rows else 0
+            ragged = any(len(row) != n for row in rows)
+        except TypeError:
+            raise ValueError("matrix input must be a sequence of rows") from None
+        if ragged:
+            raise ValueError("ragged rows in matrix input")
     if not set(map(type, chain.from_iterable(rows))) <= {int}:
         rows = [[_as_int(x) for x in row] for row in rows]
-    return rows, M.shape[1]
+    return rows, n
+
+
+def intmat(M) -> list[list[int]]:
+    """An exact integer matrix, as new rows of Python ints, from any
+    sequence of integer rows or a 2-D numpy array (see `_rows`)."""
+    return _rows(M)[0]
+
+
+# -- row helpers: rows of Python ints in, new rows out ------------------------
+
+def identity(n: int) -> list[list[int]]:
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(out):
+        row[i] = 1
+    return out
 
 
 def _transpose(rows: list[list[int]], ncols: int) -> list[list[int]]:
@@ -128,14 +95,148 @@ def _transpose(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return [flat[j::ncols] for j in range(ncols)]
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+def transpose(A: list[list[int]]) -> list[list[int]]:
+    return _transpose(list(A), len(A[0]) if A else 0)
 
 
-def _array(rows: list[list[int]], m: int, n: int) -> np.ndarray:
-    """The m x n object array of rows of Python ints."""
-    return np.array(rows, dtype=object).reshape(m, n)
+def minus_identity(A: list[list[int]]) -> Iterator[list[int]]:
+    """The rows of A - I for a square A, each a new list, one at a time.
 
+    Every routine that reads a matrix copies or converts it, so a reader
+    handed these rows holds the only copy of A - I, not a second one
+    beside the caller's; `ranks_mod` even drops it once converted."""
+    for i, row in enumerate(A):
+        row = row[:]
+        row[i] -= 1
+        yield row
+
+
+def matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+    """A @ B.  Row i of the product adds up the rows of B that the nonzero
+    entries of row i of A pick, each scaled by its entry, so a sparse A
+    costs less than a dense one; an entry 1 adds its row unscaled."""
+    n = len(B[0]) if B else 0
+    out = []
+    for row in A:
+        acc = None
+        for a, b in zip(row, B):
+            if not a:
+                continue
+            if acc is None:
+                acc = b[:] if a == 1 else [a * y for y in b]
+            elif a == 1:
+                acc = list(map(add, acc, b))
+            else:
+                acc = [x + a * y for x, y in zip(acc, b)]
+        out.append([0] * n if acc is None else acc)
+    return out
+
+
+def matrix_power(A: list[list[int]], e: int) -> list[list[int]]:
+    """A^e for a square A and e >= 0, by repeated squaring: O(log e)
+    products, none of them with the identity."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
+    result = None
+    square = A
+    while e:
+        if e & 1:
+            result = square if result is None else matmul(result, square)
+        e >>= 1
+        if e:
+            square = matmul(square, square)
+    if result is None:
+        return identity(len(A))
+    return [row[:] for row in A] if result is A else result
+
+
+def kron(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+    """The Kronecker product: entry (i len(B) + k, j len(B[0]) + l) is
+    A[i][j] B[k][l].  Each row is allocated at its final length and
+    filled one entry of B at a time, so a large A and a small B (as an
+    exterior power's summands are built) cost few steps per row."""
+    q = len(B[0]) if B else 0
+    out = []
+    for row_a in A:
+        for row_b in B:
+            row = [0] * (len(row_a) * q)
+            # the entries A[i][j] B[k][l], j = 0, 1, ..., sit at l, l + q, ...
+            for l, b in enumerate(row_b):
+                if b:
+                    row[l::q] = row_a if b == 1 else [a * b for a in row_a]
+            out.append(row)
+    return out
+
+
+# -- int64 ranks over a prime field ------------------------------------------
+
+_INT64_MAX = 2 ** 63 - 1
+
+
+def rank_mod(M, q: int) -> int:
+    """Rank of M over the prime field F_q (see `ranks_mod`)."""
+    return ranks_mod(M, (q,))[0]
+
+
+def ranks_mod(M, moduli) -> tuple[int, ...]:
+    """Ranks of M over the prime fields F_q, q in moduli, by int64
+    Gaussian elimination; M is read and converted once for all of them.
+
+    Entries are reduced exactly into [0, q) first (an entry beyond int64
+    as a Python int); scaling a row and subtracting a multiple of it take
+    products of two residues, so no value leaves int64 while (q - 1)^2
+    does not.  A larger q is refused with OverflowError.
+    """
+    import numpy as np  # the package's one numpy use; a report never gets here
+
+    for q in moduli:
+        if (q - 1) ** 2 > _INT64_MAX:
+            raise OverflowError(f"modulus {q} does not fit int64 arithmetic")
+    rows, n = _rows(M, copy=False)
+    shape = (len(rows), n)
+    try:
+        A = np.array(rows, dtype=np.int64).reshape(shape)
+        del rows  # rows read from an iterator are freed here
+    except OverflowError:
+        A = None
+    ranks = []
+    for q in moduli:
+        if A is None:  # an entry beyond int64: reduce the Python ints
+            W = np.array([[x % q for x in row] for row in rows],
+                         dtype=np.int64).reshape(shape)
+        else:
+            W = A % q
+        ranks.append(_int64_rank(W, q))
+    return tuple(ranks)
+
+
+def _int64_rank(W, q: int) -> int:
+    """Rank over F_q of the int64 array W of residues, eliminated in place."""
+    m, n = W.shape
+    rank = 0
+    for c in range(n):
+        if rank == m:
+            break
+        # the rows from `rank` down with a nonzero in column c; after the
+        # swap below, the pivot row is `rank` and the others are nz[1:]
+        nz = W[rank:, c].nonzero()[0]
+        if not nz.size:
+            continue
+        if nz[0]:
+            j = rank + int(nz[0])
+            W[[rank, j]] = W[[j, rank]]
+        W[rank, c:] = W[rank, c:] * pow(int(W[rank, c]), -1, q) % q
+        below = rank + nz[1:]
+        if below.size:
+            R = W[below, c:]
+            R -= W[below, c, None] * W[rank, c:]
+            R %= q
+            W[below, c:] = R
+        rank += 1
+    return rank
+
+
+# -- integer elimination -----------------------------------------------------
 
 def _row_reduce(W: list[list[int]], T: list[list[int]] | None = None
                 ) -> list[tuple[int, int]]:
@@ -196,19 +297,20 @@ def _row_reduce(W: list[list[int]], T: list[list[int]] | None = None
     return pivots
 
 
-def kernel_basis(M) -> np.ndarray:
+def kernel_basis(M) -> list[list[int]]:
     """Basis of the integer kernel lattice {x : Mx = 0}, as matrix columns.
 
     The kernel of an integer matrix is automatically saturated: the basis
     comes from the unimodular transform of a row reduction of the
     transpose, so the returned columns span the full kernel lattice and
-    Z^cols modulo the kernel is torsion-free.
+    Z^cols modulo the kernel is torsion-free.  With no kernel the result
+    is cols empty rows.
     """
     rows, n = _rows(M)
     W = _transpose(rows, n)
-    T = _identity(n)
+    T = identity(n)
     rank = len(_row_reduce(W, T))
-    return _array(_transpose(T[rank:], n), n, n - rank)
+    return _transpose(T[rank:], n)
 
 
 def _diagonalize(D: list[list[int]], U: list[list[int]] | None = None,
@@ -246,7 +348,8 @@ def cokernel_structure(M) -> FGAbelianGroup:
                           [D[i][i] for i in range(rank) if D[i][i] != 1])
 
 
-def smith_normal_form(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def smith_normal_form(M) -> tuple[list[list[int]], list[list[int]],
+                                  list[list[int]]]:
     """Smith normal form: (D, U, V) with D = U @ M @ V.
 
     U and V are unimodular; D is diagonal with d_1 | d_2 | ... positive,
@@ -256,7 +359,7 @@ def smith_normal_form(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     D, n = _rows(M)
     m = len(D)
-    U, Vt = _identity(m), _identity(n)
+    U, Vt = identity(m), identity(n)
     while True:
         rank = _diagonalize(D, U, Vt)
         bad = [i for i in range(rank - 1) if D[i + 1][i + 1] % D[i][i]]
@@ -265,35 +368,38 @@ def smith_normal_form(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         i = bad[0]
         D[i] = [a + b for a, b in zip(D[i], D[i + 1])]
         U[i] = [a + b for a, b in zip(U[i], U[i + 1])]
-    out = zeros(m, n)
+    out = [[0] * n for _ in range(m)]
     for i in range(rank):
-        out[i, i] = D[i][i]
-    return out, _array(U, m, m), _array(Vt, n, n).T
+        out[i][i] = D[i][i]
+    return out, U, _transpose(Vt, n)
 
 
 def determinant(M) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    M = intmat(M).copy()
-    n = M.shape[0]
-    if M.shape[0] != M.shape[1]:
+    A, n = _rows(M)
+    if len(A) != n:
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if M[k, k] == 0:
-            nz = np.nonzero(M[k + 1:, k] != 0)[0]
-            if len(nz) == 0:
+        if A[k][k] == 0:
+            nz = next((i for i in range(k + 1, n) if A[i][k]), None)
+            if nz is None:
                 return 0
-            _swap_rows(M, k, k + 1 + int(nz[0]))
+            A[k], A[nz] = A[nz], A[k]
             sign = -sign
-        piv = M[k, k]
-        blk = M[k + 1:, k + 1:]
-        M[k + 1:, k + 1:] = (piv * blk - np.outer(M[k + 1:, k], M[k, k + 1:])) // prev
-        M[k + 1:, k] = 0
+        row = A[k]
+        piv = row[k]
+        for i in range(k + 1, n):
+            Ai = A[i]
+            a = Ai[k]
+            Ai[k + 1:] = [(piv * x - a * y) // prev
+                          for x, y in zip(Ai[k + 1:], row[k + 1:])]
+            Ai[k] = 0
         prev = piv
-    return sign * int(M[n - 1, n - 1])
+    return sign * A[n - 1][n - 1]
 
 
 class SaturatedBasisSolver:
@@ -312,14 +418,13 @@ class SaturatedBasisSolver:
     a layer boundary.
     """
 
-    def __init__(self, basis: np.ndarray):
-        self.basis = intmat(basis)
-        self.s = self.basis.shape[1]
+    def __init__(self, basis):
+        self.basis, self.s = _rows(basis)
 
-    def coefficient_matrix(self, gens: np.ndarray) -> np.ndarray:
+    def coefficient_matrix(self, gens) -> list[list[int]]:
         """R @ C (s x g) for the coordinates C of the generator columns."""
-        B, _ = _rows(self.basis)
-        G, g = _rows(gens)
+        B = [row[:] for row in self.basis]
+        G, _ = _rows(gens)
         if len(G) != len(B):
             raise ValueError("generators and basis have different row counts")
         if len(_row_reduce(B, G)) < self.s:
@@ -328,7 +433,7 @@ class SaturatedBasisSolver:
             raise ArithmeticError("basis is not saturated")
         if any(map(any, G[self.s:])):
             raise ArithmeticError("vector outside the spanned lattice")
-        return _array(G[:self.s], self.s, g)
+        return G[:self.s]
 
-    def quotient_by(self, gens: np.ndarray) -> FGAbelianGroup:
+    def quotient_by(self, gens) -> FGAbelianGroup:
         return cokernel_structure(self.coefficient_matrix(gens))

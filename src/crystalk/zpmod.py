@@ -22,12 +22,14 @@ multiplicity.  The dense compound `action` is built only when something
 reads it (the norm matrix, `tate_reference`, tests).  A base action with
 one block gives one summand, its full compound.
 
-Only input from outside is checked: `ZpModule(p, action)` validates by
-default, while the standard modules and the combinators' results are valid
-by construction.  Powers are never stored; a module memoizes only its
-derived results (norm, field ranks, coinvariants, reference Tate groups,
-and for a base of exterior powers its blocks, their compounds and the
-Kronecker summands).
+Every matrix is a list of rows of Python ints (see `exact_linalg`).  Only
+input from outside is checked: `ZpModule(p, action)` reads its action
+through `exact_linalg.intmat` (a copy, every entry checked) and validates
+it by default, while the standard modules and the combinators' results
+are valid by construction and keep the rows they are given.  Powers are
+never stored; a module memoizes only its derived results (norm, field
+ranks, coinvariants, reference Tate groups, and for a base of exterior
+powers its blocks, their compounds and the Kronecker summands).
 """
 
 from __future__ import annotations
@@ -35,10 +37,9 @@ from __future__ import annotations
 import os
 from bisect import bisect
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, product
+from itertools import (chain, combinations, combinations_with_replacement,
+                       compress, product)
 from math import comb, factorial, prod
-
-import numpy as np
 
 from . import abelian, exact_linalg as la
 from .abelian import FGAbelianGroup, is_prime
@@ -69,12 +70,11 @@ class ZpModule(Memoized):
 
     def __init__(self, p: int, action, check: bool = True):
         self.p = p
-        if check and isinstance(action, np.ndarray):
-            action = action.tolist()  # outside input: check every entry
-        self.action = la.intmat(action)
-        if self.action.shape[0] != self.action.shape[1]:
+        # outside input is copied and checked; the library's own rows are kept
+        self.action = la.intmat(action) if check else action
+        self.rank = len(self.action)
+        if any(len(row) != self.rank for row in self.action):
             raise ValueError("action matrix must be square")
-        self.rank = self.action.shape[0]
         self._cache: dict = {}
         if check:
             self.validate()
@@ -82,33 +82,37 @@ class ZpModule(Memoized):
     def validate(self) -> None:
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        # repeated squaring: O(log p) exact products on the object array
-        if self.rank and np.any(np.linalg.matrix_power(self.action, self.p)
-                                != la.eye(self.rank)):
+        # repeated squaring: O(log p) exact products
+        if la.matrix_power(self.action, self.p) != la.identity(self.rank):
             raise ValueError("action does not have order dividing p")
 
-    def power(self, j: int) -> np.ndarray:
+    def power(self, j: int) -> list[list[int]]:
         """Action matrix of the j-th power of the generator (not stored)."""
-        return np.linalg.matrix_power(self.action, j % self.p)
+        return la.matrix_power(self.action, j % self.p)
 
-    def norm_matrix(self) -> np.ndarray:
+    def norm_matrix(self) -> list[list[int]]:
         """Matrix of the norm element, the sum of all generator powers."""
-        return self._memo("norm", lambda: sum(
-            map(self.power, range(1, self.p)), la.eye(self.rank)))
+        def compute():
+            out = la.identity(self.rank)
+            for j in range(1, self.p):
+                out = [[a + b for a, b in zip(r, s)]
+                       for r, s in zip(out, self.power(j))]
+            return out
+        return self._memo("norm", compute)
 
     def __repr__(self) -> str:
         return f"ZpModule(p={self.p}, rank={self.rank})"
 
 
 def make_trivial(p: int, rank: int) -> ZpModule:
-    return ZpModule(p, la.eye(rank), check=False)
+    return ZpModule(p, la.identity(rank), check=False)
 
 
 def make_regular(p: int) -> ZpModule:
     """The group ring itself: the p-cycle permutation action."""
-    A = la.zeros(p, p)
+    A = [[0] * p for _ in range(p)]
     for i in range(p):
-        A[(i + 1) % p, i] = 1
+        A[(i + 1) % p][i] = 1
     return ZpModule(p, A, check=False)
 
 
@@ -121,11 +125,9 @@ def make_cyclotomic(p: int) -> ZpModule:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     n = p - 1
-    A = la.zeros(n, n)
+    A = [[0] * (n - 1) + [-1] for _ in range(n)]
     for j in range(n - 1):
-        A[j + 1, j] = 1
-    for i in range(n):
-        A[i, n - 1] = -1
+        A[j + 1][j] = 1
     return ZpModule(p, A, check=False)
 
 
@@ -138,11 +140,10 @@ def direct_sum(*mods: ZpModule) -> ZpModule:
     if any(m.p != p for m in mods):
         raise ValueError("mismatched primes in direct sum")
     n = sum(m.rank for m in mods)
-    out = la.zeros(n, n)
-    start = 0
+    out = []
     for m in mods:
-        out[start:start + m.rank, start:start + m.rank] = m.action
-        start += m.rank
+        left, right = [0] * len(out), [0] * (n - len(out) - m.rank)
+        out += [left + row + right for row in m.action]
     return ZpModule(p, out, check=False)
 
 
@@ -150,23 +151,29 @@ def tensor(m1: ZpModule, m2: ZpModule) -> ZpModule:
     """Tensor product with basis e_i (x) f_j ordered lexicographically."""
     if m1.p != m2.p:
         raise ValueError("mismatched primes in tensor product")
-    return ZpModule(m1.p, np.kron(m1.action, m2.action), check=False)
+    return ZpModule(m1.p, la.kron(m1.action, m2.action), check=False)
 
 
 def dual(m: ZpModule) -> ZpModule:
     """Dual module: the generator acts by the transposed matrix."""
-    return ZpModule(m.p, m.action.T.copy(), check=False)
+    return ZpModule(m.p, la.transpose(m.action), check=False)
 
 
 def conjugate(m: ZpModule, g, g_inv) -> ZpModule:
     """Base change g: the same module written in another lattice basis.
 
+    g and g_inv are read as outside input; both must be rank x rank, and
     g_inv must be the inverse of g; anything else is refused.
     """
     g, g_inv = la.intmat(g), la.intmat(g_inv)
-    if g.shape != g_inv.shape or np.any(g @ g_inv != la.eye(g.shape[0])):
+    n = m.rank
+    if len(g) != n or len(g_inv) != n or any(len(row) != n
+                                             for row in chain(g, g_inv)):
+        raise ValueError(f"g and g_inv must be {n} x {n} matrices")
+    if la.matmul(g, g_inv) != la.identity(n):
         raise ValueError("g_inv is not the inverse of g")
-    return ZpModule(m.p, g @ m.action @ g_inv, check=False)
+    return ZpModule(m.p, la.matmul(la.matmul(g, m.action), g_inv),
+                    check=False)
 
 
 class ExteriorGuardrailError(ValueError):
@@ -217,7 +224,7 @@ class ExteriorPower(ZpModule):
         self._cache: dict = {}
 
     @property
-    def action(self) -> np.ndarray:
+    def action(self) -> list[list[int]]:
         return self._memo("action", lambda: compound_matrix(
             self.base.action, self.deg))
 
@@ -227,9 +234,9 @@ class ExteriorPower(ZpModule):
             self.base, self.deg))
 
 
-def _components(A: np.ndarray) -> list[list[int]]:
+def _components(A: list[list[int]]) -> list[list[int]]:
     """Connected components of the nonzero pattern (symmetrized)."""
-    n = A.shape[0]
+    n = len(A)
     parent = list(range(n))
 
     def find(x):
@@ -238,24 +245,24 @@ def _components(A: np.ndarray) -> list[list[int]]:
             x = parent[x]
         return x
 
-    nz = np.nonzero(A != 0)
-    for i, j in zip(nz[0].tolist(), nz[1].tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
+    for i, row in enumerate(A):
+        for j in compress(range(n), row):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
 
 
-def _block_types(m: ZpModule) -> list[tuple[np.ndarray, int]]:
+def _block_types(m: ZpModule) -> list[tuple[list[list[int]], int]]:
     """The distinct diagonal blocks of the action, each with its count."""
     def compute():
         types: dict[tuple, list] = {}
         for idx in _components(m.action):
-            B = m.action[np.ix_(idx, idx)]
-            types.setdefault(tuple(B.flat), [B, 0])[1] += 1
+            B = [[m.action[i][j] for j in idx] for i in idx]
+            types.setdefault(tuple(map(tuple, B)), [B, 0])[1] += 1
         return [(B, count) for B, count in types.values()]
     return m._memo("block_types", compute)
 
@@ -291,24 +298,25 @@ def _kron_summand(m: ZpModule, factors: tuple) -> ZpModule:
         for t, d in factors:
             C = m._memo(("block_compound", t, d), lambda t=t, d=d:
                         compound_matrix(_block_types(m)[t][0], d))
-            out = C if out is None else np.kron(out, C)
-        return ZpModule(m.p, la.eye(1) if out is None else out, check=False)
+            out = C if out is None else la.kron(out, C)
+        return ZpModule(m.p, la.identity(1) if out is None else out,
+                        check=False)
     return m._memo(("summand", factors), compute)
 
 
-def compound_matrix(A: np.ndarray, deg: int) -> np.ndarray:
+def compound_matrix(A, deg: int) -> list[list[int]]:
     """Matrix of all deg x deg minors, rows and columns in lex subset order.
 
     Built by expanding wedge products of the columns, which costs far less
     than enumerating minors when A is sparse.
     """
     A = la.intmat(A)
-    n = A.shape[0]
+    n = len(A)
     subsets = list(combinations(range(n), deg))
     index = {s: i for i, s in enumerate(subsets)}
-    cols = [[(i, A[i, j]) for i in range(n) if A[i, j] != 0]
-            for j in range(A.shape[1])]
-    out = la.zeros(len(subsets), len(subsets))
+    cols = [[(i, x) for i, x in enumerate(col) if x]
+            for col in la.transpose(A)]
+    out = [[0] * len(subsets) for _ in subsets]
     for cj, J in enumerate(subsets):
         terms: dict[tuple, int] = {(): 1}
         for j in J:
@@ -328,7 +336,7 @@ def compound_matrix(A: np.ndarray, deg: int) -> np.ndarray:
                         del nxt[key]
             terms = nxt
         for rows, coeff in terms.items():
-            out[index[rows], cj] = coeff
+            out[index[rows]][cj] = coeff
     return out
 
 
@@ -341,9 +349,9 @@ def _field_ranks(m: ZpModule) -> tuple[int, int]:
     summand's ranks once, scaled by its multiplicity."""
     def compute():
         if m.summands is None:
-            T = m.action - la.eye(m.rank)
-            return (m.rank - la.rank_mod(T, 3 if m.p == 2 else 2),
-                    la.rank_mod(T, m.p))
+            rank_l, rank_p = la.ranks_mod(la.minus_identity(m.action),
+                                          (3 if m.p == 2 else 2, m.p))
+            return m.rank - rank_l, rank_p
         ranks = [(c, _field_ranks(S)) for c, S in m.summands]
         return (sum(c * q for c, (q, _) in ranks),
                 sum(c * t for c, (_, t) in ranks))
@@ -363,7 +371,8 @@ def coinvariants(m: ZpModule) -> FGAbelianGroup:
     """
     def compute():
         if m.summands is None:
-            return la.cokernel_structure(m.action - la.eye(m.rank))
+            # as a list, which perfbench/tracer.py can size
+            return la.cokernel_structure(list(la.minus_identity(m.action)))
         return abelian.direct_sum(*[coinvariants(S) for c, S in m.summands
                                     for _ in range(c)])
     return m._memo("coinvariants", compute)
@@ -420,12 +429,13 @@ def tate_reference(m: ZpModule, i: int) -> FGAbelianGroup:
     it on every module.
     """
     def compute():
-        T, N = m.action - la.eye(m.rank), m.norm_matrix()
+        # lists, which perfbench/tracer.py can size
+        T, N = list(la.minus_identity(m.action)), m.norm_matrix()
         # invariants modulo the image of the norm, or the kernel of the
         # norm modulo the image of T
         kernel_of, image_of = (T, N) if i % 2 == 0 else (N, T)
         B = la.kernel_basis(kernel_of)
-        if B.shape[1] == 0:
+        if not (B and B[0]):
             return FGAbelianGroup.trivial()
         return la.SaturatedBasisSolver(B).quotient_by(image_of)
     return m._memo(("tate_reference", i % 2), compute)

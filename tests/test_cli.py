@@ -52,7 +52,7 @@ def test_render_report_json_is_json_dumps_off_canonical():
     G = crystal.canonical_gamma(5, 1)
     g = la.intmat([[1, 3, 0, 0], [0, 1, 0, 0], [0, 0, 1, -7], [0, 0, 0, 1]])
     g_inv = la.intmat([[1, -3, 0, 0], [0, 1, 0, 0], [0, 0, 1, 7], [0, 0, 0, 1]])
-    H = crystal.validate_gamma(5, g @ G.rho @ g_inv)
+    H = crystal.validate_gamma(5, la.matmul(la.matmul(g, G.rho), g_inv))
     report = crystal.build_report(H, window=(1, 3))
     assert render_report_json(report) == json.dumps(report.to_json_dict(),
                                                     indent=2)

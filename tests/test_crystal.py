@@ -62,7 +62,8 @@ def test_validation_keeps_its_smith_form(tmp_path, monkeypatch, capsys):
     original = la.cokernel_structure
 
     def counting(M):
-        seen.append(np.shape(M))
+        M = list(M)
+        seen.append((len(M), len(M[0])))
         return original(M)
 
     def refuse(M):
@@ -85,8 +86,8 @@ def test_validate_checks_every_entry_of_an_array():
     for rho in (np.array([[0, -1], [1, -1]], dtype=np.int64),
                 np.array([[0, -1], [1, -1]], dtype=np.int64).astype(object)):
         G = validate_gamma(3, rho)
-        assert G.rho.dtype == object
-        assert all(type(x) is int for x in G.rho.flat)
+        assert G.rho == [[0, -1], [1, -1]]
+        assert all(type(x) is int for row in G.rho for x in row)
         assert G.canonical
 
 
@@ -100,13 +101,17 @@ def test_validate_wrong_power():
         validate_gamma(3, [[-1]])
     # -rho has order 2p: rho^p = id, so (-rho)^p = -id
     with pytest.raises(WrongOrderError):
-        validate_gamma(61, -canonical_gamma(61, 1).rho)
+        validate_gamma(61, _negated(canonical_gamma(61, 1).rho))
+
+
+def _negated(rows):
+    return [[-x for x in row] for row in rows]
 
 
 def test_canonical_gamma_shapes():
-    assert canonical_gamma(3, 1).rho.tolist() == [[0, -1], [1, -1]]
+    assert canonical_gamma(3, 1).rho == [[0, -1], [1, -1]]
     G2 = canonical_gamma(2, 3)
-    assert not np.any(G2.rho != -la.eye(3))
+    assert G2.rho == _negated(la.identity(3))
     assert canonical_gamma(5, 2).n == 8
 
 
@@ -132,22 +137,22 @@ def test_canonical_gamma_passes_validation(p, k):
     H = validate_gamma(p, G.rho)
     assert (H.n, H.k) == (G.n, G.k) == (k * (p - 1), k)
     assert G.canonical is True and H.canonical is True
-    assert np.array_equal(H.rho, G.rho)
+    assert H.rho == G.rho
 
 
 def test_canonical_gamma_skips_validation(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("the canonical action was checked")
     monkeypatch.setattr(crystal, "validate_gamma", boom)
-    monkeypatch.setattr(np.linalg, "matrix_power", boom)
+    monkeypatch.setattr(la, "matrix_power", boom)
     G = canonical_gamma(61, 1)
     assert (G.p, G.n, G.k, G.canonical) == (61, 60, 1, True)
 
 
 def test_conjugated_matrix_not_canonical():
-    g = la.intmat([[1, 1], [0, 1]])
-    ginv = la.intmat([[1, -1], [0, 1]])
-    rho = g @ G31.rho @ ginv
+    g = [[1, 1], [0, 1]]
+    ginv = [[1, -1], [0, 1]]
+    rho = la.matmul(la.matmul(g, G31.rho), ginv)
     H = validate_gamma(3, rho)
     assert not H.canonical
     assert (H.p, H.n, H.k) == (3, 2, 1)
@@ -452,9 +457,9 @@ def test_report_window_override():
 
 
 def test_report_noncanonical_cross_checks_clean():
-    g = la.intmat([[1, 2], [0, 1]])
-    ginv = la.intmat([[1, -2], [0, 1]])
-    rho = g @ G31.rho @ ginv
+    g = [[1, 2], [0, 1]]
+    ginv = [[1, -2], [0, 1]]
+    rho = la.matmul(la.matmul(g, G31.rho), ginv)
     H = validate_gamma(3, rho)
     rep = build_report(H)
     assert not H.canonical
@@ -475,7 +480,8 @@ def test_one_smith_form_of_rho_minus_id(monkeypatch):
     original = la.cokernel_structure
 
     def counting(M):
-        seen.append(np.shape(M))
+        M = list(M)
+        seen.append((len(M), len(M[0])))
         return original(M)
     monkeypatch.setattr(la, "cokernel_structure", counting)
     G = canonical_gamma(3, 2)
@@ -491,7 +497,7 @@ def _seeded_conjugate(p, k, seed):
     from crystalk.verify import _random_unimodular
     G = canonical_gamma(p, k)
     g, g_inv = _random_unimodular(random.Random(seed), G.n)
-    H = validate_gamma(p, g @ G.rho @ g_inv)
+    H = validate_gamma(p, la.matmul(la.matmul(g, G.rho), g_inv))
     assert not H.canonical
     return H
 
@@ -698,3 +704,54 @@ def test_threads_share_the_shape_memo(fresh_shapes):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [[serial] * rounds] * 4
+
+
+# -- the order check on rows, and no shared rows ------------------------------
+
+def _passes_order_check(p, rho):
+    try:
+        validate_gamma(p, rho)
+    except WrongOrderError:
+        return False
+    except crystal.GammaError:
+        pass
+    return True
+
+
+@pytest.mark.parametrize("p, k, seed", [(3, 2, 5), (5, 1, 7), (3, 3, 11),
+                                        (7, 1, 13), (5, 2, 3), (3, 4, 17)])
+def test_order_verdict_matches_numpy_matrix_power(p, k, seed):
+    # the conjugate, -rho (order 2p) and a one-entry change (usually of
+    # infinite order), each judged by numpy's power of the object array
+    rho = _seeded_conjugate(p, k, seed).rho_rows()
+    bumped = [row[:] for row in rho]
+    bumped[0][0] += 1
+    ident = np.eye(len(rho), dtype=int)
+    verdicts = []
+    for A in (rho, _negated(rho), bumped):
+        power = np.linalg.matrix_power(np.array(A, dtype=object), p)
+        expect = bool((power == ident).all())
+        assert _passes_order_check(p, A) == expect
+        verdicts.append(expect)
+    assert verdicts[:2] == [True, False]
+
+
+def test_descriptor_keeps_no_alias_of_its_input():
+    from crystalk import cli
+    rows = _seeded_conjugate(3, 2, 5).rho_rows()
+    reference = [row[:] for row in rows]
+    G = validate_gamma(3, rows)
+    expected = cli.render_report_json(build_report(G))
+    module = G.module()
+    rows[0][0] += 1
+    rows[1].append(9)
+    rows.pop()
+    assert G.rho == module.action == reference and G.n == module.rank == 4
+    assert cli.render_report_json(build_report(G)) == expected
+    # rho_rows hands out a fresh copy, the caller's to change
+    copy = G.rho_rows()
+    assert copy == G.rho and copy is not G.rho
+    assert all(a is not b for a, b in zip(copy, G.rho))
+    copy[0][0] = 99
+    assert G.rho == reference
+    assert cli.render_report_json(build_report(G)) == expected

@@ -1,5 +1,7 @@
 """numpy is the only runtime dependency: importing the package and its
-command line loads no third-party module besides numpy."""
+command line loads no third-party module besides numpy, and a report
+loads not even numpy (only `exact_linalg.rank_mod`, which the oracles
+call, imports it)."""
 
 import json
 import os
@@ -19,10 +21,37 @@ added = {name.partition(".")[0] for name in set(sys.modules) - before}
 print(json.dumps(sorted(added - set(sys.stdlib_module_names))))
 """
 
+REPORT_PROBE = """
+import contextlib, io, json, sys
+if "numpy" in sys.modules:
+    sys.exit("numpy preloaded before the probe")
+import crystalk, crystalk.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    for argv in (["report", "--p", "3", "--k", "2", "--format", "json"],
+                 ["report", "--matrix", sys.argv[1], "--format", "json"]):
+        assert crystalk.cli.main(argv) == 0, argv
+print(json.dumps({"numpy": "numpy" in sys.modules,
+                  "reports": out.getvalue().count('"descriptor"')}))
+"""
+
+
+def _run(code, *args):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path)).stdout
+
 
 def test_numpy_is_the_only_runtime_dependency():
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", PROBE], check=True,
-                         capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=path)).stdout
+    out = _run(PROBE)
     assert set(json.loads(out)) <= {"crystalk", "numpy"}, out
+
+
+def test_the_report_path_never_loads_numpy(tmp_path):
+    # a canonical report and a --matrix report on a conjugate, which runs
+    # the order check, the Smith form of rho - id and the canonical test
+    path = tmp_path / "conjugate.json"
+    path.write_text(json.dumps({"p": 3, "matrix": [[2, -7], [1, -3]]}))
+    got = json.loads(_run(REPORT_PROBE, str(path)))
+    assert got == {"numpy": False, "reports": 2}

@@ -16,7 +16,7 @@ def mat(rows):
 def rational_rank(M) -> int:
     """Rank over Q by Gaussian elimination on Fractions: the reference for
     `rank_mod` and the kernel and cokernel ranks, apart from `_row_reduce`."""
-    rows = [[Fraction(int(x)) for x in row] for row in mat(M).tolist()]
+    rows = [[Fraction(x) for x in row] for row in mat(M)]
     rank = 0
     for c in range(len(rows[0]) if rows else 0):
         piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
@@ -30,14 +30,19 @@ def rational_rank(M) -> int:
     return rank
 
 
-def test_zeros_and_eye_hold_python_ints():
-    for M in (la.zeros(3, 2), la.eye(3), la.eye(0)):
-        assert M.dtype == object
-        assert all(type(x) is int for x in M.flat)
-    assert la.zeros(3, 2).tolist() == [[0, 0]] * 3
-    assert la.eye(3).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    # arithmetic on them stays exact past int64
-    assert (la.eye(2) * 2 ** 70 + la.zeros(2, 2))[1, 1] == 2 ** 70
+def test_identity_rows():
+    assert la.identity(3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert la.identity(0) == []
+    I = la.identity(2)
+    assert I[0] is not I[1]
+    assert all(type(x) is int for x in I[0] + I[1])
+
+
+def arr(rows, ncols=None):
+    """Rows as a 2-D numpy object array, the reference representation."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    return np.array(rows, dtype=object).reshape(len(rows), ncols)
 
 
 small_entries = st.integers(min_value=-9, max_value=9)
@@ -110,7 +115,7 @@ def test_row_reduce_matches_numpy_reference(m, width, data):
     rows = data.draw(st.lists(st.lists(wide_entries, min_size=width,
                                        max_size=width),
                               min_size=m, max_size=m))
-    ref = la.zeros(m, width)
+    ref = np.zeros((m, width), dtype=object)
     for i, row in enumerate(rows):
         ref[i, :] = row
     ref_pivots = row_reduce_reference(ref, ncols)
@@ -120,26 +125,29 @@ def test_row_reduce_matches_numpy_reference(m, width, data):
     assert [w + t for w, t in zip(W, T)] == ref.tolist()
 
 
-def test_results_are_object_arrays_of_python_ints():
+def test_results_are_rows_of_python_ints():
     M = np.array([[4, 6, 2], [2, 8, -2]], dtype=np.int64)
     D, U, V = la.smith_normal_form(M)
     K = la.kernel_basis(M)
-    C = la.SaturatedBasisSolver(K).coefficient_matrix(K * 3)
-    for A in (D, U, V, K, C):
-        assert A.dtype == object
-        assert all(type(x) is int for x in A.flat)
-    assert C.tolist() == [[3]]
+    C = la.SaturatedBasisSolver(K).coefficient_matrix(arr(K) * 3)
+    for A in (D, U, V, K, C, la.intmat(M)):
+        assert type(A) is list and all(type(row) is list for row in A)
+        assert all(type(x) is int for row in A for x in row)
+    assert C == [[3]]
 
 
 def test_empty_shapes():
-    assert la.cokernel_structure(la.zeros(3, 0)) == FGAbelianGroup(3, [])
-    assert la.cokernel_structure(la.zeros(0, 3)).is_trivial()
-    assert la.kernel_basis(la.zeros(0, 3)).tolist() == la.eye(3).tolist()
-    assert la.kernel_basis(la.zeros(3, 0)).shape == (0, 0)
-    assert [A.shape for A in la.smith_normal_form(la.zeros(0, 2))] \
-        == [(0, 2), (0, 0), (2, 2)]
-    assert [A.shape for A in la.smith_normal_form(la.zeros(2, 0))] \
-        == [(2, 0), (2, 2), (0, 0)]
+    # a 2-D array without rows keeps its column count; rows without
+    # columns are empty lists
+    assert la.cokernel_structure(np.zeros((3, 0), dtype=object)) \
+        == la.cokernel_structure([[], [], []]) == FGAbelianGroup(3, [])
+    assert la.cokernel_structure(np.zeros((0, 3), dtype=object)).is_trivial()
+    assert la.kernel_basis(np.zeros((0, 3), dtype=object)) == la.identity(3)
+    assert la.kernel_basis([[], [], []]) == []
+    assert la.kernel_basis([[1, 0], [0, 1]]) == [[], []]
+    assert la.smith_normal_form(np.zeros((0, 2), dtype=object)) \
+        == ([], [], [[1, 0], [0, 1]])
+    assert la.smith_normal_form([[], []]) == ([[], []], [[1, 0], [0, 1]], [])
 
 
 def test_object_array_entries_are_checked():
@@ -147,6 +155,24 @@ def test_object_array_entries_are_checked():
         la.cokernel_structure(np.array([[2.5, 0], [0, 3]], dtype=object))
     with pytest.raises(ValueError, match="not an integer"):
         la.smith_normal_form(np.array([[1, True]], dtype=object))
+    with pytest.raises(ValueError, match="ragged"):
+        la.intmat([[1, 2], [3]])
+    with pytest.raises(ValueError, match="sequence of rows"):
+        la.intmat([1, 2])
+
+
+def test_determinant_checks_every_entry():
+    # an object array was read unchecked: 2.5 * 3 truncated to 7
+    with pytest.raises(ValueError, match="not an integer"):
+        la.determinant(np.array([[2.5, 0], [0, 3]], dtype=object))
+    assert la.determinant(np.array([[2, 0], [0, 3]], dtype=object)) == 6
+
+
+def test_rank_mod_checks_every_entry():
+    # an object array was read unchecked: 2.5 mod 5 counted as a pivot
+    with pytest.raises(ValueError, match="not an integer"):
+        la.rank_mod(np.array([[2.5, 0], [0, 3]], dtype=object), 5)
+    assert la.rank_mod(np.array([[2, 0], [0, 3]], dtype=np.int64), 5) == 2
 
 
 def test_numpy_integers_in_object_arrays_do_not_wrap():
@@ -156,28 +182,28 @@ def test_numpy_integers_in_object_arrays_do_not_wrap():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         D, U, V = la.smith_normal_form(M)
-    assert [D[0, 0], D[1, 1]] == [1, a * b]
-    assert all(type(x) is int for x in D.flat)
+    assert [D[0][0], D[1][1]] == [1, a * b]
+    assert all(type(x) is int for row in D for x in row)
 
 
 # -- Smith normal form -------------------------------------------------------
 
 def test_snf_identity():
     D, U, V = la.smith_normal_form([[1, 0], [0, 1]])
-    assert D.tolist() == [[1, 0], [0, 1]]
+    assert D == [[1, 0], [0, 1]]
 
 
 def test_snf_1x1():
     D, _, _ = la.smith_normal_form([[3]])
-    assert D.tolist() == [[3]]
+    assert D == [[3]]
 
 
 def test_snf_2x2_divisibility():
     # d_1 = gcd of entries = 2, d_1 * d_2 = |det| = 8
     M = [[2, 4], [6, 8]]
     D, U, V = la.smith_normal_form(M)
-    assert [D[0, 0], D[1, 1]] == [2, 4]
-    assert not np.any(U @ mat(M) @ V != D)
+    assert [D[0][0], D[1][1]] == [2, 4]
+    assert la.matmul(la.matmul(U, M), V) == D
 
 
 @given(matrices())
@@ -185,20 +211,18 @@ def test_snf_2x2_divisibility():
 def test_snf_properties(rows):
     M = mat(rows)
     D, U, V = la.smith_normal_form(M)
-    assert not np.any(U @ M @ V != D)
+    assert la.matmul(la.matmul(U, M), V) == D
     assert abs(la.determinant(U)) == 1
     assert abs(la.determinant(V)) == 1
-    diag = [D[i, i] for i in range(min(M.shape))]
+    diag = [D[i][i] for i in range(min(len(M), len(M[0])))]
     for i, d in enumerate(diag):
         assert d >= 0
         if i and diag[i - 1]:
             assert d % diag[i - 1] == 0
         if i and diag[i - 1] == 0:
             assert d == 0
-    off = D.copy()
-    for i in range(min(M.shape)):
-        off[i, i] = 0
-    assert not np.any(off != 0)
+    assert all(x == 0 for i, row in enumerate(D)
+               for j, x in enumerate(row) if i != j)
 
 
 @given(matrices())
@@ -208,29 +232,30 @@ def test_snf_agrees_with_cokernel_diagonalization(rows):
     # behind cokernel_structure must see the same group
     M = mat(rows)
     D, _, _ = la.smith_normal_form(M)
-    nonzero = [D[i, i] for i in range(min(M.shape)) if D[i, i] != 0]
+    nonzero = [D[i][i] for i in range(min(len(M), len(M[0]))) if D[i][i] != 0]
     assert [d for d in nonzero if d != 1] \
         == list(la.cokernel_structure(M).torsion)
-    assert M.shape[0] - len(nonzero) == la.cokernel_structure(M).free_rank
+    assert len(M) - len(nonzero) == la.cokernel_structure(M).free_rank
 
 
 # -- kernels -----------------------------------------------------------------
 
 def test_kernel_obvious():
     K = la.kernel_basis([[1, 1]])
-    assert K.shape == (2, 1)
-    assert sorted(int(x) for x in K[:, 0]) == [-1, 1]
+    assert len(K) == 2 and len(K[0]) == 1
+    assert sorted(row[0] for row in K) == [-1, 1]
 
 
 def test_kernel_identity_empty():
-    assert la.kernel_basis([[1, 0], [0, 1]]).shape == (2, 0)
+    assert la.kernel_basis([[1, 0], [0, 1]]) == [[], []]
 
 
 def test_kernel_of_nonsingular_twist():
     # det(rho - id) = 3 for the order-3 twist, so no rational kernel
     rho = [[0, -1], [1, -1]]
-    M = mat(rho) - la.eye(2)
-    assert la.kernel_basis(M).shape == (2, 0)
+    M = list(la.minus_identity(rho))
+    assert M == [[-1, -1], [1, -2]]
+    assert la.kernel_basis(M) == [[], []]
 
 
 @given(matrices(max_dim=5))
@@ -238,9 +263,10 @@ def test_kernel_of_nonsingular_twist():
 def test_kernel_properties(rows):
     M = mat(rows)
     K = la.kernel_basis(M)
-    assert K.shape[1] == M.shape[1] - rational_rank(M)
-    assert not np.any(M @ K != la.zeros(M.shape[0], K.shape[1]))
-    if K.shape[1]:
+    assert len(K) == len(M[0])
+    assert len(K[0]) == len(M[0]) - rational_rank(M)
+    assert not np.any(arr(M) @ arr(K) != 0)
+    if K[0]:
         # saturated lattice: quotient by the kernel is torsion-free
         assert la.cokernel_structure(K).torsion == ()
 
@@ -257,9 +283,9 @@ def test_cokernel_identity_trivial():
 
 def test_cokernel_of_twist():
     rho = mat([[0, -1], [1, -1]])
-    got = la.cokernel_structure(rho - la.eye(2))
+    got = la.cokernel_structure(la.minus_identity(rho))
     assert got == FGAbelianGroup.cyclic(3)
-    assert list(la.cokernel_structure(rho - la.eye(2)).torsion) == [3]
+    assert list(got.torsion) == [3]
 
 
 @given(matrices())
@@ -267,7 +293,7 @@ def test_cokernel_of_twist():
 def test_cokernel_free_rank(rows):
     M = mat(rows)
     cok = la.cokernel_structure(M)
-    assert cok.free_rank == M.shape[0] - rational_rank(M)
+    assert cok.free_rank == len(M) - rational_rank(M)
 
 
 @given(matrices(max_dim=3), st.randoms(use_true_random=False))
@@ -275,28 +301,30 @@ def test_cokernel_free_rank(rows):
 def test_cokernel_unimodular_invariance(rows, rng):
     M = mat(rows)
     base = la.cokernel_structure(M)
-    gl = _random_unimodular(rng, M.shape[0])
-    gr = _random_unimodular(rng, M.shape[1])
-    assert la.cokernel_structure(gl @ M @ gr) == base
+    gl = _random_unimodular(rng, len(M))
+    gr = _random_unimodular(rng, len(M[0]))
+    assert la.cokernel_structure(la.matmul(la.matmul(gl, M), gr)) == base
 
 
 def _random_unimodular(rng, n):
-    g = la.eye(n)
+    g = la.identity(n)
     for _ in range(6):
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
-            g[i] = g[i] + rng.choice([-2, -1, 1, 2]) * g[j]
+            c = rng.choice([-2, -1, 1, 2])
+            g[i] = [a + c * b for a, b in zip(g[i], g[j])]
     return g
 
 
 # -- rank: the test reference and rank_mod off small primes -----------------
 
 def test_rank_identity():
-    assert rational_rank(la.eye(4)) == la.rank_mod(la.eye(4), 5) == 4
+    assert rational_rank(la.identity(4)) == la.rank_mod(la.identity(4), 5) == 4
 
 
 def test_rank_zero():
-    assert rational_rank(la.zeros(3, 2)) == la.rank_mod(la.zeros(3, 2), 5) == 0
+    Z = [[0, 0]] * 3
+    assert rational_rank(Z) == la.rank_mod(Z, 5) == 0
 
 
 def test_rank_proportional_rows():
@@ -315,7 +343,7 @@ def test_saturated_basis_solver_rejects_outside():
 
 
 def test_saturated_basis_quotient():
-    B = la.eye(2)
+    B = la.identity(2)
     solver = la.SaturatedBasisSolver(B)
     got = solver.quotient_by(mat([[2, 0], [0, 3]]))
     assert got == FGAbelianGroup.cyclic(6)
@@ -328,7 +356,7 @@ class ForwardSubstitutionSolver:
     under test."""
 
     def __init__(self, basis):
-        B = mat(basis)
+        B = arr(mat(basis))
         self.n, self.s = B.shape
         W = B.T.copy()
         pivots = row_reduce_reference(W, self.n)
@@ -337,8 +365,8 @@ class ForwardSubstitutionSolver:
         self.pivot_rows = [c for _, c in pivots]
 
     def quotient_by(self, gens):
-        G = mat(gens).copy()
-        Y = la.zeros(self.s, G.shape[1])
+        G = arr(mat(gens))
+        Y = np.zeros((self.s, G.shape[1]), dtype=object)
         for j in range(self.s):
             r = self.pivot_rows[j]
             piv = self.echelon[r, j]
@@ -356,12 +384,10 @@ class ForwardSubstitutionSolver:
 def test_saturated_basis_solver_matches_forward_substitution(rows, rng):
     M = mat(rows[:5])
     B = la.kernel_basis(M)
-    s, g = B.shape[1], rng.randint(0, B.shape[1] + 2)
-    C = la.zeros(s, g)
-    for i in range(s):
-        for j in range(g):
-            C[i, j] = rng.randint(-6, 6)
-    G = B @ C if s else la.zeros(M.shape[1], g)
+    s = len(B[0])
+    g = rng.randint(0, s + 2)
+    C = [[rng.randint(-6, 6) for _ in range(g)] for _ in range(s)]
+    G = la.matmul(B, C) if s else [[0] * g for _ in B]
     got = la.SaturatedBasisSolver(B).quotient_by(G)
     assert got == ForwardSubstitutionSolver(B).quotient_by(G)
     # B is injective, so span(B) / span(B C) is Z^s / span(C)
@@ -395,7 +421,7 @@ def test_rank_mod_small_cases():
     # entries are reduced exactly before the int64 elimination
     assert la.rank_mod(mat([[7 ** 40, 1], [0, 7 ** 40 + 7]]), 7) == 1
     assert la.rank_mod(mat([[7 ** 40 + 1]]), 7) == 1
-    assert la.rank_mod(la.zeros(3, 0), 3) == 0
+    assert la.rank_mod([[], [], []], 3) == 0
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -407,7 +433,7 @@ def test_rank_mod_off_p_matches_rational_rank(p):
     rng = random.Random(100 + p)
     for _ in range(8):
         mod = random_order_p_module(rng, p, max_rank=max(6, p + 1))
-        T = mod.action - la.eye(mod.rank)
+        T = list(la.minus_identity(mod.action))
         N = mod.norm_matrix()
         for q in (2, 3, 5, 7, 11, 2 ** 31 - 1):
             if q == p:
@@ -421,3 +447,53 @@ def test_int64_bounds_refuse_large_moduli():
     with pytest.raises(OverflowError):
         la.rank_mod(mat([[1, 2], [3, 4]]), 3037000507)
     assert la.rank_mod(mat([[1, 2], [3, 4]]), 2 ** 31 - 1) == 2
+
+
+# -- row helpers against numpy object arrays ---------------------------------
+
+def wide_matrices(m, n):
+    return st.lists(st.lists(wide_entries, min_size=n, max_size=n),
+                    min_size=m, max_size=m)
+
+
+@given(st.integers(0, 8), st.integers(1, 8), st.integers(1, 8), st.data())
+@settings(max_examples=60, deadline=None)
+def test_matmul_transpose_and_kron_match_numpy(m, k, n, data):
+    A = data.draw(wide_matrices(m, k))
+    B = data.draw(wide_matrices(k, n))
+    before = [row[:] for row in A + B]
+    assert la.matmul(A, B) == (arr(A, k) @ arr(B, n)).tolist()
+    assert la.kron(A, B) == np.kron(arr(A, k), arr(B, n)).tolist()
+    # rows alone do not carry the column count of a matrix without rows
+    if A:
+        assert la.transpose(A) == arr(A).T.tolist()
+    assert la.transpose(B) == arr(B).T.tolist()
+    assert A + B == before
+
+
+@given(st.integers(1, 8), st.sampled_from((2, 3, 5, 7)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_matrix_power_matches_numpy(n, p, data):
+    A = data.draw(wide_matrices(n, n))
+    for e in (0, 1, p):
+        got = la.matrix_power(A, e)
+        assert got == np.linalg.matrix_power(arr(A), e).tolist()
+        assert all(got_row is not row for got_row, row in zip(got, A))
+    assert list(la.minus_identity(A)) \
+        == (arr(A) - np.eye(n, dtype=int)).tolist()
+
+
+def test_ranks_mod_reads_once_for_every_prime():
+    # one reading serves several primes, also when an entry leaves int64
+    # and the residues are taken on Python ints
+    rng = np.random.default_rng(5)
+    for scale in (1, 2 ** 70):
+        M = [[int(x) * scale + int(y) for x, y in zip(row_x, row_y)]
+             for row_x, row_y in zip(rng.integers(-3, 4, (6, 7)),
+                                     rng.integers(-3, 4, (6, 7)))]
+        qs = (2, 3, 5, 7, 2 ** 31 - 1)
+        assert la.ranks_mod(M, qs) == tuple(la.rank_mod(M, q) for q in qs)
+        assert la.ranks_mod(iter(M), qs) == la.ranks_mod(M, qs)
+    assert la.ranks_mod(M, ()) == ()
+    with pytest.raises(OverflowError):
+        la.ranks_mod(M, (3, 3037000507))

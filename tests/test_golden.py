@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from crystalk import verify
+from crystalk import exact_linalg as la, verify
 from crystalk.cli import main, render_report_json, render_report_text
 from crystalk.crystal import build_report, canonical_gamma, validate_gamma
 
@@ -82,7 +82,7 @@ def test_verify_cell_names_match_golden(p, k, path):
 def _seeded_conjugate(p, k, seed):
     G = canonical_gamma(p, k)
     g, g_inv = verify._random_unimodular(random.Random(seed), G.n)
-    H = validate_gamma(p, g @ G.rho @ g_inv)
+    H = validate_gamma(p, la.matmul(la.matmul(g, G.rho), g_inv))
     assert not H.canonical
     return H
 
