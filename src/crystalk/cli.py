@@ -154,20 +154,16 @@ def run_verify(args: argparse.Namespace) -> int:
 
 def _oracle_payload(G: GammaDescriptor) -> dict:
     p, k, n = G.p, G.k, G.n
-    r_closed = list(G.r())
-    r_rank = [zpmod.fixed_rank(G.exterior(m)) for m in range(n + 1)]
-    tate_table = {}
-    for j in range(n + 1):
-        mod = G.exterior(j)
-        tate_table[str(j)] = {str(i): str(zpmod.tate(mod, i)) for i in (0, 1)}
+    mods = [G.exterior(j) for j in range(n + 1)]
     return {
         "descriptor": {"p": p, "n": n, "k": k, "canonical": G.canonical,
                        "rho": G.rho_rows()},
-        "r_closed_form": r_closed,
-        "r_fixed_rank_oracle": r_rank,
+        "r_closed_form": list(G.r()),
+        "r_fixed_rank_oracle": [zpmod.fixed_rank(mod) for mod in mods],
         "a": list(repring.a_vector(p, k)),
         "s": list(repring.s_vector(p, k)),
-        "tate": tate_table,
+        "tate": {str(j): {str(i): str(zpmod.tate(mod, i)) for i in (0, 1)}
+                 for j, mod in enumerate(mods)},
         "coker_invariant_factors": [
             int(x) for x in crystal.finite_subgroup_data(G).cokernel.torsion],
     }

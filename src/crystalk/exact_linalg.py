@@ -13,15 +13,15 @@ every entry checked, so a float is refused and a numpy integer becomes a
 Python int that cannot wrap.  `intmat`, the elimination routines,
 `determinant` and `ranks_mod` read their arguments through it; every
 routine returns new rows.  The row helpers (`identity`, `transpose`,
-`minus_identity`, `matmul`, `matrix_power`, `kron`) take rows as those
-return them, without a second check; `minus_identity` yields its rows
-one at a time, so T = A - I is never held twice.
+`minus_identity`, `matmul`, `matrix_power`, `kron`, `ranks_mod_rows`)
+take rows as those return them, unchecked; `minus_identity` yields its
+rows one at a time, so T = A - I is never held twice.
 
-Two routines stay apart on purpose.  `ranks_mod` (and `rank_mod`, its
-one-prime form) works over prime fields F_q on int64 residues, the one
-use of numpy, imported when first called; it refuses a modulus for which
-a product of two residues could leave int64.  `determinant` (Bareiss
-elimination) is an independent check.
+Two routines stay apart on purpose.  `ranks_mod_rows` (and `ranks_mod`
+and `rank_mod` in front of it) works over prime fields F_q on int64
+residues, the one use of numpy, imported when first called; it refuses a
+modulus for which a product of two residues could leave int64.
+`determinant` (Bareiss elimination) is an independent check.
 """
 
 from __future__ import annotations
@@ -44,27 +44,25 @@ def _as_int(x) -> int:
         raise ValueError(f"matrix entry {x!r} is not an integer") from None
 
 
-def _rows(M, copy: bool = True) -> tuple[list[list[int]], int]:
+def _rows(M) -> tuple[list[list[int]], int]:
     """M as a list of fresh rows of Python ints, and its column count.
 
     The one entry check: M is any sequence of equally long rows, or a 2-D
     numpy array, which keeps its column count when it has no rows.  Every
     entry that is not an int goes through `_as_int`, so a float (even in
     an object array) is refused and a numpy integer becomes a Python int,
-    whose arithmetic cannot wrap.  With copy=False, for a caller that only
-    reads them, rows that hold only ints come back as given.
+    whose arithmetic cannot wrap.
     """
     shape = getattr(M, "shape", None)
     if shape is not None and len(shape) == 2:
         rows, n = M.tolist(), shape[1]
     else:
         try:
-            rows = [list(row) for row in M] if copy else list(M)
-            n = len(rows[0]) if rows else 0
-            ragged = any(len(row) != n for row in rows)
+            rows = [list(row) for row in M]
         except TypeError:
             raise ValueError("matrix input must be a sequence of rows") from None
-        if ragged:
+        n = len(rows[0]) if rows else 0
+        if any(len(row) != n for row in rows):
             raise ValueError("ragged rows in matrix input")
     if not set(map(type, chain.from_iterable(rows))) <= {int}:
         rows = [[_as_int(x) for x in row] for row in rows]
@@ -104,7 +102,7 @@ def minus_identity(A: list[list[int]]) -> Iterator[list[int]]:
 
     Every routine that reads a matrix copies or converts it, so a reader
     handed these rows holds the only copy of A - I, not a second one
-    beside the caller's; `ranks_mod` even drops it once converted."""
+    beside the caller's; `ranks_mod_rows` even drops it once converted."""
     for i, row in enumerate(A):
         row = row[:]
         row[i] -= 1
@@ -179,8 +177,14 @@ def rank_mod(M, q: int) -> int:
 
 
 def ranks_mod(M, moduli) -> tuple[int, ...]:
-    """Ranks of M over the prime fields F_q, q in moduli, by int64
-    Gaussian elimination; M is read and converted once for all of them.
+    """`ranks_mod_rows` of M, read through `_rows`: every entry checked."""
+    return ranks_mod_rows(_rows(M)[0], moduli)
+
+
+def ranks_mod_rows(rows, moduli) -> tuple[int, ...]:
+    """Ranks over the prime fields F_q, q in moduli, of the rows of Python
+    ints that `rows` yields, by int64 Gaussian elimination; the rows are
+    converted once for all moduli, then freed.
 
     Entries are reduced exactly into [0, q) first (an entry beyond int64
     as a Python int); scaling a row and subtracting a multiple of it take
@@ -192,11 +196,11 @@ def ranks_mod(M, moduli) -> tuple[int, ...]:
     for q in moduli:
         if (q - 1) ** 2 > _INT64_MAX:
             raise OverflowError(f"modulus {q} does not fit int64 arithmetic")
-    rows, n = _rows(M, copy=False)
-    shape = (len(rows), n)
+    rows = list(rows)
+    shape = (len(rows), len(rows[0]) if rows else 0)
     try:
         A = np.array(rows, dtype=np.int64).reshape(shape)
-        del rows  # rows read from an iterator are freed here
+        del rows
     except OverflowError:
         A = None
     ranks = []

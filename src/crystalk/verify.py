@@ -2,10 +2,9 @@
 
 Each check compares an independently computed quantity against a closed
 form (or two independent computations against each other) and reports a
-pass/fail line.  Mismatches are ordinary failures; the exterior-dimension
-guardrail's refusal passes through as the ValueError it is; any other
-exception out of the exact-arithmetic layer is a hard internal error and
-carries a minimal reproducer.
+pass/fail line.  Mismatches are ordinary failures; any other exception
+in a cell is a hard internal error and carries a minimal reproducer.  A
+grid too large to build is refused before its first cell (see `all_checks`).
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ def _cell(name: str, fn, reproducer: str) -> CheckResult:
         return CheckResult(name, True)
     except AssertionError as exc:
         return CheckResult(name, False, str(exc))
-    except zpmod.ExteriorGuardrailError:
-        raise
     except Exception as exc:  # noqa: BLE001 - anything else is a hard error
         raise HardError(f"{type(exc).__name__}: {exc}", reproducer) from exc
 
@@ -372,6 +369,7 @@ def all_checks(p: int, k: int, seed: int = 20240801,
     elif (gamma.p, gamma.k) != (p, k):
         raise ValueError(f"descriptor has (p, k) = ({gamma.p}, {gamma.k}), "
                          f"not ({p}, {k})")
+    gamma.exterior(0)  # the bound of every degree: refuses before any cell
     for gen in (checks_exact_linalg, checks_repring, checks_r_oracle,
                 checks_structure, checks_tate, checks_crystal,
                 checks_brute_force):
@@ -381,6 +379,6 @@ def all_checks(p: int, k: int, seed: int = 20240801,
 def run_all(p: int, k: int, seed: int = 20240801,
             gamma: crystal.GammaDescriptor | None = None) -> list[CheckResult]:
     """Run the whole grid for one (p, k); raises HardError on internal bugs
-    and ExteriorGuardrailError when the guardrail refuses an exterior power."""
+    and ExteriorGuardrailError, before any cell, on a grid too large."""
     return [_cell(name, fn, repro)
             for name, fn, repro in all_checks(p, k, seed, gamma)]

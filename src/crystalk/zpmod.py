@@ -14,13 +14,12 @@ independent SNF check of those ranks), and `tate_reference` keeps the
 kernel/cokernel route through the norm matrix as the slow reference that
 verify and the tests compare the rank formulas against.
 
-An exterior power does not always hold its compound matrix.  It is a
-list of Kronecker summands, one per way of spreading its degree over the
-diagonal blocks of the base action (see `ExteriorPower`); the functors
-rank or diagonalize each distinct summand once and scale by its
-multiplicity.  The dense compound `action` is built only when something
-reads it (the norm matrix, `tate_reference`, tests).  A base action with
-one block gives one summand, its full compound.
+An exterior power is a list of Kronecker summands, one per way of
+spreading its degree over the diagonal blocks of the base action (see
+`ExteriorPower`); the functors rank or diagonalize each distinct summand
+once and scale by its multiplicity.  The dense compound `action` is
+built only when read.  `exterior_power` refuses every degree of a base
+whose widest summand or largest rank is too large, before any is built.
 
 Every matrix is a list of rows of Python ints (see `exact_linalg`).  Only
 input from outside is checked: `ZpModule(p, action)` reads its action
@@ -34,7 +33,6 @@ powers its blocks, their compounds and the Kronecker summands).
 
 from __future__ import annotations
 
-import os
 from bisect import bisect
 from collections import Counter
 from itertools import (chain, combinations, combinations_with_replacement,
@@ -44,11 +42,9 @@ from math import comb, factorial, prod
 from . import abelian, exact_linalg as la
 from .abelian import FGAbelianGroup, is_prime
 
-DEFAULT_MAX_EXTERIOR_DIM = 20000
-
-
-def max_exterior_dim() -> int:
-    return int(os.environ.get("CRYSTALK_MAX_EXT_DIM", DEFAULT_MAX_EXTERIOR_DIM))
+# bounds on what the exterior powers of one base build (see `exterior_power`)
+MAX_SUMMAND_DIM = 2048
+MAX_EXTERIOR_RANK = 10 ** 6
 
 
 class Memoized:
@@ -177,22 +173,27 @@ def conjugate(m: ZpModule, g, g_inv) -> ZpModule:
 
 
 class ExteriorGuardrailError(ValueError):
-    """An exterior power refused because its dimension exceeds the limit."""
+    """Exterior powers refused before any is built (see `exterior_power`)."""
 
 
 def exterior_power(m: ZpModule, deg: int) -> ExteriorPower:
     """deg-th exterior power, held as Kronecker summands (see `ExteriorPower`).
 
-    Refuses C(rank, deg) above `max_exterior_dim()`: ExteriorGuardrailError.
+    Every degree of m is refused alike, before anything is built, when the
+    widest summand of any degree (the product over block types of
+    C(|B|, |B| // 2)^count) exceeds MAX_SUMMAND_DIM, or the largest rank
+    C(rank, rank // 2), which bounds the cyclic factors `coinvariants`
+    expands, exceeds MAX_EXTERIOR_RANK: ExteriorGuardrailError.
     """
     if deg < 0 or deg > m.rank:
         raise ValueError(f"exterior degree {deg} outside [0, {m.rank}]")
-    dim = comb(m.rank, deg)
-    limit = max_exterior_dim()
-    if dim > limit:
+    widest = prod(comb(len(B), len(B) // 2) ** count
+                  for B, count in _block_types(m))
+    largest = comb(m.rank, m.rank // 2)
+    if widest > MAX_SUMMAND_DIM or largest > MAX_EXTERIOR_RANK:
         raise ExteriorGuardrailError(
-            f"exterior power dimension C({m.rank},{deg}) = {dim} exceeds "
-            f"the guardrail {limit}; set CRYSTALK_MAX_EXT_DIM to override")
+            f"exterior powers refused: widest summand {widest} (limit "
+            f"{MAX_SUMMAND_DIM}), rank {largest} (limit {MAX_EXTERIOR_RANK})")
     return ExteriorPower(m, deg)
 
 
@@ -225,6 +226,9 @@ class ExteriorPower(ZpModule):
 
     @property
     def action(self) -> list[list[int]]:
+        if self.rank > MAX_SUMMAND_DIM:
+            raise ExteriorGuardrailError(f"dense compound of dimension "
+                                         f"{self.rank} over {MAX_SUMMAND_DIM}")
         return self._memo("action", lambda: compound_matrix(
             self.base.action, self.deg))
 
@@ -269,10 +273,7 @@ def _block_types(m: ZpModule) -> list[tuple[list[list[int]], int]]:
 
 def _arrangements(degs: tuple[int, ...]) -> int:
     """Ways to hand the multiset degs out to distinct copies of one block."""
-    out = factorial(len(degs))
-    for repeat in Counter(degs).values():
-        out //= factorial(repeat)
-    return out
+    return factorial(len(degs)) // prod(map(factorial, Counter(degs).values()))
 
 
 def _wedge_summands(m: ZpModule, deg: int) -> list[tuple[int, ZpModule]]:
@@ -349,8 +350,8 @@ def _field_ranks(m: ZpModule) -> tuple[int, int]:
     summand's ranks once, scaled by its multiplicity."""
     def compute():
         if m.summands is None:
-            rank_l, rank_p = la.ranks_mod(la.minus_identity(m.action),
-                                          (3 if m.p == 2 else 2, m.p))
+            rank_l, rank_p = la.ranks_mod_rows(la.minus_identity(m.action),
+                                               (3 if m.p == 2 else 2, m.p))
             return m.rank - rank_l, rank_p
         ranks = [(c, _field_ranks(S)) for c, S in m.summands]
         return (sum(c * q for c, (q, _) in ranks),

@@ -1,12 +1,18 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from crystalk import crystal, exact_linalg as la
 from crystalk.cli import main, render_report_json
+from crystalk.zpmod import MAX_EXTERIOR_RANK, MAX_SUMMAND_DIM
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 GOLDEN_SHAPES = sorted(
     tuple(map(int, re.fullmatch(r"report-(\d+)-(\d+)\.json", path.name).groups()))
@@ -245,13 +251,30 @@ def test_verify_internal_error_exit4(capsys, monkeypatch):
     assert "p=3 k=1 m=2 i=1" in err
 
 
-def test_verify_guardrail_refusal_exit2(capsys, monkeypatch):
+def test_verify_guardrail_refusal_exit2(capsys):
     # a refused exterior power is an invalid request, not an internal error
-    monkeypatch.setenv("CRYSTALK_MAX_EXT_DIM", "3")
-    code, out, err = run(capsys, "verify", "--p", "3", "--k", "2")
+    code, out, err = run(capsys, "verify", "--p", "17", "--k", "1")
     assert code == 2
     assert out == ""
-    assert "CRYSTALK_MAX_EXT_DIM" in err and "internal error" not in err
+    assert "invalid request" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+@pytest.mark.parametrize("p, k, widest", [
+    (17, 1, 12870), (7, 3, 8000), (13, 2, 853776), (2, 200, 1)])
+def test_too_large_grids_are_refused_at_once(command, p, k, widest):
+    # from interpreter start: the bound is checked before the first cell
+    # or oracle degree, so no shape here gets to build anything
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "crystalk.cli", command, "--p", str(p),
+         "--k", str(k)], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))})
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"widest summand {widest} (limit {MAX_SUMMAND_DIM})" in proc.stderr
+    assert f"(limit {MAX_EXTERIOR_RANK})" in proc.stderr
 
 
 # -- oracle ------------------------------------------------------------------

@@ -571,15 +571,18 @@ def test_cross_check_builds_no_dual_module(monkeypatch):
     assert rep.groups["H^*(BGamma)"] == build_report(G32).groups["H^*(BGamma)"]
 
 
-def test_conjugate_report_ignores_the_guardrail(monkeypatch):
-    # n = 20: C(20, 6) is over the default exterior-dimension limit, which a
-    # report never meets, at that limit or a lowered one
+def test_conjugate_report_ignores_the_guardrail():
+    # a report builds no exterior power: one of n = 20, and one of (17, 1),
+    # whose exterior powers the bound refuses in every degree
     H = _seeded_conjugate(3, 10, 310)
     rep = build_report(H)
     assert rep.warnings == []
     assert rep.groups == build_report(canonical_gamma(3, 10)).groups
-    monkeypatch.setenv("CRYSTALK_MAX_EXT_DIM", "1")
-    assert build_report(_seeded_conjugate(3, 2, 5)).warnings == []
+    G = canonical_gamma(17, 1)
+    assert build_report(G).warnings == []
+    assert not [key for key in G._cache if key[0] == "ext"]
+    with pytest.raises(zpmod.ExteriorGuardrailError):
+        G.exterior(0)
 
 
 # -- the shape memo ------------------------------------------------------------

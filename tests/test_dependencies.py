@@ -1,7 +1,7 @@
 """numpy is the only runtime dependency: importing the package and its
 command line loads no third-party module besides numpy, and a report
-loads not even numpy (only `exact_linalg.rank_mod`, which the oracles
-call, imports it)."""
+loads not even numpy (only `exact_linalg.ranks_mod_rows`, which the
+oracles call, imports it)."""
 
 import json
 import os

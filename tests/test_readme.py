@@ -1,7 +1,8 @@
 """The README names only code that exists: a deleted or renamed function
-must take its mention in the README with it.  Its report-family table
-lists the families a report holds, in report order, and its expression
-grammar lists the summand kinds in canonical order."""
+must take its mention in the README with it, and so must an environment
+variable that the package stops reading.  Its report-family table lists
+the families a report holds, in report order, and its expression grammar
+lists the summand kinds in canonical order."""
 
 import importlib
 import re
@@ -10,6 +11,7 @@ from pathlib import Path
 from crystalk import abelian, crystal
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src" / "crystalk"
 MODULES = ("abelian", "cli", "crystal", "exact_linalg", "repring", "verify",
            "zpmod")
 # `crystalk.<module>` or `<module>.<name>` inside an inline code span
@@ -32,6 +34,21 @@ def test_readme_names_resolve():
                 mod = importlib.import_module(f"crystalk.{module}")
                 assert hasattr(mod, name), f"`{span}`: no {module}.{name}"
     assert seen
+
+
+def _unread_variables(text):
+    """The CRYSTALK_* environment variables that `text` names and no module
+    of the package reads (through os.environ or os.getenv)."""
+    code = "\n".join(path.read_text() for path in SRC.glob("*.py"))
+    read = set(re.findall(
+        r"""(?:environ\.get\(|environ\[|getenv\()\s*["'](CRYSTALK_\w+)""", code))
+    return sorted(set(re.findall(r"\bCRYSTALK_\w+", text)) - read)
+
+
+def test_readme_names_only_variables_the_package_reads():
+    assert _unread_variables("set `CRYSTALK_NO_SUCH_KNOB` to override") \
+        == ["CRYSTALK_NO_SUCH_KNOB"]
+    assert _unread_variables(README.read_text()) == []
 
 
 def _family_table():

@@ -59,13 +59,25 @@ def test_periodicity_and_duality_cells_compare_with_the_reference(monkeypatch):
             cells[name]()
 
 
-@pytest.mark.parametrize("p, k", [(5, 3), (3, 7), (11, 1), (13, 1)])
+@pytest.mark.parametrize("p, k", [(5, 3), (3, 7), (11, 1), (13, 1), (3, 10)])
 def test_grid_beyond_the_benchmark_passes(p, k):
     # rank 12 with 4x4 blocks and rank 14 with 2x2 blocks: the largest
     # exterior powers have 924 and 3432 dimensions; (11,1) and (13,1) are
-    # one 10x10 and one 12x12 block, so every compound is a full one
+    # one 10x10 and one 12x12 block, so every compound is a full one;
+    # (3,10) reaches rank C(20, 10) = 184756 from summands of at most 2^10
     results = verify.run_all(p, k)
     assert results and [r.name for r in results if not r.ok] == []
+
+
+def test_a_grid_too_large_is_refused_before_any_cell(monkeypatch):
+    ran = []
+    monkeypatch.setattr(verify, "_cell", lambda *cell: ran.append(cell))
+    with pytest.raises(zpmod.ExteriorGuardrailError, match="12870"):
+        verify.run_all(17, 1)
+    cells = verify.all_checks(7, 3)
+    with pytest.raises(zpmod.ExteriorGuardrailError, match="8000"):
+        next(cells)
+    assert ran == []
 
 
 def test_five_term_cell_catches_a_shifted_s_table(monkeypatch, fresh_shapes):
@@ -215,11 +227,16 @@ def test_assembly_mismatch_fails_a_verify_cell(monkeypatch):
 
 
 def test_rank_errors_are_not_reported_as_the_guardrail(monkeypatch):
-    # only the exterior-dimension refusal passes through a cell as itself;
-    # any other ValueError out of an oracle is a bug, a HardError
+    # the bound refuses a grid before its first cell, so any exception
+    # inside a cell, a refusal included, is a bug: a HardError
     def broken(m):
         raise ValueError("negative free rank")
     monkeypatch.setattr(zpmod, "fixed_rank", broken)
     with pytest.raises(verify.HardError, match="negative free rank"):
         verify.run_all(3, 2, gamma=_connected_conjugate(3, 2, 5))
-    assert issubclass(zpmod.ExteriorGuardrailError, ValueError)
+
+    def refused(m):
+        raise zpmod.ExteriorGuardrailError("refused mid-grid")
+    monkeypatch.setattr(zpmod, "fixed_rank", refused)
+    with pytest.raises(verify.HardError, match="refused mid-grid"):
+        verify.run_all(3, 2)

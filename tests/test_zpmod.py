@@ -185,12 +185,53 @@ def test_exterior_out_of_range():
         exterior_power(make_cyclotomic(3), -1)
 
 
-def test_exterior_guardrail(monkeypatch):
-    monkeypatch.setenv("CRYSTALK_MAX_EXT_DIM", "5")
-    with pytest.raises(ValueError, match="guardrail"):
-        exterior_power(make_trivial(3, 6), 3)
-    monkeypatch.setenv("CRYSTALK_MAX_EXT_DIM", "30")
-    exterior_power(make_trivial(3, 6), 3)
+def test_exterior_guardrail():
+    # one 16-dim block: its middle compound, C(16, 8) = 12870, is over the
+    # summand bound, so every degree is refused, degree 0 included, and
+    # nothing is built
+    big = make_cyclotomic(17)
+    for deg in (0, 1, 8, 16):
+        with pytest.raises(zpmod.ExteriorGuardrailError,
+                           match=r"summand 12870 \(limit 2048\)"):
+            exterior_power(big, deg)
+    assert set(big._cache) == {"block_types"}
+    # 200 blocks of rank 1: every summand is 1 x 1, but C(200, 100) copies
+    # of them are over the rank bound
+    with pytest.raises(zpmod.ExteriorGuardrailError,
+                       match=r"\(limit 1000000\)"):
+        exterior_power(make_trivial(2, 200), 0)
+    # at the bounds: 2^11 = 2048 for eleven 2-dim blocks, whose rank
+    # C(22, 11) = 705432 is under 10^6
+    eleven = direct_sum(*[make_cyclotomic(3)] * 11)
+    assert max(S.rank for _c, S in exterior_power(eleven, 11).summands) \
+        == zpmod.MAX_SUMMAND_DIM
+    assert issubclass(zpmod.ExteriorGuardrailError, ValueError)
+
+
+@pytest.mark.parametrize("p, k, widest, largest", [
+    (13, 1, 924, 924), (5, 4, 1296, 12870), (3, 10, 1024, 184756),
+    (3, 6, 64, 924), (2, 10, 1, 252), (5, 2, 36, 70), (7, 1, 20, 20)])
+def test_exterior_bound_admits_the_measured_shapes(p, k, widest, largest):
+    base = direct_sum(*[make_cyclotomic(p)] * k)
+    mods = [exterior_power(base, j) for j in range(base.rank + 1)]
+    assert max(S.rank for m in mods for _c, S in m.summands) == widest
+    assert max(m.rank for m in mods) == largest
+    assert widest <= zpmod.MAX_SUMMAND_DIM
+    assert largest <= zpmod.MAX_EXTERIOR_RANK
+
+
+def test_dense_action_above_the_bound_is_refused():
+    # Lambda^7 of seven 2-dim blocks is admitted (widest summand 2^7), but
+    # its dense compound, C(14, 7) = 3432 wide, is one matrix too many;
+    # the rank formulas need only the summands
+    ext = exterior_power(direct_sum(*[make_cyclotomic(3)] * 7), 7)
+    for read in (lambda: ext.action, ext.norm_matrix,
+                 lambda: tate_reference(ext, 0)):
+        with pytest.raises(zpmod.ExteriorGuardrailError, match="3432"):
+            read()
+    # Tate^i of Lambda^j vanishes for i + j odd
+    assert tate(ext, 0) == FGAbelianGroup.trivial()
+    assert len(exterior_power(ext.base, 1).action) == 14
 
 
 def test_compound_matches_minors():
