@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import crystal, repring, verify, zpmod
 from .crystal import GammaDescriptor, GammaError
@@ -77,29 +78,83 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
-def _indented_list(items: list[str], indent: int) -> str:
-    """Rendered items laid out as json.dumps(indent=2) lays out a list that
-    starts `indent` spaces deep."""
+def _enclose(items: list[str], indent: int, brackets: str) -> str:
+    """Laid-out items in `brackets` as json.dumps(indent=2) encloses them
+    when the container starts `indent` spaces deep."""
     if not items:
-        return "[]"
+        return brackets
     pad = "\n" + " " * (indent + 2)
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
+    return (brackets[0] + pad + ("," + pad).join(items)
+            + "\n" + " " * indent + brackets[1])
+
+
+def _layout(value, indent: int) -> str:
+    """`value` as json.dumps(value, indent=2) writes it when it starts
+    `indent` spaces deep: dicts with str keys, lists, str, int, bool and
+    None.  Anything else raises TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": "
+                         + _layout(item, indent + 2))
+        return _enclose(items, indent, "{}")
+    if isinstance(value, list):
+        # a row of rho: n^2 entries in all, so no call per entry
+        if all(type(item) is int for item in value):
+            return _enclose(list(map(int.__repr__, value)), indent, "[]")
+        return _enclose([_layout(item, indent + 2) for item in value],
+                        indent, "[]")
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    "is not JSON serializable")
+
+
+def _groups_block(report: crystal.TheoremReport) -> str:
+    """The laid-out value of the report's "groups" key, 2 spaces deep.
+
+    A report whose groups are its shape's default-window families (in
+    order, equal tables) gives the same block as every other such report
+    of the shape, so that block is laid out once and kept in
+    `crystal.shape(p, k)` next to the families.  Any other report, such as
+    one built with a window or one whose groups were edited, is laid out
+    afresh and stores nothing.
+    """
+    def layout():
+        return _layout({name: {str(m): expr.render()
+                               for m, expr in sorted(degrees.items())}
+                        for name, degrees in report.groups.items()}, 2)
+    G = report.descriptor
+    sh = crystal.shape(G.p, G.k)
+    families = sh._cache.get("families")
+    # the report's tables hold the memo's own expressions, so == short-cuts
+    # on identity
+    if families is not None and list(report.groups.items()) == [
+            (name, dict(table)) for name, table in families]:
+        return sh._memo("groups json", layout)
+    return layout()
 
 
 def render_report_json(report: crystal.TheoremReport) -> str:
-    """The bytes of json.dumps(report.to_json_dict(), indent=2).
-
-    rho puts its n^2 entries one per line and would take nearly all of
-    json.dumps's time, so it is laid out here (its key sits 4 spaces deep)
-    and spliced in.
-    """
-    data = report.to_json_dict()
-    rows = data["descriptor"]["rho"]
-    data["descriptor"]["rho"] = []
-    rho = _indented_list([_indented_list(list(map(str, row)), 6)
-                          for row in rows], 4)
-    # a key's quotes are never escaped, so this matches the key only
-    return json.dumps(data, indent=2).replace('"rho": []', '"rho": ' + rho, 1)
+    """The bytes of json.dumps(report.to_json_dict(), indent=2), laid out
+    here: rho puts its n^2 entries one per line, and the groups block of a
+    default-window report is laid out once per shape (`_groups_block`)."""
+    G = report.descriptor
+    descriptor = {"p": G.p, "n": G.n, "k": G.k, "canonical": G.canonical,
+                  "rho": G.rho}
+    fields = (("descriptor", _layout(descriptor, 2)),
+              ("scalars", _layout(report.scalars, 2)),
+              ("groups", _groups_block(report)),
+              ("warnings", _layout(report.warnings, 2)))
+    return _enclose([f'"{key}": {text}' for key, text in fields], 0, "{}")
 
 
 def render_report_text(report: crystal.TheoremReport) -> str:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from crystalk import crystal, exact_linalg as la
+from crystalk import crystal, exact_linalg as la, verify
+from crystalk.abelian import GroupExpression
 from crystalk.cli import main, render_report_json
 from crystalk.zpmod import MAX_EXTERIOR_RANK, MAX_SUMMAND_DIM
 
@@ -62,6 +64,102 @@ def test_render_report_json_is_json_dumps_off_canonical():
     report = crystal.build_report(H, window=(1, 3))
     assert render_report_json(report) == json.dumps(report.to_json_dict(),
                                                     indent=2)
+
+
+def _conjugate(p, k, seed):
+    """A seeded unimodular conjugate of the canonical (p, k) action."""
+    G = crystal.canonical_gamma(p, k)
+    g, g_inv = verify._random_unimodular(random.Random(seed), G.n)
+    return crystal.validate_gamma(p, la.matmul(la.matmul(g, G.rho), g_inv))
+
+
+def _stored_block(p, k):
+    return crystal.shape(p, k)._cache.get("groups json")
+
+
+def _edited_after_the_block_was_stored():
+    # the edits of test_a_report_owns_its_groups, on the report itself
+    G = _conjugate(3, 2, 5)
+    report = crystal.build_report(G)
+    render_report_json(crystal.build_report(G))
+    assert _stored_block(3, 2)
+    report.groups["H^*(BGamma)"][0] = GroupExpression.free(99)
+    del report.groups["K_*(Cstar)"]
+    report.groups["extra"] = {}
+    return report
+
+
+def _reordered_after_the_block_was_stored():
+    # equal tables in another order: == on the dicts alone would not see it
+    report = crystal.build_report(crystal.canonical_gamma(3, 2))
+    render_report_json(report)
+    assert _stored_block(3, 2)
+    report.groups["H^*(BGamma)"] = report.groups.pop("H^*(BGamma)")
+    return report
+
+
+def _window_with_empty_families():
+    report = crystal.build_report(crystal.canonical_gamma(3, 2), window=(-3, -1))
+    assert report.groups["H^*(BGamma)"] == report.groups["ko_*(BGamma)"] == {}
+    return report
+
+
+def _p2():
+    report = crystal.build_report(crystal.canonical_gamma(2, 3))
+    assert report.warnings and "KO^*(BGamma)" not in report.groups
+    return report
+
+
+def _conjugate_after_a_canonical_report():
+    render_report_json(crystal.build_report(crystal.canonical_gamma(5, 2)))
+    assert _stored_block(5, 2)
+    return crystal.build_report(_conjugate(5, 2, 7))
+
+
+EDGE_REPORTS = [_edited_after_the_block_was_stored,
+                _reordered_after_the_block_was_stored,
+                _window_with_empty_families, _p2,
+                _conjugate_after_a_canonical_report]
+
+
+@pytest.mark.parametrize("make", EDGE_REPORTS,
+                         ids=[make.__name__.strip("_") for make in EDGE_REPORTS])
+def test_render_report_json_is_json_dumps_on_edge_cases(make, fresh_shapes):
+    report = make()
+    expect = json.dumps(report.to_json_dict(), indent=2)
+    # twice: the first render may store the block the second reads
+    assert render_report_json(report) == expect
+    assert render_report_json(report) == expect
+
+
+def test_a_second_report_of_a_shape_renders_no_expression(monkeypatch,
+                                                          fresh_shapes):
+    calls = []
+    render = GroupExpression.render
+    monkeypatch.setattr(GroupExpression, "render",
+                        lambda self: calls.append(self) or render(self))
+    first = render_report_json(crystal.build_report(_conjugate(5, 2, 3)))
+    assert calls
+    calls.clear()
+    report = crystal.build_report(_conjugate(5, 2, 4))
+    second = render_report_json(report)
+    assert calls == []
+    assert second.split('"scalars"')[1] == first.split('"scalars"')[1]
+    assert second == json.dumps(report.to_json_dict(), indent=2)
+
+
+def test_windowed_reports_store_nothing_in_the_shape(fresh_shapes):
+    G = _conjugate(3, 2, 5)
+    render_report_json(crystal.build_report(G))
+    keys = set(crystal.shape(3, 2)._cache)
+    assert "groups json" in keys
+    windows = [(lo, lo + width) for lo in range(-4, 4) for width in range(5)]
+    assert len(set(windows)) == 40
+    for window in windows:
+        report = crystal.build_report(G, window)
+        assert render_report_json(report) == json.dumps(report.to_json_dict(),
+                                                        indent=2)
+    assert set(crystal.shape(3, 2)._cache) == keys
 
 
 def test_report_p2_text(capsys):

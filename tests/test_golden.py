@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from crystalk import exact_linalg as la, verify
+from crystalk import crystal, exact_linalg as la, verify
 from crystalk.cli import main, render_report_json, render_report_text
 from crystalk.crystal import build_report, canonical_gamma, validate_gamma
 
@@ -67,9 +67,12 @@ def test_cli_bytes_match_golden(name, capsys):
 
 
 @pytest.mark.parametrize("p,k,path", _shapes("report"))
-def test_report_bytes_match_golden(p, k, path):
-    text = render_report_json(build_report(canonical_gamma(p, k))) + "\n"
-    assert text.encode() == path.read_bytes()
+def test_report_bytes_match_golden(p, k, path, fresh_shapes):
+    # cold, then with the groups block laid out by the first render
+    for hit in (False, True):
+        assert ("groups json" in crystal.shape(p, k)._cache) == hit
+        text = render_report_json(build_report(canonical_gamma(p, k))) + "\n"
+        assert text.encode() == path.read_bytes()
 
 
 @pytest.mark.parametrize("p,k,path", _shapes("verify"))
