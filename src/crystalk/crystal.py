@@ -133,19 +133,19 @@ class GammaDescriptor(zpmod.Memoized):
 
 def validate_gamma(p: int, rho) -> GammaDescriptor:
     """Check the defining data and derive k; raises GammaError subclasses."""
-    if not is_prime(p):
-        raise NotPrimeError(f"p = {p} must be prime")
     # a copy, every entry checked, so the caller's rows are never shared
     rho = la.intmat(rho)
     n = len(rho)
     if n == 0 or any(len(row) != n for row in rho):
         raise BadRankError("action matrix must be square and nonempty")
-    ident = la.identity(n)
-    # repeated squaring: O(log p) exact products
-    if la.matrix_power(rho, p) != ident:
+    # the order first: rho^p = id != rho leaves p a prime of at most n + 1
+    # or a multiple of one, so the primality test below is quick
+    if p > 1 and not la.power_is_identity(rho, p):
         raise WrongOrderError(f"matrix does not have order {p}: rho^{p} != id")
-    if rho == ident:
+    if rho == la.identity(n):
         raise WrongOrderError("matrix is the identity, order 1")
+    if not is_prime(p):
+        raise NotPrimeError(f"p = {p} must be prime")
     # coker(rho - id) is finite exactly when no nonzero vector is fixed; the
     # module keeps it, as the one Smith form `finite_subgroup_data` reads
     module = zpmod.ZpModule(p, rho, check=False)

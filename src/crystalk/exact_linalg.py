@@ -1,36 +1,32 @@
 """Exact integer matrix algebra on lists of rows of Python ints.
 
 A matrix is a list of rows, each a list of Python ints, so nothing ever
-overflows and no floating point is involved; most matrices here are at
-most 16 wide, where numpy's cost per call outweighs the arithmetic.  One
-elimination routine, `_row_reduce`, gives saturated kernel lattices,
-lattice coordinates (`SaturatedBasisSolver`), the diagonalization behind
-cokernel structure and the Smith normal form with its transforms.
+overflows and no floating point is involved.  One elimination routine,
+`_row_reduce`, gives saturated kernel lattices, lattice coordinates
+(`SaturatedBasisSolver`), the diagonalization behind cokernel structure
+and the Smith normal form with its transforms.
 
-A matrix from outside is read by one checked reader, `_rows`: any
-sequence of equally long integer rows, a 2-D numpy array included, has
-every entry checked, so a float is refused and a numpy integer becomes a
-Python int that cannot wrap.  `intmat`, the elimination routines,
-`determinant` and `ranks_mod` read their arguments through it; every
-routine returns new rows.  The row helpers (`identity`, `transpose`,
-`minus_identity`, `matmul`, `matrix_power`, `kron`, `ranks_mod_rows`)
-take rows as those return them, unchecked; `minus_identity` yields its
-rows one at a time, so T = A - I is never held twice.
+A matrix from outside is read by one checked reader, `_rows`, in front
+of every routine that takes one; every routine returns new rows.  The
+row helpers (`identity`, `transpose`, `minus_identity`, `matmul`,
+`matrix_power`, `power_is_identity`, `kron`, `ranks_mod_rows`) take rows
+as those return them, unchecked; `minus_identity` yields its rows one at
+a time, so T = A - I is never held twice.
 
-Two routines stay apart on purpose.  `ranks_mod_rows` (and `ranks_mod`
-and `rank_mod` in front of it) works over prime fields F_q on int64
-residues, the one use of numpy, imported when first called; it refuses a
-modulus for which a product of two residues could leave int64.
-`determinant` (Bareiss elimination) is an independent check.
+Two routines stay apart on purpose: `ranks_mod_rows` (behind `ranks_mod`
+and `rank_mod`, which refuse a modulus that is not prime) eliminates
+over prime fields F_q, and `determinant` (Bareiss elimination) is an
+independent check.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import chain, compress
+from math import gcd, lcm
 from operator import add
 
-from .abelian import FGAbelianGroup
+from .abelian import FGAbelianGroup, is_prime
 
 
 def _as_int(x) -> int:
@@ -70,8 +66,8 @@ def _rows(M) -> tuple[list[list[int]], int]:
 
 
 def intmat(M) -> list[list[int]]:
-    """An exact integer matrix, as new rows of Python ints, from any
-    sequence of integer rows or a 2-D numpy array (see `_rows`)."""
+    """An exact integer matrix, as new rows of Python ints, from anything
+    `_rows` reads."""
     return _rows(M)[0]
 
 
@@ -100,9 +96,9 @@ def transpose(A: list[list[int]]) -> list[list[int]]:
 def minus_identity(A: list[list[int]]) -> Iterator[list[int]]:
     """The rows of A - I for a square A, each a new list, one at a time.
 
-    Every routine that reads a matrix copies or converts it, so a reader
-    handed these rows holds the only copy of A - I, not a second one
-    beside the caller's; `ranks_mod_rows` even drops it once converted."""
+    Every routine that reads a matrix copies it, so a reader handed these
+    rows holds the only copy of A - I, not a second one beside the
+    caller's."""
     for i, row in enumerate(A):
         row = row[:]
         row[i] -= 1
@@ -148,6 +144,14 @@ def matrix_power(A: list[list[int]], e: int) -> list[list[int]]:
     return [row[:] for row in A] if result is A else result
 
 
+def power_is_identity(A: list[list[int]], e: int) -> bool:
+    """Whether A^e = I (A square, e >= 1) in O(n) products however large e
+    is: an element of order l^a in GL_n(Z) has phi(l^a) <= n, so l^a <= 2n
+    and A^e = I exactly when A^gcd(e, lcm(1, ..., 2n)) = I."""
+    n = len(A)
+    return matrix_power(A, gcd(e, lcm(*range(1, 2 * n + 1)))) == identity(n)
+
+
 def kron(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     """The Kronecker product: entry (i len(B) + k, j len(B[0]) + l) is
     A[i][j] B[k][l].  Each row is allocated at its final length and
@@ -166,10 +170,7 @@ def kron(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     return out
 
 
-# -- int64 ranks over a prime field ------------------------------------------
-
-_INT64_MAX = 2 ** 63 - 1
-
+# -- ranks over a prime field ------------------------------------------------
 
 def rank_mod(M, q: int) -> int:
     """Rank of M over the prime field F_q (see `ranks_mod`)."""
@@ -177,67 +178,48 @@ def rank_mod(M, q: int) -> int:
 
 
 def ranks_mod(M, moduli) -> tuple[int, ...]:
-    """`ranks_mod_rows` of M, read through `_rows`: every entry checked."""
+    """`ranks_mod_rows` of M, read through `_rows`: every entry checked,
+    and every modulus refused unless it is a prime."""
+    for q in moduli:
+        if not (isinstance(q, int) and is_prime(q)):
+            raise ValueError(f"modulus {q!r} is not a prime")
     return ranks_mod_rows(_rows(M)[0], moduli)
 
 
 def ranks_mod_rows(rows, moduli) -> tuple[int, ...]:
-    """Ranks over the prime fields F_q, q in moduli, of the rows of Python
-    ints that `rows` yields, by int64 Gaussian elimination; the rows are
-    converted once for all moduli, then freed.
-
-    Entries are reduced exactly into [0, q) first (an entry beyond int64
-    as a Python int); scaling a row and subtracting a multiple of it take
-    products of two residues, so no value leaves int64 while (q - 1)^2
-    does not.  A larger q is refused with OverflowError.
-    """
-    import numpy as np  # the package's one numpy use; a report never gets here
-
-    for q in moduli:
-        if (q - 1) ** 2 > _INT64_MAX:
-            raise OverflowError(f"modulus {q} does not fit int64 arithmetic")
-    rows = list(rows)
-    shape = (len(rows), len(rows[0]) if rows else 0)
-    try:
-        A = np.array(rows, dtype=np.int64).reshape(shape)
-        del rows
-    except OverflowError:
-        A = None
+    """Ranks over the prime fields F_q, q in moduli (taken to be prime),
+    of the rows of Python ints that `rows` yields, each read once as its
+    nonzero entries; rows with fewer come first, as they fill in less.
+    For each q, Gaussian elimination on the residues in [0, q) pivots on
+    the first row left with a nonzero entry in the column; a row update
+    subtracts the pivot row times the quotient of the two entries there
+    (by `pow(x, -1, q)`), reading only the pivot row's nonzero entries."""
+    sparse = []
+    n = 0
+    for row in rows:
+        n = len(row)
+        sparse.append(dict(compress(enumerate(row), row)))
+    sparse.sort(key=len)
     ranks = []
     for q in moduli:
-        if A is None:  # an entry beyond int64: reduce the Python ints
-            W = np.array([[x % q for x in row] for row in rows],
-                         dtype=np.int64).reshape(shape)
-        else:
-            W = A % q
-        ranks.append(_int64_rank(W, q))
+        left = [[0] * n for _ in sparse]   # the residue rows not yet a pivot
+        for w, entries in zip(left, sparse):
+            for j, x in entries.items():
+                w[j] = x % q
+        for c in range(n):
+            nz = [i for i, w in enumerate(left) if w[c]]
+            if not nz:
+                continue
+            row = left.pop(nz[0])
+            inv = pow(row[c], -1, q)
+            support = list(compress(range(c, n), row[c:]))
+            for i in nz[1:]:
+                w = left[i - 1]   # one place up, past the popped pivot
+                f = w[c] * inv % q
+                for j in support:
+                    w[j] = (w[j] - f * row[j]) % q
+        ranks.append(len(sparse) - len(left))   # one row popped per pivot
     return tuple(ranks)
-
-
-def _int64_rank(W, q: int) -> int:
-    """Rank over F_q of the int64 array W of residues, eliminated in place."""
-    m, n = W.shape
-    rank = 0
-    for c in range(n):
-        if rank == m:
-            break
-        # the rows from `rank` down with a nonzero in column c; after the
-        # swap below, the pivot row is `rank` and the others are nz[1:]
-        nz = W[rank:, c].nonzero()[0]
-        if not nz.size:
-            continue
-        if nz[0]:
-            j = rank + int(nz[0])
-            W[[rank, j]] = W[[j, rank]]
-        W[rank, c:] = W[rank, c:] * pow(int(W[rank, c]), -1, q) % q
-        below = rank + nz[1:]
-        if below.size:
-            R = W[below, c:]
-            R -= W[below, c, None] * W[rank, c:]
-            R %= q
-            W[below, c:] = R
-        rank += 1
-    return rank
 
 
 # -- integer elimination -----------------------------------------------------

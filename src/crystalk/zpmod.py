@@ -8,11 +8,11 @@ fixed rank, the coinvariants, the norm map and 2-periodic Tate cohomology.
 
 Two oracles compute the homological functors.  `fixed_rank` and `tate`
 read two ranks over prime fields of T = action - id and the Herbrand
-quotient (see `tate`): int64 eliminations, with no norm matrix, no matrix
-power and no integer kernel.  `coinvariants` diagonalizes T exactly (an
-independent SNF check of those ranks), and `tate_reference` keeps the
-kernel/cokernel route through the norm matrix as the slow reference that
-verify and the tests compare the rank formulas against.
+quotient (see `tate`): eliminations over F_2 or F_3 and F_p, with no
+norm matrix, no matrix power and no integer kernel.  `coinvariants`
+diagonalizes T exactly (an independent SNF check of those ranks), and
+`tate_reference` keeps the kernel/cokernel route through the norm matrix
+as the slow reference that verify and the tests compare the ranks with.
 
 An exterior power is a list of Kronecker summands, one per way of
 spreading its degree over the diagonal blocks of the base action (see
@@ -76,11 +76,11 @@ class ZpModule(Memoized):
             self.validate()
 
     def validate(self) -> None:
+        # the order first, as in `crystal.validate_gamma`
+        if self.p > 1 and not la.power_is_identity(self.action, self.p):
+            raise ValueError("action does not have order dividing p")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        # repeated squaring: O(log p) exact products
-        if la.matrix_power(self.action, self.p) != la.identity(self.rank):
-            raise ValueError("action does not have order dividing p")
 
     def power(self, j: int) -> list[list[int]]:
         """Action matrix of the j-th power of the generator (not stored)."""

@@ -2,6 +2,7 @@ import json
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -198,6 +199,33 @@ def test_report_matrix_identity_exit2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "WrongOrder" in err
+
+
+HUGE_PRIME = 1000000000000000003
+
+
+@pytest.mark.parametrize("p, matrix, code", [
+    (HUGE_PRIME, [[-1]], "WrongOrder"),      # (-1)^p = -1
+    (2 * HUGE_PRIME, [[-1]], "NotPrime"),    # (-1)^p = 1, p even
+    (HUGE_PRIME, [[2]], "WrongOrder"),       # infinite order
+    (2 * HUGE_PRIME, [[2, 1], [1, 1]], "WrongOrder")])
+def test_huge_p_is_refused_at_once(tmp_path, p, matrix, code):
+    # the order checks bound the primality test by the matrix size, and
+    # rho^p is never formed for a huge p; the address-space limit turns
+    # a power that grows without bound into a failure, not a stalled host
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"p": p, "matrix": matrix}))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "crystalk.cli", "report", "--matrix",
+         str(path)], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (2 ** 30, 2 ** 30)))
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert code in proc.stderr
 
 
 def test_report_notfree_names_vector(tmp_path, capsys):

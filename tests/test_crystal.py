@@ -96,6 +96,22 @@ def test_validate_not_prime():
         validate_gamma(4, [[-1]])
 
 
+def test_validate_checks_the_order_before_primality():
+    # (-1)^9 = -1: both checks fail, and the order check comes first
+    with pytest.raises(WrongOrderError, match="order 9"):
+        validate_gamma(9, [[-1]])
+    # rho^p = id leaves p a prime factor of at most n + 1
+    with pytest.raises(NotPrimeError):
+        validate_gamma(2 * 1000000000000000003, [[-1]])
+    with pytest.raises(WrongOrderError, match="order 1000000000000000003"):
+        validate_gamma(1000000000000000003, [[-1]])
+    with pytest.raises(WrongOrderError, match="identity"):
+        validate_gamma(1000000000000000003, la.identity(3))
+    for p in (1, 0, -3):
+        with pytest.raises(NotPrimeError):
+            validate_gamma(p, [[-1]])
+
+
 def test_validate_wrong_power():
     with pytest.raises(WrongOrderError):
         validate_gamma(3, [[-1]])

@@ -418,7 +418,7 @@ def test_rank_mod_small_cases():
     assert la.rank_mod(mat([[2, 0], [0, 3]]), 2) == 1
     assert la.rank_mod(mat([[2, 0], [0, 3]]), 3) == 1
     assert la.rank_mod(mat([[2, 0], [0, 3]]), 5) == 2
-    # entries are reduced exactly before the int64 elimination
+    # entries are reduced exactly before the elimination
     assert la.rank_mod(mat([[7 ** 40, 1], [0, 7 ** 40 + 7]]), 7) == 1
     assert la.rank_mod(mat([[7 ** 40 + 1]]), 7) == 1
     assert la.rank_mod([[], [], []], 3) == 0
@@ -442,14 +442,95 @@ def test_rank_mod_off_p_matches_rational_rank(p):
             assert la.rank_mod(N, q) == rational_rank(N)
 
 
-def test_int64_bounds_refuse_large_moduli():
-    # (q - 1)^2 must fit int64 for a row update
-    with pytest.raises(OverflowError):
-        la.rank_mod(mat([[1, 2], [3, 4]]), 3037000507)
-    assert la.rank_mod(mat([[1, 2], [3, 4]]), 2 ** 31 - 1) == 2
+def test_ranks_mod_refuse_a_modulus_that_is_not_prime():
+    M = mat([[1, 2], [2, 0]])
+    for q in (0, 1, 4, -3, 2.0, True):
+        with pytest.raises(ValueError, match=f"modulus {q!r} is not a prime"):
+            la.rank_mod(M, q)
+        with pytest.raises(ValueError, match=f"modulus {q!r}"):
+            la.ranks_mod(M, (3, q))
+    # no modulus is too large: products of residues are Python ints
+    assert la.rank_mod(mat([[1, 2], [3, 4]]), 2 ** 61 - 1) == 2
+    assert la.rank_mod(M, 2) == 1 and la.rank_mod(M, 3) == 2
+
+
+def int64_ranks_mod_reference(rows, moduli) -> tuple[int, ...]:
+    """Ranks over F_q by int64 Gaussian elimination in numpy, the routine
+    `exact_linalg.ranks_mod_rows` replaced: the rows are converted once
+    for all moduli (an entry beyond int64 is reduced as a Python int), and
+    only moduli whose (q - 1)^2 fits int64 are taken."""
+    rows = list(rows)
+    shape = (len(rows), len(rows[0]) if rows else 0)
+    try:
+        A = np.array(rows, dtype=np.int64).reshape(shape)
+    except OverflowError:
+        A = None
+    ranks = []
+    for q in moduli:
+        assert (q - 1) ** 2 <= 2 ** 63 - 1
+        if A is None:
+            W = np.array([[x % q for x in row] for row in rows],
+                         dtype=np.int64).reshape(shape)
+        else:
+            W = A % q
+        m, n = W.shape
+        rank = 0
+        for c in range(n):
+            if rank == m:
+                break
+            nz = W[rank:, c].nonzero()[0]
+            if not nz.size:
+                continue
+            if nz[0]:
+                j = rank + int(nz[0])
+                W[[rank, j]] = W[[j, rank]]
+            W[rank, c:] = W[rank, c:] * pow(int(W[rank, c]), -1, q) % q
+            below = rank + nz[1:]
+            if below.size:
+                R = W[below, c:]
+                R -= W[below, c, None] * W[rank, c:]
+                R %= q
+                W[below, c:] = R
+            rank += 1
+        ranks.append(rank)
+    return tuple(ranks)
+
+
+@given(st.integers(0, 8), st.integers(0, 8), st.data())
+@settings(max_examples=80, deadline=None)
+def test_ranks_mod_match_the_int64_reference(m, n, data):
+    # entries past int64 are reduced exactly; rows are often dependent
+    # mod a small q, so draw some as sums of others
+    rows = data.draw(st.lists(st.lists(wide_entries, min_size=n, max_size=n),
+                              min_size=m, max_size=m))
+    for i in range(1, m):
+        if data.draw(st.booleans()):
+            rows[i] = [a + 3 * b for a, b in zip(rows[i - 1], rows[0])]
+    qs = (2, 3, 5, 7, 13)
+    assert la.ranks_mod(rows, qs) == int64_ranks_mod_reference(rows, qs)
+    # no minor of an 8 x 8 matrix with entries |x| <= 9 reaches 2^61 - 1,
+    # so that field keeps the rational rank
+    small = data.draw(st.lists(st.lists(small_entries, min_size=n, max_size=n),
+                               min_size=m, max_size=m))
+    assert la.rank_mod(small, 2 ** 61 - 1) == rational_rank(small)
 
 
 # -- row helpers against numpy object arrays ---------------------------------
+
+def test_power_is_identity_matches_the_power():
+    c3 = [[0, -1], [1, -1]]   # order 3
+    c4 = [[0, -1], [1, 0]]    # order 4 = 2n, a prime power past n + 1
+    signed_cycle = [[0, 0, -1], [1, 0, 0], [0, 1, 0]]   # order 6
+    for A in ([[-1]], [[2]], c3, c4, signed_cycle, [[1, 1], [0, 1]],
+              [[2, 1], [1, 1]], [[0, 0], [0, 0]], la.identity(3)):
+        for e in range(1, 14):
+            assert la.power_is_identity(A, e) \
+                == (la.matrix_power(A, e) == la.identity(len(A))), (A, e)
+    # a finite order keeps the entries of every power small
+    assert la.power_is_identity(signed_cycle, 6 * (10 ** 18 + 3))
+    assert not la.power_is_identity(signed_cycle, 2 * (10 ** 18 + 3))
+    assert not la.power_is_identity(c3, 10 ** 18 + 3)
+
 
 def wide_matrices(m, n):
     return st.lists(st.lists(wide_entries, min_size=n, max_size=n),
@@ -485,7 +566,7 @@ def test_matrix_power_matches_numpy(n, p, data):
 
 def test_ranks_mod_reads_once_for_every_prime():
     # one reading serves several primes, also when an entry leaves int64
-    # and the residues are taken on Python ints
+    # and when a modulus does
     rng = np.random.default_rng(5)
     for scale in (1, 2 ** 70):
         M = [[int(x) * scale + int(y) for x, y in zip(row_x, row_y)]
@@ -495,5 +576,5 @@ def test_ranks_mod_reads_once_for_every_prime():
         assert la.ranks_mod(M, qs) == tuple(la.rank_mod(M, q) for q in qs)
         assert la.ranks_mod(iter(M), qs) == la.ranks_mod(M, qs)
     assert la.ranks_mod(M, ()) == ()
-    with pytest.raises(OverflowError):
-        la.ranks_mod(M, (3, 3037000507))
+    assert la.ranks_mod(M, (3, 3037000507)) \
+        == (la.rank_mod(M, 3), la.rank_mod(M, 3037000507))
