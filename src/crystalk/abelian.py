@@ -41,24 +41,10 @@ def factorint(n: int) -> dict[int, int]:
     return out
 
 
-# No composite below _SPRP_LIMIT is a strong pseudoprime to all twelve
-# primes up to 37 (Sorenson and Webster, Math. Comp. 86, 2017).
-_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_SPRP_LIMIT = 318665857834031151167461
-
-
 def is_prime(n: int) -> bool:
-    """Exact primality: trial division, stopping at the first divisor,
-    below 41^2 and from _SPRP_LIMIT on; in between, the strong
-    probable-prime test to _SPRP_BASES (Miller-Rabin), exact there."""
-    if n < 41 * 41 or n >= _SPRP_LIMIT:
-        return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
-    s = ((n - 1) & (1 - n)).bit_length() - 1   # n - 1 = 2^s d, d odd
-    for b in _SPRP_BASES:
-        x = pow(b, (n - 1) >> s, n)
-        if x != 1 and n - 1 not in [pow(x, 1 << r, n) for r in range(s)]:
-            return False
-    return True
+    """Exact primality by trial division, stopping at the first divisor:
+    up to sqrt(n) of them for a prime n."""
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def _chain_from_prime_powers(powers: dict[int, list[int]]) -> tuple[int, ...]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from math import isqrt
 from types import MappingProxyType
 
 from . import exact_linalg as la
@@ -138,14 +139,16 @@ def validate_gamma(p: int, rho) -> GammaDescriptor:
     n = len(rho)
     if n == 0 or any(len(row) != n for row in rho):
         raise BadRankError("action matrix must be square and nonempty")
-    # the order first: rho^p = id != rho leaves p a prime of at most n + 1
-    # or a multiple of one, so the primality test below is quick
-    if p > 1 and not la.power_is_identity(rho, p):
+    # trial division by 2, ..., n + 1 first: a p with no divisor there is
+    # a prime of at most n + 1 or has no prime factor that small, so
+    # `power_is_identity` forms rho^p only for p <= n + 1, and a p that
+    # passes both order checks is a prime
+    if p < 2 or any(p % d == 0 for d in range(2, min(n + 1, isqrt(p)) + 1)):
+        raise NotPrimeError(f"p = {p} must be prime")
+    if not la.power_is_identity(rho, p):
         raise WrongOrderError(f"matrix does not have order {p}: rho^{p} != id")
     if rho == la.identity(n):
         raise WrongOrderError("matrix is the identity, order 1")
-    if not is_prime(p):
-        raise NotPrimeError(f"p = {p} must be prime")
     # coker(rho - id) is finite exactly when no nonzero vector is fixed; the
     # module keeps it, as the one Smith form `finite_subgroup_data` reads
     module = zpmod.ZpModule(p, rho, check=False)

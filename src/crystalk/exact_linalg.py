@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import chain, compress
-from math import gcd, lcm
 from operator import add
 
 from .abelian import FGAbelianGroup, is_prime
@@ -145,11 +144,15 @@ def matrix_power(A: list[list[int]], e: int) -> list[list[int]]:
 
 
 def power_is_identity(A: list[list[int]], e: int) -> bool:
-    """Whether A^e = I (A square, e >= 1) in O(n) products however large e
-    is: an element of order l^a in GL_n(Z) has phi(l^a) <= n, so l^a <= 2n
-    and A^e = I exactly when A^gcd(e, lcm(1, ..., 2n)) = I."""
-    n = len(A)
-    return matrix_power(A, gcd(e, lcm(*range(1, 2 * n + 1)))) == identity(n)
+    """Whether A^e = I, for a square A (n x n) and an e >= 1 that is a
+    prime of at most n + 1 or has no prime factor that small.  A^e is
+    formed only for e <= n + 1: an A of finite order m != 1 has, for each
+    prime l | m, a primitive l-th root of unity among its eigenvalues, of
+    degree l - 1 <= n, so a larger such e has A^e = I only for A = I."""
+    ident = identity(len(A))
+    if e > len(A) + 1:
+        return A == ident
+    return matrix_power(A, e) == ident
 
 
 def kron(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
@@ -179,7 +182,9 @@ def rank_mod(M, q: int) -> int:
 
 def ranks_mod(M, moduli) -> tuple[int, ...]:
     """`ranks_mod_rows` of M, read through `_rows`: every entry checked,
-    and every modulus refused unless it is a prime."""
+    and every modulus refused unless it is a prime.  That check is the
+    trial division of `is_prime`, about sqrt(q) steps for a prime q, so
+    it is quick up to about 10^12; `ranks_mod_rows` takes any prime."""
     for q in moduli:
         if not (isinstance(q, int) and is_prime(q)):
             raise ValueError(f"modulus {q!r} is not a prime")

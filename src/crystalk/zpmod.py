@@ -76,11 +76,10 @@ class ZpModule(Memoized):
             self.validate()
 
     def validate(self) -> None:
-        # the order first, as in `crystal.validate_gamma`
-        if self.p > 1 and not la.power_is_identity(self.action, self.p):
-            raise ValueError("action does not have order dividing p")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
+        if not la.power_is_identity(self.action, self.p):
+            raise ValueError("action does not have order dividing p")
 
     def power(self, j: int) -> list[list[int]]:
         """Action matrix of the j-th power of the generator (not stored)."""

@@ -202,17 +202,21 @@ def test_report_matrix_identity_exit2(tmp_path, capsys):
 
 
 HUGE_PRIME = 1000000000000000003
+DIAG_2 = [[2 if i == j == 0 else int(i == j) for j in range(12)]
+          for i in range(12)]   # diag(2, 1, ..., 1), of infinite order
 
 
 @pytest.mark.parametrize("p, matrix, code", [
     (HUGE_PRIME, [[-1]], "WrongOrder"),      # (-1)^p = -1
     (2 * HUGE_PRIME, [[-1]], "NotPrime"),    # (-1)^p = 1, p even
     (HUGE_PRIME, [[2]], "WrongOrder"),       # infinite order
-    (2 * HUGE_PRIME, [[2, 1], [1, 1]], "WrongOrder")])
+    (2 * HUGE_PRIME, [[2, 1], [1, 1]], "NotPrime"),
+    (5354228880, DIAG_2, "NotPrime"),   # lcm(1, ..., 24): rho^p holds 2^p
+    (HUGE_PRIME, DIAG_2, "WrongOrder")])
 def test_huge_p_is_refused_at_once(tmp_path, p, matrix, code):
-    # the order checks bound the primality test by the matrix size, and
-    # rho^p is never formed for a huge p; the address-space limit turns
-    # a power that grows without bound into a failure, not a stalled host
+    # trial division up to n + 1 comes first, and rho^p is formed only
+    # for p <= n + 1; the address-space limit turns a power that grows
+    # without bound into a failure, not a stalled host
     path = tmp_path / "rho.json"
     path.write_text(json.dumps({"p": p, "matrix": matrix}))
     start = time.perf_counter()

@@ -96,15 +96,24 @@ def test_validate_not_prime():
         validate_gamma(4, [[-1]])
 
 
-def test_validate_checks_the_order_before_primality():
-    # (-1)^9 = -1: both checks fail, and the order check comes first
-    with pytest.raises(WrongOrderError, match="order 9"):
-        validate_gamma(9, [[-1]])
-    # rho^p = id leaves p a prime factor of at most n + 1
+def test_validation_is_bounded_by_the_matrix_size():
+    diag_2 = la.identity(12)
+    diag_2[0][0] = 2   # diag(2, 1, ..., 1), of infinite order
+    # trial division by 2, ..., n + 1 comes first
     with pytest.raises(NotPrimeError):
         validate_gamma(2 * 1000000000000000003, [[-1]])
+    # rho^p is formed only for p <= n + 1: an infinite-order action and a
+    # p = lcm(1, ..., 24) whose power would have 2^p as an entry
+    with pytest.raises(NotPrimeError):
+        validate_gamma(5354228880, diag_2)
+    # past that, a p with no factor up to n + 1 fails the order check,
+    # prime or not
+    with pytest.raises(WrongOrderError, match="order 9"):
+        validate_gamma(9, [[-1]])
     with pytest.raises(WrongOrderError, match="order 1000000000000000003"):
         validate_gamma(1000000000000000003, [[-1]])
+    with pytest.raises(WrongOrderError, match="order 1000000000000000003"):
+        validate_gamma(1000000000000000003, diag_2)
     with pytest.raises(WrongOrderError, match="identity"):
         validate_gamma(1000000000000000003, la.identity(3))
     for p in (1, 0, -3):

