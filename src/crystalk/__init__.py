@@ -9,7 +9,7 @@ arithmetic and cross-checkable against brute-force linear-algebra oracles.
 from .abelian import (FGAbelianGroup, GroupExpression, FreeZ,
                       CyclicPrimePower, PAdic, Pruefer, KOPoint, KoPoint,
                       UnknownPTorsion, direct_sum, hom_dual, ext_dual,
-                      ko_point_table, expr_evaluate, parse_expression)
+                      expr_evaluate)
 from .crystal import (GammaDescriptor, GammaError, NotPrimeError,
                       WrongOrderError, NotFreeError, BadRankError,
                       CokernelMismatchError, OddPrimeRequiredError,

@@ -10,13 +10,11 @@ cyclic prime-power parts, p-adic and Pruefer summands, copies of
 (connective) real K-theory point groups, and bounded unknown torsion.  Each
 kind is defined once, by its entry in the table `_KINDS`: its canonical
 position, the field counting its copies and the constructor call that
-sets it, the canonical form of one summand, its text, and the regex and
-builder that parse that text back.
+sets it, the canonical form of one summand, and its text.
 """
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -169,14 +167,6 @@ def ext_dual(a: FGAbelianGroup) -> FGAbelianGroup:
 
 # KO_m(pt) for m = 0..7 (8-periodic) as (free rank, copies of Z/2)
 _KO_SHAPE = ((1, 0), (0, 1), (0, 1), (0, 0), (1, 0), (0, 0), (0, 0), (0, 0))
-_KO_TABLE = tuple(FGAbelianGroup(f, (2,) * z) for f, z in _KO_SHAPE)
-
-
-def ko_point_table(m: int, connective: bool = False) -> FGAbelianGroup:
-    """KO_m(pt) by 8-periodic lookup; the connective variant is 0 for m < 0."""
-    if connective and m < 0:
-        return FGAbelianGroup.trivial()
-    return _KO_TABLE[m % 8]
 
 
 # --------------------------------------------------------------------------
@@ -235,11 +225,6 @@ def _pow_suffix(n: int) -> str:
     return "" if n == 1 else f"^{n}"
 
 
-def _ints(m) -> list[int]:
-    """The integers a regex match captured; a missing `^n` suffix is 1."""
-    return [int(g) for g in m.groups("1")]
-
-
 def _refuse(s, why: str):
     raise ValueError(f"{s!r} is not a canonical summand: {why}")
 
@@ -248,15 +233,6 @@ def _canon_prime(s):
     if not is_prime(s.p):
         _refuse(s, f"{s.p} is not prime")
     return s
-
-
-def _parse_cyclic(m) -> CyclicPrimePower:
-    q = int(m[1] or m[2])
-    fac = factorint(q)
-    if len(fac) != 1:
-        raise ValueError(f"cyclic order {q} is not a prime power")
-    ((p, e),) = fac.items()
-    return CyclicPrimePower(p, e, int(m[3] or 1))
 
 
 def _canon_unknown(s):
@@ -273,50 +249,38 @@ class _Kind(NamedTuple):
     recount: Callable | None  # the summand with another count, by its constructor
     canon: Callable    # a summand of positive count in canonical form, None if zero
     text: Callable     # the rendered text
-    pattern: str       # the regex of that text
-    parse: Callable    # the summand from a match of `pattern`
 
 
 # One entry per summand kind; each key starts with the kind's place here.
 _KINDS = {
     FreeZ: _Kind(lambda s: (0,), "rank", lambda s, c: FreeZ(c), lambda s: s,
-                 lambda s: "Z" + _pow_suffix(s.rank),
-                 r"Z(?:\^(\d+))?", lambda m: FreeZ(*_ints(m))),
+                 lambda s: "Z" + _pow_suffix(s.rank)),
     CyclicPrimePower: _Kind(
         lambda s: (1, s.p, s.exponent), "multiplicity",
         lambda s, c: CyclicPrimePower(s.p, s.exponent, c),
         lambda s: _canon_prime(s) if s.exponent >= 1 else _refuse(s, "exponent below 1"),
         lambda s: (f"Z/{s.p ** s.exponent}" if s.multiplicity == 1
-                   else f"(Z/{s.p ** s.exponent})^{s.multiplicity}"),
-        r"Z/(\d+)|\(Z/(\d+)\)\^(\d+)", _parse_cyclic),
+                   else f"(Z/{s.p ** s.exponent})^{s.multiplicity}")),
     PAdic: _Kind(lambda s: (2, s.p), "rank", lambda s, c: PAdic(s.p, c),
                  _canon_prime,
-                 lambda s: f"Zp^[{s.p}]" + _pow_suffix(s.rank),
-                 r"Zp\^\[(\d+)\](?:\^(\d+))?", lambda m: PAdic(*_ints(m))),
+                 lambda s: f"Zp^[{s.p}]" + _pow_suffix(s.rank)),
     Pruefer: _Kind(lambda s: (3, s.p), "rank", lambda s, c: Pruefer(s.p, c),
                    _canon_prime,
-                   lambda s: f"Pruefer[{s.p}]" + _pow_suffix(s.rank),
-                   r"Pruefer\[(\d+)\](?:\^(\d+))?", lambda m: Pruefer(*_ints(m))),
+                   lambda s: f"Pruefer[{s.p}]" + _pow_suffix(s.rank)),
     KOPoint: _Kind(lambda s: (4, s.degree), "multiplicity",
                    lambda s, c: KOPoint(s.degree, c),
                    lambda s: KOPoint(s.degree % 8, s.multiplicity),
-                   lambda s: f"KO[{s.degree}](pt)" + _pow_suffix(s.multiplicity),
-                   r"KO\[(-?\d+)\]\(pt\)(?:\^(\d+))?", lambda m: KOPoint(*_ints(m))),
+                   lambda s: f"KO[{s.degree}](pt)" + _pow_suffix(s.multiplicity)),
     # connective: negative degrees vanish, no degree is reduced
     KoPoint: _Kind(lambda s: (5, s.degree), "multiplicity",
                    lambda s, c: KoPoint(s.degree, c),
                    lambda s: s if s.degree >= 0 else None,
-                   lambda s: f"ko[{s.degree}](pt)" + _pow_suffix(s.multiplicity),
-                   r"ko\[(-?\d+)\]\(pt\)(?:\^(\d+))?", lambda m: KoPoint(*_ints(m))),
+                   lambda s: f"ko[{s.degree}](pt)" + _pow_suffix(s.multiplicity)),
     UnknownPTorsion: _Kind(
         lambda s: (6, s.tag, s.layer_bounds or ()), None, None, _canon_unknown,
         lambda s: (f"T{{{s.tag}; finite}}" if s.layer_bounds is None else
-                   f"T{{{s.tag}; bounds=[{', '.join(map(str, s.layer_bounds))}]}}"),
-        r"T\{([^;]+); (?:finite|bounds=\[([0-9, ]*)\])\}",
-        lambda m: UnknownPTorsion(
-            m[1], None if m[2] is None else tuple(map(int, re.findall(r"\d+", m[2]))))),
+                   f"T{{{s.tag}; bounds=[{', '.join(map(str, s.layer_bounds))}]}}")),
 }
-_PARSERS = [(re.compile(kind.pattern), kind.parse) for kind in _KINDS.values()]
 
 
 @dataclass(frozen=True)
@@ -432,25 +396,8 @@ def _plus(s, t) -> tuple:
     return (kind.recount(s, count),) if count else ()
 
 
-def parse_expression(text: str) -> GroupExpression:
-    """Inverse of GroupExpression.render for the canonical grammar."""
-    text = text.strip()
-    if text == "0":
-        return GroupExpression.zero()
-    summands: list = []
-    for tok in text.split(" (+) "):
-        for rx, build in _PARSERS:
-            m = rx.fullmatch(tok)
-            if m:
-                summands.append(build(m))
-                break
-        else:
-            raise ValueError(f"cannot parse summand {tok!r}")
-    return GroupExpression(tuple(summands))
-
-
 def expr_evaluate(e: GroupExpression) -> GroupExpression:
-    """Expand every KO/ko point summand through the point tables.
+    """Expand every KO/ko point summand through the KO point table.
 
     PAdic, Pruefer and unknown-torsion summands pass through unchanged;
     the result carries no point summands, so the map is idempotent, and

@@ -171,13 +171,19 @@ def canonical_gamma(p: int, k: int) -> GammaDescriptor:
     """Descriptor for the k-fold sum of the cyclotomic twist.
 
     The action is valid by construction (order p, free away from the
-    origin), so it skips `validate_gamma`.
+    origin), so it skips `validate_gamma`.  Its rank n = k(p - 1) is
+    bounded by `zpmod.MAX_SUMMAND_DIM`, the widest dense matrix the
+    library builds, before the primality test or the action costs anything.
     """
     if k < 1:
         raise BadRankError(f"k = {k} must be >= 1")
+    n = k * (p - 1)
+    if n > zpmod.MAX_SUMMAND_DIM:
+        raise BadRankError(f"n = k(p - 1) = {n} exceeds the limit "
+                           f"{zpmod.MAX_SUMMAND_DIM}")
     if not is_prime(p):
         raise NotPrimeError(f"p = {p} must be prime")
-    return GammaDescriptor(p, k * (p - 1), k, _canonical_action(p, k), True)
+    return GammaDescriptor(p, n, k, _canonical_action(p, k), True)
 
 
 @dataclass(frozen=True)
@@ -599,7 +605,6 @@ def build_report(G: GammaDescriptor,
     compares the closed forms with the spectral assembly.
     """
     fsd = finite_subgroup_data(G)
-    abelianization(G)
     scalars = {
         "d_ev": d_even(G),
         "d_odd": d_odd(G),

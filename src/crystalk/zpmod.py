@@ -115,8 +115,11 @@ def make_cyclotomic(p: int) -> ZpModule:
     """Ring of integers on a primitive p-th root, basis 1, z, ..., z^{p-2}.
 
     The generator acts as the companion matrix of 1 + x + ... + x^{p-1};
-    for p = 2 this is the sign action on Z.
+    for p = 2 this is the sign action on Z.  Its rank p - 1 is bounded by
+    MAX_SUMMAND_DIM before the primality test.
     """
+    if p - 1 > MAX_SUMMAND_DIM:
+        raise ValueError(f"rank p - 1 = {p - 1} exceeds the limit {MAX_SUMMAND_DIM}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     n = p - 1

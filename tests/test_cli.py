@@ -206,30 +206,56 @@ DIAG_2 = [[2 if i == j == 0 else int(i == j) for j in range(12)]
           for i in range(12)]   # diag(2, 1, ..., 1), of infinite order
 
 
-@pytest.mark.parametrize("p, matrix, code", [
-    (HUGE_PRIME, [[-1]], "WrongOrder"),      # (-1)^p = -1
-    (2 * HUGE_PRIME, [[-1]], "NotPrime"),    # (-1)^p = 1, p even
-    (HUGE_PRIME, [[2]], "WrongOrder"),       # infinite order
-    (2 * HUGE_PRIME, [[2, 1], [1, 1]], "NotPrime"),
-    (5354228880, DIAG_2, "NotPrime"),   # lcm(1, ..., 24): rho^p holds 2^p
-    (HUGE_PRIME, DIAG_2, "WrongOrder")])
-def test_huge_p_is_refused_at_once(tmp_path, p, matrix, code):
+def _matrix_file(p, matrix):
+    """The argv of a --matrix report; the test writes the file."""
+    return ["--matrix", {"p": p, "matrix": matrix}]
+
+
+def _limit(n):
+    return f"BadRank: n = k(p - 1) = {n} exceeds the limit {MAX_SUMMAND_DIM}"
+
+
+@pytest.mark.parametrize("args, expected", [
+    (_matrix_file(HUGE_PRIME, [[-1]]), "WrongOrder"),      # (-1)^p = -1
+    (_matrix_file(2 * HUGE_PRIME, [[-1]]), "NotPrime"),    # (-1)^p = 1, p even
+    (_matrix_file(HUGE_PRIME, [[2]]), "WrongOrder"),       # infinite order
+    (_matrix_file(2 * HUGE_PRIME, [[2, 1], [1, 1]]), "NotPrime"),
+    (_matrix_file(5354228880, DIAG_2), "NotPrime"),   # lcm(1, ..., 24): rho^p holds 2^p
+    (_matrix_file(HUGE_PRIME, DIAG_2), "WrongOrder"),
+    # the rank k(p - 1) is bounded before the primality test and the action
+    (["--p", str(HUGE_PRIME), "--k", "1"], _limit(HUGE_PRIME - 1)),
+    (["--p", "1000003", "--k", "1"], _limit(1000002)),
+    (["--p", "20011", "--k", "1"], _limit(20010))],
+    ids=["1000000000000000003-matrix0-WrongOrder",
+         "2000000000000000006-matrix1-NotPrime",
+         "1000000000000000003-matrix2-WrongOrder",
+         "2000000000000000006-matrix3-NotPrime",
+         "5354228880-matrix4-NotPrime",
+         "1000000000000000003-matrix5-WrongOrder",
+         "1000000000000000003-k1-BadRank", "1000003-k1-BadRank",
+         "20011-k1-BadRank"])
+def test_huge_p_is_refused_at_once(tmp_path, args, expected):
     # trial division up to n + 1 comes first, and rho^p is formed only
     # for p <= n + 1; the address-space limit turns a power that grows
     # without bound into a failure, not a stalled host
     path = tmp_path / "rho.json"
-    path.write_text(json.dumps({"p": p, "matrix": matrix}))
+    argv = []
+    for arg in args:
+        if isinstance(arg, dict):
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        argv.append(arg)
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "crystalk.cli", "report", "--matrix",
-         str(path)], capture_output=True, text=True, timeout=60,
+        [sys.executable, "-m", "crystalk.cli", "report", *argv],
+        capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
                                               (2 ** 30, 2 ** 30)))
     assert time.perf_counter() - start < 1.0
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert code in proc.stderr
+    assert expected in proc.stderr
 
 
 def test_report_notfree_names_vector(tmp_path, capsys):

@@ -150,6 +150,13 @@ def test_canonical_nonprime_rejected():
         canonical_gamma(4, 1)
 
 
+def test_canonical_rank_is_bounded_before_primality():
+    assert canonical_gamma(2, zpmod.MAX_SUMMAND_DIM).n == zpmod.MAX_SUMMAND_DIM
+    for p, k in ((2, zpmod.MAX_SUMMAND_DIM + 1), (4, 1000), (10 ** 18 + 3, 1)):
+        with pytest.raises(BadRankError, match=f"{k * (p - 1)} exceeds the limit"):
+            canonical_gamma(p, k)
+
+
 # perfbench's REPORT_SWEEP and VERIFY_GRID shapes, and the smallest primes
 CANONICAL_SHAPES = ((31, 1), (43, 1), (61, 1), (13, 3), (5, 4), (3, 8),
                     (2, 12), (3, 6), (2, 10), (5, 2), (7, 1), (2, 1), (3, 1))

@@ -1,12 +1,15 @@
 """The package has no runtime dependency: importing it and its command
 line loads no module outside the standard library, and reports, `verify`
 and `oracle` run with numpy unimportable (numpy serves only the tests'
-references and the benchmark)."""
+references and the benchmark).  Every function and class it defines is
+used by its own code."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -73,3 +76,48 @@ def test_the_report_path_never_loads_numpy(tmp_path):
     path.write_text(json.dumps({"p": 3, "matrix": [[2, -7], [1, -3]]}))
     got = json.loads(_run(REPORT_PROBE, str(path)))
     assert got == {"numpy": False, "reports": 2}
+
+
+# Defined in the package and called by none of its code, each on purpose.
+UNREFERENCED = {
+    "crystal.TheoremReport.to_json_dict":
+        "the reference that cli.render_report_json is tested against",
+    "exact_linalg.rank_mod": "the checked public entry to prime-field ranks",
+    "abelian.GroupExpression.is_zero": "a value accessor",
+    "abelian.FGAbelianGroup.order": "a value accessor",
+    "abelian.GroupExpression.pruefer_rank": "a value accessor",
+    "repring.s_m": "the paper's s_m, next to r_m and a_j",
+}
+
+
+def _definitions(node, prefix):
+    """(qualified name, node) of every function and class under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            yield name, child
+            yield from _definitions(child, name)
+
+
+def _names(node):
+    """Every name that code under node reads, as a variable or an attribute;
+    docstrings, comments and imports (so re-exports) hold none."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_definition_is_used_by_the_package():
+    # code that exists only to test itself should go: a function or class
+    # is kept when code of the package outside its own body names it
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "crystalk").glob("*.py"))}
+    used = Counter(name for tree in trees.values() for name in _names(tree))
+    unused = {
+        qualname for module, tree in trees.items()
+        for qualname, node in _definitions(tree, module)
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and used[node.name] == sum(n == node.name for n in _names(node))}
+    assert unused == set(UNREFERENCED)

@@ -46,6 +46,9 @@ def test_cyclotomic_orders():
 def test_nonprime_rejected():
     with pytest.raises(ValueError):
         make_cyclotomic(6)
+    # the rank is bounded before the primality test: 10^18 + 3 is prime
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        make_cyclotomic(10 ** 18 + 3)
     with pytest.raises(ValueError):
         ZpModule(4, [[0, 1], [-1, -1]])
 
