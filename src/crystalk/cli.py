@@ -51,8 +51,13 @@ def _load_descriptor(args: argparse.Namespace) -> GammaDescriptor:
     if (args.k is None) == (args.matrix_file is None):
         raise GammaError("exactly one of --k and --matrix must be given")
     if args.matrix_file is not None:
-        with open(args.matrix_file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(args.matrix_file, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            # not UTF-8, not JSON, an integer past the digit limit or
+            # nesting past the recursion limit
+            raise OSError(f"{args.matrix_file}: {exc}") from exc
         if not isinstance(data, dict) or "p" not in data or "matrix" not in data:
             raise OSError(f"{args.matrix_file}: expected keys 'p' and 'matrix'")
         if not isinstance(data["p"], int) or isinstance(data["p"], bool):
@@ -259,7 +264,7 @@ def main(argv=None) -> int:
     except GammaError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"input/output error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -1,11 +1,11 @@
-"""Closed-form combinatorics in the rational representation ring of Z/p.
+"""Closed-form combinatorics of the Z/p-lattice Z^n, n = k(p-1).
 
-The ring in play has Z-basis the trivial class [Q] and the regular class
-[Q[Z/p]], with [Q] the unit and [Q[Z/p]]^2 = p*[Q[Z/p]].  A class is the
-pair (q, reg) of Python ints standing for q*[Q] + reg*[Q[Z/p]].  From the
-exterior power classes of the rank-(p-1) cyclotomic constituent one obtains
-the fixed-rank counts r_m, the bounded-composition counts a_j and their
-partial sums s_m, together with closed-form sum identities.
+The lattice is k copies of the rank-(p-1) cyclotomic constituent.  Its
+fixed-rank counts r_m = rk (Lambda^m Z^n)^{Z/p} come from the character
+average over Z/p and the bounded-composition counts a_j; alongside them
+are the partial sums s_m of the a_j and closed-form sum identities.  A
+wedge class of the constituent in the rational representation ring is
+the pair (q, reg) of Python ints standing for q*[Q] + reg*[Q[Z/p]].
 """
 
 from __future__ import annotations
@@ -15,53 +15,53 @@ from math import comb
 from .abelian import is_prime
 
 
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
+def _exact(num: int, den: int, what: str) -> int:
+    quot, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError(f"{what} is not divisible by {den}")
+    return quot
+
+
 def lambda_class(p: int, l: int) -> tuple[int, int]:
     """Class (q, reg) of the l-th exterior power of the cyclotomic constituent.
 
     Equals (-1)^l [Q] + (1/p)(C(p-1, l) - (-1)^l) [Q[Z/p]] for
     0 <= l <= p-1 and the zero class for l >= p.
     """
+    _require_prime(p)
     if l < 0:
         raise ValueError("negative exterior degree")
     if l >= p:
         return (0, 0)
     sign = -1 if l % 2 else 1
-    reg, rest = divmod(comb(p - 1, l) - sign, p)
-    if rest:
-        raise ArithmeticError("binomial congruence C(p-1,l) = (-1)^l mod p failed")
-    return (sign, reg)
-
-
-def lambda_classes(p: int, k: int) -> tuple[tuple[int, int], ...]:
-    """Classes (q, reg) of the 0th to nth exterior powers of k cyclotomic
-    constituents, n = k(p-1), by one convolution over bounded compositions
-    into k parts in [0, p-1].
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    singles = [lambda_class(p, l) for l in range(p)]
-    # classes[j] = class of Lambda^j of the constituents taken so far
-    classes = [(1, 0)]
-    for _ in range(k):
-        nxt = [(0, 0)] * (len(classes) + p - 1)
-        for j, (a, b) in enumerate(classes):
-            for l, (c, d) in enumerate(singles):
-                q, reg = nxt[j + l]
-                # [Q] is the unit, [Q[Z/p]]^2 = p*[Q[Z/p]]
-                nxt[j + l] = (q + a * c, reg + a * d + b * c + b * d * p)
-        classes = nxt
-    return tuple(classes)
+    return (sign, _exact(comb(p - 1, l) - sign, p, f"C(p-1, {l}) - (-1)^{l}"))
 
 
 def r_vector(p: int, k: int) -> tuple[int, ...]:
     """(r_0, ..., r_n) for n = k(p-1); r vanishes above n.
 
-    [Q] and [Q[Z/p]] both have rank-1 fixed subspaces, so r_m = q + reg.
+    A fixed rank is the average of the character.  The identity gives
+    C(n, m); every other element has each primitive p-th root of unity as
+    an eigenvalue k times, so det(1 + t*g) = (sum_{l<p} (-t)^l)^k, whose
+    t^m coefficient is (-1)^m a_m.  Hence p*r_m = C(n, m) + (-1)^m (p-1) a_m.
     """
-    rv = tuple(q + reg for q, reg in lambda_classes(p, k))
-    if min(rv) < 0:
-        raise ArithmeticError(f"fixed rank {min(rv)} is negative")
-    return rv
+    _require_prime(p)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n = k * (p - 1)
+    rv, binom, sign = [], 1, p - 1
+    for m, a in enumerate(a_vector(p, k)):
+        r = _exact(binom + sign * a, p, f"character sum of degree {m}")
+        if r < 0:
+            raise ArithmeticError(f"fixed rank {r} is negative")
+        rv.append(r)
+        binom, sign = binom * (n - m) // (m + 1), -sign
+    return tuple(rv)
 
 
 def r_m(p: int, k: int, m: int) -> int:
@@ -130,34 +130,20 @@ def r_sum_identities(p: int, k: int,
     failure and raises.  `rv` is r_vector(p, k) when the caller already
     holds it.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     if rv is None:
         rv = r_vector(p, k)
-    direct_all = sum(rv)
-    direct_even = sum(rv[0::2])
-    direct_odd = sum(rv[1::2])
-    direct_alt = direct_even - direct_odd
-    if p == 2:
-        n = k
-        closed_all = 2 ** (k - 1)
-        closed_even = 2 ** (n - 1)
-        closed_odd = 0
-    else:
-        base = 2 ** ((p - 1) * k)
-        closed_all = (base - 1) // p + 1
-        if (base - 1) % p:
-            raise ArithmeticError("2^{(p-1)k} = 1 mod p failed")
-        half = (base + p - 1) // (2 * p)
-        if (base + p - 1) % (2 * p):
-            raise ArithmeticError("even/odd split denominator did not cancel")
-        closed_even = half + (p - 1) * p ** (k - 1) // 2
-        closed_odd = half - (p - 1) * p ** (k - 1) // 2
-    closed_alt = (p - 1) * p ** (k - 1)
-    out = {"sum_all": closed_all, "sum_even": closed_even,
-           "sum_odd": closed_odd, "alternating": closed_alt}
-    direct = {"sum_all": direct_all, "sum_even": direct_even,
-              "sum_odd": direct_odd, "alternating": direct_alt}
+    # the character average at t = 1 and t = -1: (1 + t)^n gives 2^n and 0,
+    # (sum_{l<p} (-t)^l)^k gives p mod 2 and p^k
+    closed_all = _exact(2 ** (k * (p - 1)) + (p - 1) * (p % 2), p, "sum_all")
+    closed_alt = _exact((p - 1) * p ** k, p, "alternating")
+    out = {"sum_all": closed_all,
+           "sum_even": _exact(closed_all + closed_alt, 2, "sum_even"),
+           "sum_odd": _exact(closed_all - closed_alt, 2, "sum_odd"),
+           "alternating": closed_alt}
+    even, odd = sum(rv[0::2]), sum(rv[1::2])
+    direct = {"sum_all": even + odd, "sum_even": even, "sum_odd": odd,
+              "alternating": even - odd}
     if out != direct:
         raise ArithmeticError(f"sum identities failed: closed {out} vs direct {direct}")
     return out

@@ -279,6 +279,19 @@ def test_report_bad_json_exit3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("payload", [
+    b'{"p": 2, "matrix": [[-1]]}\xff',                       # not UTF-8
+    b'{"p": 2, "matrix": [[' + b"1" * 5000 + b']]}',          # 5000 digits
+    b'{"p": 2, "matrix": ' + b"[" * 100000 + b"]" * 100000 + b'}',
+], ids=["not-utf8", "long-integer", "deep-nesting"])
+def test_report_unreadable_file_exit3(tmp_path, capsys, payload):
+    path = tmp_path / "rho.json"
+    path.write_bytes(payload)
+    code, out, err = run(capsys, "report", "--matrix", str(path))
+    assert (code, out) == (3, "")
+    assert "input/output error" in err
+
+
 def test_report_float_entries_exit3(tmp_path, capsys):
     path = tmp_path / "rho.json"
     path.write_text(json.dumps({"p": 2, "matrix": [[-1.0]]}))

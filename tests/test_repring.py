@@ -4,7 +4,7 @@ import pytest
 
 from crystalk import repring
 from crystalk.repring import (a_j, a_j_inclusion_exclusion, a_vector,
-                              lambda_class, lambda_classes, r_m,
+                              lambda_class, r_m,
                               r_sum_identities, r_vector, s_m, s_vector)
 
 PRIMES = (2, 3, 5, 7)
@@ -21,7 +21,9 @@ def pair_product(p, x, y):
 
 
 def naive_lambda_class_total(p, k, m):
-    """Class of Lambda^m by its own convolution up to degree m."""
+    """Class of Lambda^m by a convolution in the representation ring up to
+    degree m; r_m is q + reg, since [Q] and [Q[Z/p]] both have rank-1
+    fixed subspaces."""
     singles = [lambda_class(p, l) for l in range(p)]
     classes = [(1, 0)] + [(0, 0)] * m
     for _ in range(k):
@@ -92,40 +94,51 @@ def test_total_class_sum():
 
 
 def test_lambda_total_degree_zero():
-    assert lambda_classes(5, 2)[0] == (1, 0)
+    assert naive_lambda_class_total(5, 2, 0) == (1, 0)
     assert r_m(5, 2, 0) == 1
 
 
 def test_lambda_total_p3_k2_m2():
     # 2*(wedge^0 x wedge^2) + (wedge^1)^2 expands to 3[Q] + [Q[Z/3]]
-    assert lambda_classes(3, 2)[2] == (3, 1)
+    assert naive_lambda_class_total(3, 2, 2) == (3, 1)
     assert r_m(3, 2, 2) == 4
 
 
 def test_lambda_total_vanishes_above_top():
-    assert len(lambda_classes(3, 1)) == 3
+    assert len(r_vector(3, 1)) == 3
     assert r_m(3, 1, 3) == 0
 
 
 def test_negative_fixed_rank_refused(monkeypatch):
-    # q + reg < 0 is no rank: r_vector refuses it rather than reporting it
-    monkeypatch.setattr(repring, "lambda_classes",
-                        lambda p, k: ((1, 0), (-2, 1)))
-    with pytest.raises(ArithmeticError):
+    # the average (C(2, m) + (-1)^m 2 a_m) / 3 of (1, 4, 1) is (1, -2, 1):
+    # an integer, but no rank; r_vector refuses it rather than reporting it
+    monkeypatch.setattr(repring, "a_vector", lambda p, k: (1, 4, 1))
+    with pytest.raises(ArithmeticError, match="negative"):
         r_vector(3, 1)
+
+
+def test_non_integer_character_average_refused(monkeypatch):
+    # (C(2, 1) - 2 * 2) / 3 is no integer
+    monkeypatch.setattr(repring, "a_vector", lambda p, k: (1, 2, 1))
+    with pytest.raises(ArithmeticError, match="not divisible by 3"):
+        r_vector(3, 1)
+
+
+def test_non_prime_p_refused():
+    for call, args in ((lambda_class, (9, 2)), (lambda_class, (4, 1)),
+                       (r_vector, (4, 2)), (r_m, (1, 1, 0))):
+        with pytest.raises(ValueError, match=f"^{args[0]} is not prime$"):
+            call(*args)
 
 
 @pytest.mark.parametrize("p,k", TABLE_GRID)
 def test_lambda_table_matches_per_degree_convolution(p, k):
     n = k * (p - 1)
-    table = lambda_classes(p, k)
-    assert len(table) == n + 1
-    for m in range(n + 1):
-        assert table[m] == naive_lambda_class_total(p, k, m), (p, k, m)
     rv = r_vector(p, k)
-    assert rv == tuple(q + reg for q, reg in table)
+    assert len(rv) == n + 1
+    for m in range(n + 1):
+        assert rv[m] == sum(naive_lambda_class_total(p, k, m)), (p, k, m)
     # exact Python ints, not numpy scalars or Fractions
-    assert all(type(x) is int for pair in table for x in pair)
     assert all(type(x) is int for x in rv)
     for m in (n + 1, n + 2, n + 7):
         assert r_m(p, k, m) == 0
@@ -147,6 +160,13 @@ def test_r_vectors_frozen():
     assert r_vector(7, 1) == (1, 0, 3, 2, 3, 0, 1)
     assert r_vector(3, 2) == (1, 0, 4, 0, 1)
     assert r_vector(2, 3) == (1, 0, 3, 0)
+
+
+def test_r_p2_closed_form():
+    # -1 fixes exactly the even exterior powers of Z^k
+    for k in (1, 2, 3, 12, 64, 511, 512):
+        assert r_vector(2, k) == tuple(comb(k, m) if m % 2 == 0 else 0
+                                       for m in range(k + 1)), k
 
 
 def test_r_k1_closed_form():

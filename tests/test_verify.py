@@ -96,8 +96,8 @@ def test_five_term_cell_catches_a_shifted_s_table(monkeypatch, fresh_shapes):
 
 
 def test_wedge_class_cells_catch_a_wrong_class(monkeypatch, fresh_shapes):
-    # reg of Lambda^1 off by one breaks both wedge-class relations; the
-    # cells run alone, since the sum-identity cell raises on it first
+    # reg of Lambda^1 off by one breaks both wedge-class relations; r is
+    # read from the a-table, so no other cell sees the wrong class
     names = ("repring: consecutive wedge-class relation",
              "repring: total wedge-class sum")
     real = repring.lambda_class
