@@ -1,8 +1,9 @@
 """Finitely generated abelian groups and symbolic group expressions.
 
 FGAbelianGroup is the canonical value type for every exactly-computed
-group: a free rank plus an ascending divisibility chain of invariant
-factors.  Two values compare equal exactly when the groups are isomorphic.
+group: a free rank plus the ascending divisibility chain of invariant
+factors as runs (factor, copies), so no count is ever written out.  Two
+values compare equal exactly when the groups are isomorphic.
 
 GroupExpression is the output vocabulary for the theorem evaluators: a
 normalized multiset of summands drawn from seven kinds, namely free parts,
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 from typing import NamedTuple
 
 
@@ -45,18 +46,16 @@ def is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
-def _chain_from_prime_powers(powers: dict[int, list[int]]) -> tuple[int, ...]:
-    """Invariant factors, ascending, of the sum of the cyclic groups Z/p^e
-    for each prime p and each exponent e in powers[p].
+def _chain_from_prime_powers(powers: dict[int, Counter]) -> tuple:
+    """Invariant factors, ascending, as runs (factor, copies) of the sum of
+    powers[p][e] copies of Z/p^e over each prime p and exponent e.
 
     The i-th largest factor is the product over p of p to the i-th largest
     exponent, so it stays constant on runs where no prime's exponent
-    changes; each run is emitted at once (exterior powers hand over
-    thousands of copies of one Z/p).
+    changes; each run is taken at once.
     """
     # per prime: (e, copies) ascending in e, so the largest exponent is last
-    stacks = [(p, sorted(Counter(exps).items()))
-              for p, exps in powers.items() if exps]
+    stacks = [(p, sorted(exps.items())) for p, exps in powers.items()]
     runs: list[tuple[int, int]] = []   # (factor, copies), factors descending
     while stacks:
         run = min(stack[-1][1] for _p, stack in stacks)
@@ -68,36 +67,38 @@ def _chain_from_prime_powers(powers: dict[int, list[int]]) -> tuple[int, ...]:
                 stack.append((e, copies - run))
         runs.append((f, run))
         stacks = [(p, stack) for p, stack in stacks if stack]
-    chain: list[int] = []
-    for f, run in reversed(runs):
-        chain.extend([f] * run)
-    return tuple(chain)
+    return tuple(reversed(runs))
 
 
 @dataclass(frozen=True)
 class FGAbelianGroup:
-    """Z^free_rank plus cyclic factors in an ascending divisibility chain.
+    """Z^free_rank plus cyclic factors in an ascending divisibility chain,
+    held as runs (factor, copies); built from runs (order, copies) in any
+    order, repeats allowed, factoring each distinct order once.
 
-    >>> FGAbelianGroup(0, [2, 3]) == FGAbelianGroup(0, [6])
+    >>> FGAbelianGroup(0, [(2, 1), (3, 1)]) == FGAbelianGroup(0, [(6, 1)])
     True
-    >>> str(FGAbelianGroup(1, [2, 6]))
+    >>> FGAbelianGroup(1, [(4, 1), (2, 3), (6, 1)]).torsion
+    ((2, 4), (12, 1))
+    >>> str(FGAbelianGroup(1, [(6, 1), (2, 1)]))
     'Z (+) (Z/2)^2 (+) Z/3'
     """
 
     free_rank: int
-    torsion: tuple[int, ...] = ()
+    torsion: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError("negative free rank")
-        powers: dict[int, list[int]] = {}
-        # each distinct order is factored once: wedge powers repeat (Z/p)
-        # hundreds of times
-        for d, copies in Counter(self.torsion).items():
-            if d < 2:
-                raise ValueError("torsion orders must be >= 2")
+        orders: Counter = Counter()
+        for d, copies in self.torsion:
+            if d < 2 or copies < 0:
+                raise ValueError(f"bad run ({d}, {copies}): order < 2 or copies < 0")
+            orders[d] += copies
+        powers: dict[int, Counter] = {}
+        for d, copies in (+orders).items():   # runs of no copies drop out
             for p, e in factorint(d).items():
-                powers.setdefault(p, []).extend([e] * copies)
+                powers.setdefault(p, Counter())[e] += copies
         object.__setattr__(self, "torsion", _chain_from_prime_powers(powers))
 
     @classmethod
@@ -110,12 +111,12 @@ class FGAbelianGroup:
 
     @classmethod
     def cyclic(cls, n: int) -> "FGAbelianGroup":
-        return cls(0, (n,)) if n != 1 else cls.trivial()
+        return cls(0, ((n, 1),)) if n != 1 else cls.trivial()
 
     @classmethod
     def elementary(cls, p: int, copies: int) -> "FGAbelianGroup":
         """(Z/p)^copies."""
-        return cls(0, (p,) * copies)
+        return cls(0, ((p, copies),))
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
@@ -124,10 +125,7 @@ class FGAbelianGroup:
         """Group order, or None when infinite."""
         if self.free_rank:
             return None
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
+        return prod(d ** copies for d, copies in self.torsion)
 
     def torsion_subgroup(self) -> "FGAbelianGroup":
         return FGAbelianGroup(0, self.torsion)
@@ -136,23 +134,19 @@ class FGAbelianGroup:
         return self.to_expression().render()
 
     def to_expression(self) -> "GroupExpression":
-        # each distinct order is factored once; the normalizer adds the
+        # each run's factor is factored once; the normalizer adds the
         # copies of equal prime powers
         return GroupExpression((FreeZ(self.free_rank),) + tuple(
             CyclicPrimePower(p, e, copies)
-            for d, copies in Counter(self.torsion).items()
+            for d, copies in self.torsion
             for p, e in factorint(d).items()))
 
 
 def direct_sum(*groups: FGAbelianGroup) -> FGAbelianGroup:
-    """Direct sum of any number of groups, normalized once; with none it
-    is the trivial group."""
-    free = 0
-    torsion: list[int] = []
-    for g in groups:
-        free += g.free_rank
-        torsion.extend(g.torsion)
-    return FGAbelianGroup(free, tuple(torsion))
+    """Direct sum of any number of groups: their runs joined and
+    normalized once; with none it is the trivial group."""
+    return FGAbelianGroup(sum(g.free_rank for g in groups),
+                          [run for g in groups for run in g.torsion])
 
 
 def hom_dual(a: FGAbelianGroup) -> FGAbelianGroup:
@@ -339,17 +333,14 @@ class GroupExpression:
 
     def to_fg(self) -> FGAbelianGroup:
         """Convert to FGAbelianGroup; defined only for finitary summands."""
-        free = 0
-        torsion: list[int] = []
+        runs = []
         for s in self.summands:
-            if isinstance(s, FreeZ):
-                free += s.rank
-            elif isinstance(s, CyclicPrimePower):
-                torsion.extend([s.p ** s.exponent] * s.multiplicity)
-            else:
+            if isinstance(s, CyclicPrimePower):
+                runs.append((s.p ** s.exponent, s.multiplicity))
+            elif not isinstance(s, FreeZ):
                 raise ValueError(f"summand {s!r} is not a finitely "
                                  "generated abelian group")
-        return FGAbelianGroup(free, tuple(torsion))
+        return FGAbelianGroup(self.free_rank, runs)
 
     def render(self) -> str:
         if not self.summands:

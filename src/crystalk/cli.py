@@ -225,7 +225,8 @@ def _oracle_payload(G: GammaDescriptor) -> dict:
         "tate": {str(j): {str(i): str(zpmod.tate(mod, i)) for i in (0, 1)}
                  for j, mod in enumerate(mods)},
         "coker_invariant_factors": [
-            int(x) for x in crystal.finite_subgroup_data(G).cokernel.torsion],
+            d for d, copies in crystal.finite_subgroup_data(G).cokernel.torsion
+            for _ in range(copies)],
     }
 
 

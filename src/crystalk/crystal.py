@@ -139,6 +139,7 @@ def validate_gamma(p: int, rho) -> GammaDescriptor:
     n = len(rho)
     if n == 0 or any(len(row) != n for row in rho):
         raise BadRankError("action matrix must be square and nonempty")
+    _bound_rank(n)
     # trial division by 2, ..., n + 1 first: a p with no divisor there is
     # a prime of at most n + 1 or has no prime factor that small, so
     # `power_is_identity` forms rho^p only for p <= n + 1, and a p that
@@ -167,20 +168,25 @@ def _canonical_action(p: int, k: int) -> list[list[int]]:
     return zpmod.direct_sum(*[zpmod.make_cyclotomic(p)] * k).action
 
 
+def _bound_rank(n: int) -> None:
+    """Refuse a rank above `zpmod.MAX_SUMMAND_DIM`, the widest dense matrix
+    the library builds, before p is tested or any power of the action."""
+    if n > zpmod.MAX_SUMMAND_DIM:
+        raise BadRankError(f"n = k(p - 1) = {n} exceeds the limit "
+                           f"{zpmod.MAX_SUMMAND_DIM}")
+
+
 def canonical_gamma(p: int, k: int) -> GammaDescriptor:
     """Descriptor for the k-fold sum of the cyclotomic twist.
 
     The action is valid by construction (order p, free away from the
-    origin), so it skips `validate_gamma`.  Its rank n = k(p - 1) is
-    bounded by `zpmod.MAX_SUMMAND_DIM`, the widest dense matrix the
-    library builds, before the primality test or the action costs anything.
+    origin), so it skips `validate_gamma`; its rank n = k(p - 1) is
+    bounded as there (`_bound_rank`).
     """
     if k < 1:
         raise BadRankError(f"k = {k} must be >= 1")
     n = k * (p - 1)
-    if n > zpmod.MAX_SUMMAND_DIM:
-        raise BadRankError(f"n = k(p - 1) = {n} exceeds the limit "
-                           f"{zpmod.MAX_SUMMAND_DIM}")
+    _bound_rank(n)
     if not is_prime(p):
         raise NotPrimeError(f"p = {p} must be prime")
     return GammaDescriptor(p, n, k, _canonical_action(p, k), True)

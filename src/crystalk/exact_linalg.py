@@ -336,7 +336,7 @@ def cokernel_structure(M) -> FGAbelianGroup:
     m = len(D)
     rank = _diagonalize(D)
     return FGAbelianGroup(m - rank,
-                          [D[i][i] for i in range(rank) if D[i][i] != 1])
+                          [(D[i][i], 1) for i in range(rank) if D[i][i] != 1])
 
 
 def smith_normal_form(M) -> tuple[list[list[int]], list[list[int]],

@@ -39,7 +39,7 @@ from itertools import (chain, combinations, combinations_with_replacement,
                        compress, product)
 from math import comb, factorial, prod
 
-from . import abelian, exact_linalg as la
+from . import exact_linalg as la
 from .abelian import FGAbelianGroup, is_prime
 
 # bounds on what the exterior powers of one base build (see `exterior_power`)
@@ -184,8 +184,9 @@ def exterior_power(m: ZpModule, deg: int) -> ExteriorPower:
     Every degree of m is refused alike, before anything is built, when the
     widest summand of any degree (the product over block types of
     C(|B|, |B| // 2)^count) exceeds MAX_SUMMAND_DIM, or the largest rank
-    C(rank, rank // 2), which bounds the cyclic factors `coinvariants`
-    expands, exceeds MAX_EXTERIOR_RANK: ExteriorGuardrailError.
+    C(rank, rank // 2) exceeds MAX_EXTERIOR_RANK, which bounds the rank,
+    and so the cell count of a grid, where every summand is 1 x 1 (p = 2):
+    ExteriorGuardrailError.
     """
     if deg < 0 or deg > m.rank:
         raise ValueError(f"exterior degree {deg} outside [0, {m.rank}]")
@@ -369,15 +370,16 @@ def fixed_rank(m: ZpModule) -> int:
 def coinvariants(m: ZpModule) -> FGAbelianGroup:
     """Largest quotient with trivial action: cokernel of (action - id).
 
-    Exact: one Smith-form diagonalization per distinct summand, repeated
-    by its multiplicity (coinvariants commute with direct sums).
+    Exact: one Smith-form diagonalization per distinct summand, its runs
+    scaled by its multiplicity (coinvariants commute with direct sums).
     """
     def compute():
         if m.summands is None:
             # as a list, which perfbench/tracer.py can size
             return la.cokernel_structure(list(la.minus_identity(m.action)))
-        return abelian.direct_sum(*[coinvariants(S) for c, S in m.summands
-                                    for _ in range(c)])
+        parts = [(c, coinvariants(S)) for c, S in m.summands]
+        return FGAbelianGroup(sum(c * g.free_rank for c, g in parts), [
+            (d, c * copies) for c, g in parts for d, copies in g.torsion])
     return m._memo("coinvariants", compute)
 
 
@@ -415,10 +417,8 @@ def tate(m: ZpModule, i: int) -> FGAbelianGroup:
     """
     rank_q_n, rank_p_t = _field_ranks(m)
     h1 = m.rank - rank_q_n - rank_p_t
-    if i % 2:
-        return FGAbelianGroup.elementary(m.p, h1)
-    return FGAbelianGroup.elementary(
-        m.p, h1 + (m.p * rank_q_n - m.rank) // (m.p - 1))
+    h0 = h1 + (m.p * rank_q_n - m.rank) // (m.p - 1)
+    return FGAbelianGroup.elementary(m.p, h1 if i % 2 else h0)
 
 
 def tate_reference(m: ZpModule, i: int) -> FGAbelianGroup:

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,22 +16,42 @@ from crystalk.abelian import (CyclicPrimePower, FGAbelianGroup, FreeZ,
 # -- canonical form ----------------------------------------------------------
 
 def test_crt_refactoring():
-    assert FGAbelianGroup(0, (2, 3)) == FGAbelianGroup(0, (6,))
+    assert FGAbelianGroup(0, ((2, 1), (3, 1))) == FGAbelianGroup(0, ((6, 1),))
 
 
 def test_chain_kept():
-    assert FGAbelianGroup(0, (2, 4)).torsion == (2, 4)
+    assert FGAbelianGroup(0, ((2, 1), (4, 1))).torsion == ((2, 1), (4, 1))
 
 
 def test_mixed_chain():
-    assert FGAbelianGroup(0, (4, 6)).torsion == (2, 12)
+    assert FGAbelianGroup(0, ((4, 1), (6, 1))).torsion == ((2, 1), (12, 1))
 
 
 def test_rejects_bad_orders():
     with pytest.raises(ValueError):
-        FGAbelianGroup(0, (1,))
+        FGAbelianGroup(0, ((1, 1),))
     with pytest.raises(ValueError):
         FGAbelianGroup(-1, ())
+    with pytest.raises(ValueError):
+        FGAbelianGroup(0, ((2, -1),))
+
+
+def test_runs_in_any_order_with_repeats():
+    g = FGAbelianGroup(0, ((6, 1), (2, 2), (4, 0), (2, 1)))
+    assert g.torsion == ((2, 3), (6, 1))
+    assert g == FGAbelianGroup(0, ((3, 1), (2, 4)))
+
+
+def test_counts_are_never_written_out():
+    # each returns at once: a count is carried, never expanded
+    big = FGAbelianGroup.elementary(3, 10 ** 30)
+    assert big.torsion == ((3, 10 ** 30),)
+    two = GroupExpression((CyclicPrimePower(2, 1, 2 ** 64),)).to_fg()
+    assert two.torsion == ((2, 2 ** 64),)
+    assert direct_sum(big, big).torsion == ((3, 2 * 10 ** 30),)
+    assert direct_sum(two, two, two).torsion == ((2, 3 * 2 ** 64),)
+    assert direct_sum(big, two).torsion == ((3, 10 ** 30 - 2 ** 64),
+                                            (6, 2 ** 64))
 
 
 def test_is_prime_matches_a_sieve():
@@ -55,7 +76,8 @@ def test_is_prime_stops_at_the_first_divisor():
 
 
 def test_order():
-    assert FGAbelianGroup(0, (2, 4)).order() == 8
+    assert FGAbelianGroup(0, ((2, 1), (4, 1))).order() == 8
+    assert FGAbelianGroup(0, ((3, 4),)).order() == 81
     assert FGAbelianGroup(1, ()).order() is None
     assert FGAbelianGroup.trivial().order() == 1
 
@@ -74,27 +96,27 @@ def test_direct_sum_free():
 
 def test_direct_sum_chain():
     got = direct_sum(FGAbelianGroup.cyclic(2), FGAbelianGroup.cyclic(4))
-    assert got.torsion == (2, 4)
+    assert got.torsion == ((2, 1), (4, 1))
 
 
 def test_hom_dual():
-    a = FGAbelianGroup(3, (5,))
+    a = FGAbelianGroup(3, ((5, 1),))
     assert hom_dual(a) == FGAbelianGroup.free(3)
     assert hom_dual(FGAbelianGroup.cyclic(7)).is_trivial()
 
 
 def test_ext_dual():
-    a = FGAbelianGroup(3, (5,))
+    a = FGAbelianGroup(3, ((5, 1),))
     assert ext_dual(a) == FGAbelianGroup.cyclic(5)
     assert ext_dual(FGAbelianGroup.free(4)).is_trivial()
-    b = FGAbelianGroup(0, (2, 4))
+    b = FGAbelianGroup(0, ((2, 1), (4, 1)))
     assert ext_dual(b) == b
 
 
 fg_groups = st.builds(
     FGAbelianGroup,
     st.integers(0, 4),
-    st.lists(st.integers(2, 30), max_size=4).map(tuple))
+    st.lists(st.tuples(st.integers(2, 30), st.integers(0, 3)), max_size=4))
 
 
 @given(fg_groups, fg_groups, fg_groups)
@@ -198,7 +220,8 @@ def test_expr_evaluate_examples():
 
 def test_to_fg():
     e = fg_expression(2, 5, 3)
-    assert e.to_fg() == FGAbelianGroup(2, (5, 5, 5))
+    assert e.to_fg() == FGAbelianGroup(2, ((5, 3),))
+    assert e.to_fg().torsion == ((5, 3),)
     with pytest.raises(ValueError):
         GroupExpression((PAdic(3, 1),)).to_fg()
 
@@ -331,7 +354,7 @@ def test_expression_sum_commutes(a, b):
 
 
 def test_fg_to_expression_roundtrip():
-    g = FGAbelianGroup(2, (2, 12))
+    g = FGAbelianGroup(2, ((2, 1), (12, 1)))
     assert g.to_expression().to_fg() == g
 
 
@@ -444,10 +467,16 @@ prime_powers = st.dictionaries(
 @given(prime_powers)
 @settings(max_examples=60, deadline=None)
 def test_chain_runs_match_elementwise(powers):
-    assert _chain_from_prime_powers(powers) == _chain_elementwise(powers)
+    runs = _chain_from_prime_powers(
+        {p: Counter(exps) for p, exps in powers.items() if exps})
+    assert all(copies > 0 for _f, copies in runs)
+    factors = [f for f, _copies in runs]
+    assert factors == sorted(set(factors))
+    written_out = tuple(f for f, copies in runs for _ in range(copies))
+    assert written_out == _chain_elementwise(powers)
 
 
 def test_large_elementary_chain():
-    g = FGAbelianGroup(0, (3,) * 1200 + (9, 27, 2))
-    assert g.torsion == (3,) * 1200 + (9, 54)
-    assert g == FGAbelianGroup(0, (6, 3, 27, 9) + (3,) * 1198)
+    g = FGAbelianGroup(0, ((3, 1200), (9, 1), (27, 1), (2, 1)))
+    assert g.torsion == ((3, 1200), (9, 1), (54, 1))
+    assert g == FGAbelianGroup(0, ((6, 1), (3, 1), (27, 1), (9, 1), (3, 1198)))

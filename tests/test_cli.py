@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from crystalk import crystal, exact_linalg as la, verify
+from crystalk import crystal, exact_linalg as la, verify, zpmod
 from crystalk.abelian import GroupExpression
 from crystalk.cli import main, render_report_json
 from crystalk.zpmod import MAX_EXTERIOR_RANK, MAX_SUMMAND_DIM
@@ -256,6 +256,17 @@ def test_huge_p_is_refused_at_once(tmp_path, args, expected):
     assert time.perf_counter() - start < 1.0
     assert (proc.returncode, proc.stdout) == (2, "")
     assert expected in proc.stderr
+
+
+def test_matrix_file_over_the_rank_limit_is_refused(tmp_path, capsys):
+    # the (3, 1025) action that `--p 3 --k 1025` refuses, given as a file:
+    # refused alike, before its order is checked
+    rho = zpmod.direct_sum(*[zpmod.make_cyclotomic(3)] * 1025).action
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"p": 3, "matrix": rho}, separators=(",", ":")))
+    code, out, err = run(capsys, "report", "--matrix", str(path))
+    assert (code, out) == (2, "")
+    assert _limit(2050) in err
 
 
 def test_report_notfree_names_vector(tmp_path, capsys):

@@ -59,12 +59,15 @@ def test_periodicity_and_duality_cells_compare_with_the_reference(monkeypatch):
             cells[name]()
 
 
-@pytest.mark.parametrize("p, k", [(5, 3), (3, 7), (11, 1), (13, 1), (3, 10)])
+@pytest.mark.parametrize("p, k", [(5, 3), (3, 7), (11, 1), (13, 1), (3, 10),
+                                  (2, 22)])
 def test_grid_beyond_the_benchmark_passes(p, k):
     # rank 12 with 4x4 blocks and rank 14 with 2x2 blocks: the largest
     # exterior powers have 924 and 3432 dimensions; (11,1) and (13,1) are
     # one 10x10 and one 12x12 block, so every compound is a full one;
-    # (3,10) reaches rank C(20, 10) = 184756 from summands of at most 2^10
+    # (3,10) reaches rank C(20, 10) = 184756 from summands of at most 2^10;
+    # (2,22), the largest p = 2 grid the rank bound admits, reaches
+    # C(22, 11) = 705432 copies of one 1x1 summand
     results = verify.run_all(p, k)
     assert results and [r.name for r in results if not r.ok] == []
 

@@ -322,6 +322,16 @@ def test_coinvariants():
     assert coinvariants(make_regular(7)) == FGAbelianGroup.free(1)
 
 
+def test_coinvariants_scale_runs_by_multiplicity():
+    # Lambda^11 of the (2, 22) lattice is one 1 x 1 summand (action -1)
+    # with C(22, 11) = 705432 copies: one diagonalization, one run
+    ext = exterior_power(direct_sum(*[make_cyclotomic(2)] * 22), 11)
+    assert len(ext.summands) == 1
+    assert coinvariants(ext).torsion == ((2, 705432),)
+    even = exterior_power(direct_sum(*[make_cyclotomic(2)] * 22), 10)
+    assert coinvariants(even) == FGAbelianGroup.free(646646)
+
+
 def test_tate_trivial_module():
     for p in PRIMES:
         mod = make_trivial(p, 1)
@@ -523,7 +533,7 @@ def test_herbrand_tate0_matches_power_of_T():
                     power = power @ T
                 rank_p_n = la.rank_mod(power, p)
                 assert rank_p_n == la.rank_mod(mod.norm_matrix(), p)
-                dim0 = len(tate(mod, 0).torsion)
+                dim0 = sum(c for _d, c in tate(mod, 0).torsion)
                 assert rank_p_n == fixed_rank(mod) - dim0, (p, mod.rank)
 
 
