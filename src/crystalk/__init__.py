@@ -6,10 +6,9 @@ reduced group C*-algebras, with every value produced by exact integer
 arithmetic and cross-checkable against brute-force linear-algebra oracles.
 """
 
-from .abelian import (FGAbelianGroup, GroupExpression, FreeZ,
-                      CyclicPrimePower, PAdic, Pruefer, KOPoint, KoPoint,
-                      UnknownPTorsion, direct_sum, hom_dual, ext_dual,
-                      expr_evaluate)
+from .abelian import (GroupExpression, FreeZ, CyclicPrimePower, PAdic,
+                      Pruefer, KOPoint, KoPoint, UnknownPTorsion, hom_dual,
+                      ext_dual, expr_evaluate)
 from .crystal import (GammaDescriptor, GammaError, NotPrimeError,
                       WrongOrderError, NotFreeError, BadRankError,
                       CokernelMismatchError, OddPrimeRequiredError,

@@ -1,25 +1,24 @@
-"""Finitely generated abelian groups and symbolic group expressions.
+"""Symbolic group expressions, the package's one value type for groups.
 
-FGAbelianGroup is the canonical value type for every exactly-computed
-group: a free rank plus the ascending divisibility chain of invariant
-factors as runs (factor, copies), so no count is ever written out.  Two
-values compare equal exactly when the groups are isomorphic.
+A GroupExpression is a normalized multiset of summands drawn from seven
+kinds, namely free parts, cyclic prime-power parts, p-adic and Pruefer
+summands, copies of (connective) real K-theory point groups, and bounded
+unknown torsion.  Each kind is defined once, by its entry in the table
+`_KINDS`: its canonical position, the field counting its copies and the
+constructor call that sets it, the canonical form of one summand, and its
+text.
 
-GroupExpression is the output vocabulary for the theorem evaluators: a
-normalized multiset of summands drawn from seven kinds, namely free parts,
-cyclic prime-power parts, p-adic and Pruefer summands, copies of
-(connective) real K-theory point groups, and bounded unknown torsion.  Each
-kind is defined once, by its entry in the table `_KINDS`: its canonical
-position, the field counting its copies and the constructor call that
-sets it, the canonical form of one summand, and its text.
+Every exactly computed group is finitely generated and is held in its
+elementary-divisor form, free parts plus cyclic prime-power parts, each
+with a count that is never written out; on such expressions equality is
+isomorphism.  The duals and scaling by a count are defined on them alone.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
-from math import isqrt, prod
+from math import isqrt
 from typing import NamedTuple
 
 
@@ -44,119 +43,6 @@ def is_prime(n: int) -> bool:
     """Exact primality by trial division, stopping at the first divisor:
     up to sqrt(n) of them for a prime n."""
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
-
-
-def _chain_from_prime_powers(powers: dict[int, Counter]) -> tuple:
-    """Invariant factors, ascending, as runs (factor, copies) of the sum of
-    powers[p][e] copies of Z/p^e over each prime p and exponent e.
-
-    The i-th largest factor is the product over p of p to the i-th largest
-    exponent, so it stays constant on runs where no prime's exponent
-    changes; each run is taken at once.
-    """
-    # per prime: (e, copies) ascending in e, so the largest exponent is last
-    stacks = [(p, sorted(exps.items())) for p, exps in powers.items()]
-    runs: list[tuple[int, int]] = []   # (factor, copies), factors descending
-    while stacks:
-        run = min(stack[-1][1] for _p, stack in stacks)
-        f = 1
-        for p, stack in stacks:
-            e, copies = stack.pop()
-            f *= p ** e
-            if copies > run:
-                stack.append((e, copies - run))
-        runs.append((f, run))
-        stacks = [(p, stack) for p, stack in stacks if stack]
-    return tuple(reversed(runs))
-
-
-@dataclass(frozen=True)
-class FGAbelianGroup:
-    """Z^free_rank plus cyclic factors in an ascending divisibility chain,
-    held as runs (factor, copies); built from runs (order, copies) in any
-    order, repeats allowed, factoring each distinct order once.
-
-    >>> FGAbelianGroup(0, [(2, 1), (3, 1)]) == FGAbelianGroup(0, [(6, 1)])
-    True
-    >>> FGAbelianGroup(1, [(4, 1), (2, 3), (6, 1)]).torsion
-    ((2, 4), (12, 1))
-    >>> str(FGAbelianGroup(1, [(6, 1), (2, 1)]))
-    'Z (+) (Z/2)^2 (+) Z/3'
-    """
-
-    free_rank: int
-    torsion: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        if self.free_rank < 0:
-            raise ValueError("negative free rank")
-        orders: Counter = Counter()
-        for d, copies in self.torsion:
-            if d < 2 or copies < 0:
-                raise ValueError(f"bad run ({d}, {copies}): order < 2 or copies < 0")
-            orders[d] += copies
-        powers: dict[int, Counter] = {}
-        for d, copies in (+orders).items():   # runs of no copies drop out
-            for p, e in factorint(d).items():
-                powers.setdefault(p, Counter())[e] += copies
-        object.__setattr__(self, "torsion", _chain_from_prime_powers(powers))
-
-    @classmethod
-    def trivial(cls) -> "FGAbelianGroup":
-        return cls(0, ())
-
-    @classmethod
-    def free(cls, rank: int) -> "FGAbelianGroup":
-        return cls(rank, ())
-
-    @classmethod
-    def cyclic(cls, n: int) -> "FGAbelianGroup":
-        return cls(0, ((n, 1),)) if n != 1 else cls.trivial()
-
-    @classmethod
-    def elementary(cls, p: int, copies: int) -> "FGAbelianGroup":
-        """(Z/p)^copies."""
-        return cls(0, ((p, copies),))
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
-    def order(self) -> int | None:
-        """Group order, or None when infinite."""
-        if self.free_rank:
-            return None
-        return prod(d ** copies for d, copies in self.torsion)
-
-    def torsion_subgroup(self) -> "FGAbelianGroup":
-        return FGAbelianGroup(0, self.torsion)
-
-    def __str__(self) -> str:
-        return self.to_expression().render()
-
-    def to_expression(self) -> "GroupExpression":
-        # each run's factor is factored once; the normalizer adds the
-        # copies of equal prime powers
-        return GroupExpression((FreeZ(self.free_rank),) + tuple(
-            CyclicPrimePower(p, e, copies)
-            for d, copies in self.torsion
-            for p, e in factorint(d).items()))
-
-
-def direct_sum(*groups: FGAbelianGroup) -> FGAbelianGroup:
-    """Direct sum of any number of groups: their runs joined and
-    normalized once; with none it is the trivial group."""
-    return FGAbelianGroup(sum(g.free_rank for g in groups),
-                          [run for g in groups for run in g.torsion])
-
-
-def hom_dual(a: FGAbelianGroup) -> FGAbelianGroup:
-    """Hom(A, Z): kills torsion, keeps the free rank."""
-    return FGAbelianGroup.free(a.free_rank)
-
-
-def ext_dual(a: FGAbelianGroup) -> FGAbelianGroup:
-    """Ext^1(A, Z): the torsion subgroup of A."""
-    return a.torsion_subgroup()
 
 
 # KO_m(pt) for m = 0..7 (8-periodic) as (free rank, copies of Z/2)
@@ -287,6 +173,15 @@ class GroupExpression:
     its summands into that form through `_normalize`, the one normalizer,
     and so refuses what it refuses; only `fg_expression` builds the
     canonical tuple directly.
+
+    >>> g = GroupExpression((CyclicPrimePower(2, 1, 1), FreeZ(1),
+    ...                      CyclicPrimePower(2, 1, 1)))
+    >>> str(g + GroupExpression.elementary(3, 1))
+    'Z (+) (Z/2)^2 (+) Z/3'
+    >>> 3 * g == GroupExpression((CyclicPrimePower(2, 1, 6), FreeZ(3)))
+    True
+    >>> str(ext_dual(g))
+    '(Z/2)^2'
     """
 
     summands: tuple = ()
@@ -301,6 +196,11 @@ class GroupExpression:
     @classmethod
     def free(cls, rank: int) -> "GroupExpression":
         return cls((FreeZ(rank),))
+
+    @classmethod
+    def elementary(cls, p: int, copies: int) -> "GroupExpression":
+        """(Z/p)^copies."""
+        return cls((CyclicPrimePower(p, 1, copies),))
 
     @classmethod
     def padic(cls, p: int, rank: int) -> "GroupExpression":
@@ -320,6 +220,15 @@ class GroupExpression:
     def __add__(self, other: "GroupExpression") -> "GroupExpression":
         return GroupExpression(self.summands + other.summands)
 
+    def __rmul__(self, c: int) -> "GroupExpression":
+        """c copies of a finitely generated group: each count times c,
+        through its kind's `recount`, so no copy is written out."""
+        if not isinstance(c, int):
+            return NotImplemented
+        return GroupExpression(tuple(
+            _KINDS[type(s)].recount(s, c * getattr(s, _KINDS[type(s)].count))
+            for s in _finitary(self)))
+
     def is_zero(self) -> bool:
         return not self.summands
 
@@ -330,17 +239,6 @@ class GroupExpression:
     def pruefer_rank(self, p: int) -> int:
         return sum(s.rank for s in self.summands
                    if isinstance(s, Pruefer) and s.p == p)
-
-    def to_fg(self) -> FGAbelianGroup:
-        """Convert to FGAbelianGroup; defined only for finitary summands."""
-        runs = []
-        for s in self.summands:
-            if isinstance(s, CyclicPrimePower):
-                runs.append((s.p ** s.exponent, s.multiplicity))
-            elif not isinstance(s, FreeZ):
-                raise ValueError(f"summand {s!r} is not a finitely "
-                                 "generated abelian group")
-        return FGAbelianGroup(self.free_rank, runs)
 
     def render(self) -> str:
         if not self.summands:
@@ -385,6 +283,27 @@ def _plus(s, t) -> tuple:
         return (s, t)
     count = getattr(s, kind.count) + getattr(t, kind.count)
     return (kind.recount(s, count),) if count else ()
+
+
+def _finitary(e: GroupExpression) -> tuple:
+    """The summands of e, refused unless each is free or cyclic of
+    prime-power order."""
+    for s in e.summands:
+        if type(s) not in (FreeZ, CyclicPrimePower):
+            raise ValueError(f"summand {s!r} is not a finitely "
+                             "generated abelian group")
+    return e.summands
+
+
+def hom_dual(a: GroupExpression) -> GroupExpression:
+    """Hom(A, Z): kills torsion, keeps the free rank."""
+    return GroupExpression(tuple(s for s in _finitary(a) if type(s) is FreeZ))
+
+
+def ext_dual(a: GroupExpression) -> GroupExpression:
+    """Ext^1(A, Z): the torsion subgroup of A."""
+    return GroupExpression(tuple(s for s in _finitary(a)
+                                 if type(s) is CyclicPrimePower))
 
 
 def expr_evaluate(e: GroupExpression) -> GroupExpression:

@@ -224,9 +224,11 @@ def _oracle_payload(G: GammaDescriptor) -> dict:
         "s": list(repring.s_vector(p, k)),
         "tate": {str(j): {str(i): str(zpmod.tate(mod, i)) for i in (0, 1)}
                  for j, mod in enumerate(mods)},
+        # (Z/p)^k, or refused: its invariant factors are its summands
         "coker_invariant_factors": [
-            d for d, copies in crystal.finite_subgroup_data(G).cokernel.torsion
-            for _ in range(copies)],
+            s.p ** s.exponent
+            for s in crystal.finite_subgroup_data(G).cokernel.summands
+            for _ in range(s.multiplicity)],
     }
 
 

@@ -24,8 +24,8 @@ from types import MappingProxyType
 
 from . import exact_linalg as la
 from . import repring, zpmod
-from .abelian import (FGAbelianGroup, GroupExpression, KOPoint, KoPoint,
-                      direct_sum, expr_evaluate, fg_expression, is_prime)
+from .abelian import (FreeZ, GroupExpression, KOPoint, KoPoint,
+                      expr_evaluate, fg_expression, is_prime)
 
 
 class GammaError(ValueError):
@@ -194,7 +194,7 @@ def canonical_gamma(p: int, k: int) -> GammaDescriptor:
 
 @dataclass(frozen=True)
 class FiniteSubgroupData:
-    cokernel: FGAbelianGroup
+    cokernel: GroupExpression
     class_count: int
     fixed_point_count: int
 
@@ -205,7 +205,7 @@ def finite_subgroup_data(G: GammaDescriptor) -> FiniteSubgroupData:
     The cokernel is the lattice module's coinvariants, kept in its memo.
     """
     cok = zpmod.coinvariants(G.module())
-    expected = FGAbelianGroup.elementary(G.p, G.k)
+    expected = GroupExpression.elementary(G.p, G.k)
     if cok != expected:
         raise CokernelMismatchError(
             f"coker(rho - id) = {cok}, expected {expected}")
@@ -213,10 +213,10 @@ def finite_subgroup_data(G: GammaDescriptor) -> FiniteSubgroupData:
     return FiniteSubgroupData(cok, count, count)
 
 
-def abelianization(G: GammaDescriptor) -> FGAbelianGroup:
+def abelianization(G: GammaDescriptor) -> GroupExpression:
     """Largest abelian quotient; always elementary of rank k + 1."""
-    ab = direct_sum(finite_subgroup_data(G).cokernel, FGAbelianGroup.cyclic(G.p))
-    expected = FGAbelianGroup.elementary(G.p, G.k + 1)
+    ab = finite_subgroup_data(G).cokernel + GroupExpression.elementary(G.p, 1)
+    expected = GroupExpression.elementary(G.p, G.k + 1)
     if ab != expected:
         raise CokernelMismatchError(f"abelianization {ab} != {expected}")
     return ab
@@ -515,16 +515,15 @@ def brute_force_cohomology_bgamma(G: GammaDescriptor, m: int) -> GroupExpression
     """
     if m < 0:
         raise ValueError("negative degree")
-    free = 0
-    torsion = []
+    summands = []
     for j in range(0, min(m, G.n) + 1):
         i = m - j
         mod = G.exterior(j)
         if i == 0:
-            free += zpmod.fixed_rank(mod)
+            summands.append(FreeZ(zpmod.fixed_rank(mod)))
         else:
-            torsion.append(zpmod.tate(mod, i))
-    return GroupExpression.free(free) + direct_sum(*torsion).to_expression()
+            summands += zpmod.tate(mod, i).summands
+    return GroupExpression(tuple(summands))
 
 
 # --------------------------------------------------------------------------

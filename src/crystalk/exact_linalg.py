@@ -21,11 +21,13 @@ independent check.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from itertools import chain, compress
 from operator import add
 
-from .abelian import FGAbelianGroup, is_prime
+from .abelian import (CyclicPrimePower, FreeZ, GroupExpression, factorint,
+                      is_prime)
 
 
 def _as_int(x) -> int:
@@ -330,13 +332,18 @@ def _diagonalize(D: list[list[int]], U: list[list[int]] | None = None,
             return rank
 
 
-def cokernel_structure(M) -> FGAbelianGroup:
-    """Structure of Z^rows / column-span(M) as a finitely generated group."""
+def cokernel_structure(M) -> GroupExpression:
+    """Z^rows / column-span(M) in elementary-divisor form: Z^(rows - rank)
+    plus Z/q^e for each prime power q^e exactly dividing a diagonal entry
+    of the diagonalized M.  Each distinct entry is factored once; this is
+    the one place the package factors."""
     D, _ = _rows(M)
     m = len(D)
     rank = _diagonalize(D)
-    return FGAbelianGroup(m - rank,
-                          [(D[i][i], 1) for i in range(rank) if D[i][i] != 1])
+    entries = Counter(D[i][i] for i in range(rank))
+    return GroupExpression((FreeZ(m - rank),) + tuple(
+        CyclicPrimePower(q, e, copies)
+        for d, copies in entries.items() for q, e in factorint(d).items()))
 
 
 def smith_normal_form(M) -> tuple[list[list[int]], list[list[int]],
@@ -426,5 +433,5 @@ class SaturatedBasisSolver:
             raise ArithmeticError("vector outside the spanned lattice")
         return G[:self.s]
 
-    def quotient_by(self, gens) -> FGAbelianGroup:
+    def quotient_by(self, gens) -> GroupExpression:
         return cokernel_structure(self.coefficient_matrix(gens))

@@ -20,6 +20,11 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
+def _require_blocks(k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+
 def _exact(num: int, den: int, what: str) -> int:
     quot, rest = divmod(num, den)
     if rest:
@@ -51,8 +56,6 @@ def r_vector(p: int, k: int) -> tuple[int, ...]:
     t^m coefficient is (-1)^m a_m.  Hence p*r_m = C(n, m) + (-1)^m (p-1) a_m.
     """
     _require_prime(p)
-    if k < 1:
-        raise ValueError("k must be >= 1")
     n = k * (p - 1)
     rv, binom, sign = [], 1, p - 1
     for m, a in enumerate(a_vector(p, k)):
@@ -73,7 +76,9 @@ def r_m(p: int, k: int, m: int) -> int:
 
 
 def a_vector(p: int, k: int) -> tuple[int, ...]:
-    """(a_0, ..., a_n): a_j counts compositions of j into k parts in [0, p-1]."""
+    """(a_0, ..., a_n): a_j counts compositions of j into k >= 1 parts in
+    [0, p-1]."""
+    _require_blocks(k)
     counts = [1]
     for _ in range(k):
         nxt = [0] * (len(counts) + p - 1)
@@ -92,6 +97,7 @@ def a_j(p: int, k: int, j: int) -> int:
 
 def a_j_inclusion_exclusion(p: int, k: int, j: int) -> int:
     """Same count via inclusion-exclusion; cross-check for the DP."""
+    _require_blocks(k)
     if j < 0:
         return 0
     total = 0

@@ -40,7 +40,7 @@ from itertools import (chain, combinations, combinations_with_replacement,
 from math import comb, factorial, prod
 
 from . import exact_linalg as la
-from .abelian import FGAbelianGroup, is_prime
+from .abelian import GroupExpression, is_prime
 
 # bounds on what the exterior powers of one base build (see `exterior_power`)
 MAX_SUMMAND_DIM = 2048
@@ -367,23 +367,22 @@ def fixed_rank(m: ZpModule) -> int:
     return _field_ranks(m)[0]
 
 
-def coinvariants(m: ZpModule) -> FGAbelianGroup:
+def coinvariants(m: ZpModule) -> GroupExpression:
     """Largest quotient with trivial action: cokernel of (action - id).
 
-    Exact: one Smith-form diagonalization per distinct summand, its runs
+    Exact: one Smith-form diagonalization per distinct summand, its counts
     scaled by its multiplicity (coinvariants commute with direct sums).
     """
     def compute():
         if m.summands is None:
             # as a list, which perfbench/tracer.py can size
             return la.cokernel_structure(list(la.minus_identity(m.action)))
-        parts = [(c, coinvariants(S)) for c, S in m.summands]
-        return FGAbelianGroup(sum(c * g.free_rank for c, g in parts), [
-            (d, c * copies) for c, g in parts for d, copies in g.torsion])
+        return GroupExpression(tuple(chain.from_iterable(
+            (c * coinvariants(S)).summands for c, S in m.summands)))
     return m._memo("coinvariants", compute)
 
 
-def tate(m: ZpModule, i: int) -> FGAbelianGroup:
+def tate(m: ZpModule, i: int) -> GroupExpression:
     """2-periodic Tate cohomology of the cyclic group acting on m.
 
     Write n for the rank, T = A - I for the action A and N for the norm.
@@ -418,10 +417,10 @@ def tate(m: ZpModule, i: int) -> FGAbelianGroup:
     rank_q_n, rank_p_t = _field_ranks(m)
     h1 = m.rank - rank_q_n - rank_p_t
     h0 = h1 + (m.p * rank_q_n - m.rank) // (m.p - 1)
-    return FGAbelianGroup.elementary(m.p, h1 if i % 2 else h0)
+    return GroupExpression.elementary(m.p, h1 if i % 2 else h0)
 
 
-def tate_reference(m: ZpModule, i: int) -> FGAbelianGroup:
+def tate_reference(m: ZpModule, i: int) -> GroupExpression:
     """Tate cohomology by exact kernels and cokernels: the slow reference.
 
     Builds the norm matrix, takes a saturated basis of ker T (even
@@ -439,6 +438,6 @@ def tate_reference(m: ZpModule, i: int) -> FGAbelianGroup:
         kernel_of, image_of = (T, N) if i % 2 == 0 else (N, T)
         B = la.kernel_basis(kernel_of)
         if not (B and B[0]):
-            return FGAbelianGroup.trivial()
+            return GroupExpression.zero()
         return la.SaturatedBasisSolver(B).quotient_by(image_of)
     return m._memo(("tate_reference", i % 2), compute)

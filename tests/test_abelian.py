@@ -1,57 +1,67 @@
 import re
-from collections import Counter
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crystalk.abelian import (CyclicPrimePower, FGAbelianGroup, FreeZ,
+from crystalk import exact_linalg as la
+from crystalk.abelian import (CyclicPrimePower, FreeZ,
                               GroupExpression, KOPoint, KoPoint, PAdic,
-                              Pruefer, UnknownPTorsion, _KINDS,
-                              _chain_from_prime_powers, _order_key,
-                              direct_sum, ext_dual,
-                              expr_evaluate, fg_expression,
+                              Pruefer, UnknownPTorsion, _KINDS, _order_key,
+                              ext_dual, expr_evaluate, fg_expression,
                               hom_dual, is_prime)
+
+
+def _cyclic(p, e=1, copies=1):
+    return GroupExpression((CyclicPrimePower(p, e, copies),))
 
 
 # -- canonical form ----------------------------------------------------------
 
 def test_crt_refactoring():
-    assert FGAbelianGroup(0, ((2, 1), (3, 1))) == FGAbelianGroup(0, ((6, 1),))
+    assert la.cokernel_structure([[2, 0], [0, 3]]) == la.cokernel_structure([[6]])
 
 
 def test_chain_kept():
-    assert FGAbelianGroup(0, ((2, 1), (4, 1))).torsion == ((2, 1), (4, 1))
+    assert la.cokernel_structure([[2, 0], [0, 4]]).summands \
+        == (CyclicPrimePower(2, 1, 1), CyclicPrimePower(2, 2, 1))
 
 
 def test_mixed_chain():
-    assert FGAbelianGroup(0, ((4, 1), (6, 1))).torsion == ((2, 1), (12, 1))
+    # Z/4 (+) Z/6 = Z/2 (+) Z/12, as elementary divisors 2, 4, 3
+    got = la.cokernel_structure([[4, 0], [0, 6]])
+    assert got.summands == (CyclicPrimePower(2, 1, 1), CyclicPrimePower(2, 2, 1),
+                            CyclicPrimePower(3, 1, 1))
+    assert got == la.cokernel_structure([[2, 0], [0, 12]])
 
 
 def test_rejects_bad_orders():
-    with pytest.raises(ValueError):
-        FGAbelianGroup(0, ((1, 1),))
-    with pytest.raises(ValueError):
-        FGAbelianGroup(-1, ())
-    with pytest.raises(ValueError):
-        FGAbelianGroup(0, ((2, -1),))
+    for summand in (CyclicPrimePower(1, 1, 1), FreeZ(-1),
+                    CyclicPrimePower(2, 1, -1)):
+        with pytest.raises(ValueError):
+            GroupExpression((summand,))
 
 
 def test_runs_in_any_order_with_repeats():
-    g = FGAbelianGroup(0, ((6, 1), (2, 2), (4, 0), (2, 1)))
-    assert g.torsion == ((2, 3), (6, 1))
-    assert g == FGAbelianGroup(0, ((3, 1), (2, 4)))
+    g = GroupExpression((CyclicPrimePower(3, 1, 1), CyclicPrimePower(2, 1, 2),
+                         CyclicPrimePower(2, 2, 0), CyclicPrimePower(2, 1, 1)))
+    assert g.summands == (CyclicPrimePower(2, 1, 3), CyclicPrimePower(3, 1, 1))
+    assert g == la.cokernel_structure([[6, 0, 0], [0, 2, 0], [0, 0, 2]])
 
 
 def test_counts_are_never_written_out():
     # each returns at once: a count is carried, never expanded
-    big = FGAbelianGroup.elementary(3, 10 ** 30)
-    assert big.torsion == ((3, 10 ** 30),)
-    two = GroupExpression((CyclicPrimePower(2, 1, 2 ** 64),)).to_fg()
-    assert two.torsion == ((2, 2 ** 64),)
-    assert direct_sum(big, big).torsion == ((3, 2 * 10 ** 30),)
-    assert direct_sum(two, two, two).torsion == ((2, 3 * 2 ** 64),)
-    assert direct_sum(big, two).torsion == ((3, 10 ** 30 - 2 ** 64),
-                                            (6, 2 ** 64))
+    big = GroupExpression.elementary(3, 10 ** 30)
+    assert big.summands == (CyclicPrimePower(3, 1, 10 ** 30),)
+    two = _cyclic(2, 1, 2 ** 64)
+    assert (big + big).summands == (CyclicPrimePower(3, 1, 2 * 10 ** 30),)
+    assert (two + two + two).summands == (CyclicPrimePower(2, 1, 3 * 2 ** 64),)
+    assert (big + two).summands == (CyclicPrimePower(2, 1, 2 ** 64),
+                                    CyclicPrimePower(3, 1, 10 ** 30))
+    assert (10 ** 30 * big).summands == (CyclicPrimePower(3, 1, 10 ** 60),)
+    assert (2 ** 64 * (GroupExpression.free(3) + two)).summands \
+        == (FreeZ(3 * 2 ** 64), CyclicPrimePower(2, 1, 2 ** 128))
+    assert (0 * big).is_zero()
 
 
 def test_is_prime_matches_a_sieve():
@@ -76,69 +86,112 @@ def test_is_prime_stops_at_the_first_divisor():
 
 
 def test_order():
-    assert FGAbelianGroup(0, ((2, 1), (4, 1))).order() == 8
-    assert FGAbelianGroup(0, ((3, 4),)).order() == 81
-    assert FGAbelianGroup(1, ()).order() is None
-    assert FGAbelianGroup.trivial().order() == 1
+    # a finite cokernel has order |det M|: the product of its summands' orders
+    for M in ([[2, 0], [0, 4]], [[3]], [[4, 6], [2, 8]], [[1, 0], [0, 1]],
+              [[12, 18, 0], [0, 9, 3], [6, 0, 27]]):
+        summands = la.cokernel_structure(M).summands
+        assert all(isinstance(s, CyclicPrimePower) for s in summands)
+        assert prod(s.p ** (s.exponent * s.multiplicity) for s in summands) \
+            == abs(la.determinant(M)), M
+    assert la.cokernel_structure([[2], [0]]).free_rank == 1
 
 
 # -- direct sum and duals ----------------------------------------------------
 
 def test_direct_sum_crt():
-    assert direct_sum(FGAbelianGroup.cyclic(2), FGAbelianGroup.cyclic(3)) \
-        == FGAbelianGroup.cyclic(6)
+    assert _cyclic(2) + _cyclic(3) == la.cokernel_structure([[6]])
 
 
 def test_direct_sum_free():
-    assert direct_sum(FGAbelianGroup.free(1), FGAbelianGroup.free(2)) \
-        == FGAbelianGroup.free(3)
+    assert GroupExpression.free(1) + GroupExpression.free(2) \
+        == GroupExpression.free(3)
 
 
 def test_direct_sum_chain():
-    got = direct_sum(FGAbelianGroup.cyclic(2), FGAbelianGroup.cyclic(4))
-    assert got.torsion == ((2, 1), (4, 1))
+    got = _cyclic(2) + _cyclic(2, 2)
+    assert got.summands == (CyclicPrimePower(2, 1, 1), CyclicPrimePower(2, 2, 1))
 
 
 def test_hom_dual():
-    a = FGAbelianGroup(3, ((5, 1),))
-    assert hom_dual(a) == FGAbelianGroup.free(3)
-    assert hom_dual(FGAbelianGroup.cyclic(7)).is_trivial()
+    a = GroupExpression.free(3) + _cyclic(5)
+    assert hom_dual(a) == GroupExpression.free(3)
+    assert hom_dual(_cyclic(7)).is_zero()
 
 
 def test_ext_dual():
-    a = FGAbelianGroup(3, ((5, 1),))
-    assert ext_dual(a) == FGAbelianGroup.cyclic(5)
-    assert ext_dual(FGAbelianGroup.free(4)).is_trivial()
-    b = FGAbelianGroup(0, ((2, 1), (4, 1)))
+    a = GroupExpression.free(3) + _cyclic(5)
+    assert ext_dual(a) == _cyclic(5)
+    assert ext_dual(GroupExpression.free(4)).is_zero()
+    b = _cyclic(2) + _cyclic(2, 2)
     assert ext_dual(b) == b
 
 
+@pytest.mark.parametrize("summand", [
+    PAdic(3, 1), Pruefer(5, 2), KOPoint(1, 1), KoPoint(4, 2),
+    UnknownPTorsion("T1", (1,)), UnknownPTorsion("to_3", None)], ids=repr)
+def test_finitary_operations_refuse_other_summands(summand):
+    e = GroupExpression((FreeZ(1), CyclicPrimePower(3, 1, 2), summand))
+    for op in (hom_dual, ext_dual, lambda e: 2 * e):
+        with pytest.raises(ValueError, match="not a finitely generated"):
+            op(e)
+
+
 fg_groups = st.builds(
-    FGAbelianGroup,
+    lambda rank, parts: GroupExpression(
+        (FreeZ(rank),) + tuple(CyclicPrimePower(*part) for part in parts)),
     st.integers(0, 4),
-    st.lists(st.tuples(st.integers(2, 30), st.integers(0, 3)), max_size=4))
+    st.lists(st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3),
+                       st.integers(0, 3)), max_size=4))
 
 
 @given(fg_groups, fg_groups, fg_groups)
 @settings(max_examples=60, deadline=None)
 def test_direct_sum_commutative_associative(a, b, c):
-    assert direct_sum(a, b) == direct_sum(b, a)
-    assert direct_sum(direct_sum(a, b), c) == direct_sum(a, direct_sum(b, c))
-    assert direct_sum(a, b, c) == direct_sum(direct_sum(a, b), c)
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
 
 
-@given(fg_groups)
+@given(fg_groups, st.integers(0, 5), st.integers(0, 5))
 @settings(max_examples=30, deadline=None)
-def test_direct_sum_of_none_or_one(g):
-    assert direct_sum() == FGAbelianGroup.trivial()
-    assert direct_sum(g) == g
+def test_direct_sum_of_none_or_one(g, c, d):
+    assert GroupExpression.zero() + g == g == g + GroupExpression.zero()
+    assert 1 * g == g and (0 * g).is_zero()
+    assert c * g + d * g == (c + d) * g
+    assert c * (d * g) == (c * d) * g
 
 
 @given(fg_groups)
 @settings(max_examples=60, deadline=None)
 def test_dual_involutions(a):
-    assert hom_dual(hom_dual(a)) == FGAbelianGroup.free(a.free_rank)
-    assert ext_dual(ext_dual(a)) == a.torsion_subgroup()
+    assert hom_dual(hom_dual(a)) == GroupExpression.free(a.free_rank)
+    assert ext_dual(ext_dual(a)) == ext_dual(a)
+    assert hom_dual(a) + ext_dual(a) == a
+
+
+small_matrices = st.integers(1, 3).flatmap(lambda m: st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                       min_size=m, max_size=m)))
+
+
+def _smith_invariants(M):
+    """(free rank, invariant factors > 1) of coker M from its Smith form."""
+    D, _, _ = la.smith_normal_form(M)
+    diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
+    rank = sum(1 for d in diag if d)
+    return len(D) - rank, [d for d in diag if d > 1]
+
+
+@given(small_matrices, small_matrices)
+@example([[2, 0], [0, 3]], [[6]])
+@example([[4, 0], [0, 6]], [[2, 0], [0, 12]])
+@example([[2, 0], [0, 2]], [[4]])
+@example([[2, 0], [0, 2]], [[2]])
+@example([[0, 0]], [[1], [0]])
+@settings(max_examples=200, deadline=None)
+def test_equality_is_isomorphism(M, N):
+    # the invariant factors and the free rank classify a f.g. abelian group
+    same = _smith_invariants(M) == _smith_invariants(N)
+    assert (la.cokernel_structure(M) == la.cokernel_structure(N)) == same
 
 
 # -- KO point table ----------------------------------------------------------
@@ -216,14 +269,6 @@ def test_expr_evaluate_examples():
     assert expr_evaluate(GroupExpression((KOPoint(3, 5),))).is_zero()
     got = expr_evaluate(GroupExpression((FreeZ(2), KOPoint(4, 1))))
     assert got == GroupExpression.free(3)
-
-
-def test_to_fg():
-    e = fg_expression(2, 5, 3)
-    assert e.to_fg() == FGAbelianGroup(2, ((5, 3),))
-    assert e.to_fg().torsion == ((5, 3),)
-    with pytest.raises(ValueError):
-        GroupExpression((PAdic(3, 1),)).to_fg()
 
 
 # -- rendering ---------------------------------------------------------------
@@ -353,17 +398,12 @@ def test_expression_sum_commutes(a, b):
     assert a + b == b + a
 
 
-def test_fg_to_expression_roundtrip():
-    g = FGAbelianGroup(2, ((2, 1), (12, 1)))
-    assert g.to_expression().to_fg() == g
-
-
 # -- fast paths against the general normalizer -------------------------------
 #
 # Only `fg_expression` builds the canonical tuple without `_normalize`; it
-# must give what `_normalize` gives.  The named constructors,
-# `FGAbelianGroup.to_expression`, `+` and `expr_evaluate` go through
-# `_normalize`, and the tests below pin what they must return.
+# must give what `_normalize` gives.  The named constructors, `+`, scaling
+# and `expr_evaluate` go through `_normalize`, and the tests below pin what
+# they must return.
 
 summand_lists = st.lists(summand_strategy, max_size=6)
 
@@ -379,6 +419,8 @@ def _reference(xs):
 def test_named_constructors_are_canonical(count, p, copies, tag, bounds):
     assert GroupExpression.zero().summands == _reference([])
     assert GroupExpression.free(count).summands == _reference([FreeZ(count)])
+    assert GroupExpression.elementary(p, copies).summands \
+        == _reference([CyclicPrimePower(p, 1, copies)])
     assert fg_expression(0, p, copies).summands \
         == _reference([CyclicPrimePower(p, 1, copies)])
     assert fg_expression(count, p, copies).summands \
@@ -393,22 +435,16 @@ def test_named_constructors_are_canonical(count, p, copies, tag, bounds):
 
 @pytest.mark.parametrize("name, args, summand", [
     ("free", (-3,), FreeZ(-3)),
+    ("elementary", (4, 2), CyclicPrimePower(4, 1, 2)),
     ("padic", (4, 2), PAdic(4, 2)),
     ("pruefer", (6, 1), Pruefer(6, 1)),
     ("unknown", ("T", (-1, 2)), UnknownPTorsion("T", (-1, 2))),
-], ids=["free", "padic", "pruefer", "unknown"])
+], ids=["free", "elementary", "padic", "pruefer", "unknown"])
 def test_named_constructors_refuse_what_the_constructor_refuses(name, args, summand):
     with pytest.raises(ValueError) as direct:
         GroupExpression((summand,))
     with pytest.raises(ValueError, match=re.escape(str(direct.value))):
         getattr(GroupExpression, name)(*args)
-
-
-@given(fg_groups)
-@settings(max_examples=60, deadline=None)
-def test_fg_to_expression_is_canonical(g):
-    summands = g.to_expression().summands
-    assert summands == _reference(summands)
 
 
 @given(summand_lists, summand_lists)
@@ -438,45 +474,11 @@ def test_evaluate_matches_normalize(xs):
         assert got is e
 
 
-# the element-wise invariant-factor chain, kept as the reference
-def _chain_elementwise(powers):
-    descending = [(p, sorted(exps, reverse=True)) for p, exps in powers.items()]
-    depth = max((len(exps) for _p, exps in descending), default=0)
-    chain = []
-    for i in range(depth):
-        f = 1
-        for p, exps in descending:
-            if i < len(exps):
-                f *= p ** exps[i]
-        chain.append(f)
-    chain.reverse()
-    return tuple(chain)
-
-
-prime_powers = st.dictionaries(
-    st.sampled_from([2, 3, 5, 7, 11]),
-    st.one_of(
-        st.lists(st.integers(1, 4), max_size=12),
-        # the shape of a Tate group of an exterior power: many copies of
-        # one prime with a few higher powers mixed in
-        st.tuples(st.integers(1000, 1500), st.lists(st.integers(2, 4), max_size=4))
-        .map(lambda t: [1] * t[0] + t[1])),
-    max_size=4)
-
-
-@given(prime_powers)
-@settings(max_examples=60, deadline=None)
-def test_chain_runs_match_elementwise(powers):
-    runs = _chain_from_prime_powers(
-        {p: Counter(exps) for p, exps in powers.items() if exps})
-    assert all(copies > 0 for _f, copies in runs)
-    factors = [f for f, _copies in runs]
-    assert factors == sorted(set(factors))
-    written_out = tuple(f for f, copies in runs for _ in range(copies))
-    assert written_out == _chain_elementwise(powers)
-
-
 def test_large_elementary_chain():
-    g = FGAbelianGroup(0, ((3, 1200), (9, 1), (27, 1), (2, 1)))
-    assert g.torsion == ((3, 1200), (9, 1), (54, 1))
-    assert g == FGAbelianGroup(0, ((6, 1), (3, 1), (27, 1), (9, 1), (3, 1198)))
+    g = GroupExpression((CyclicPrimePower(3, 1, 1200), CyclicPrimePower(3, 2, 1),
+                         CyclicPrimePower(3, 3, 1), CyclicPrimePower(2, 1, 1)))
+    assert g.summands == (CyclicPrimePower(2, 1, 1), CyclicPrimePower(3, 1, 1200),
+                          CyclicPrimePower(3, 2, 1), CyclicPrimePower(3, 3, 1))
+    assert g == la.cokernel_structure([[6]]) + GroupExpression((
+        CyclicPrimePower(3, 1, 1), CyclicPrimePower(3, 3, 1),
+        CyclicPrimePower(3, 2, 1), CyclicPrimePower(3, 1, 1198)))

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalk import crystal, exact_linalg as la, repring, zpmod
-from crystalk.abelian import (CyclicPrimePower, FGAbelianGroup, FreeZ,
-                              GroupExpression, KOPoint, KoPoint, PAdic,
-                              Pruefer, UnknownPTorsion, direct_sum,
-                              expr_evaluate, ext_dual,
+from crystalk.abelian import (CyclicPrimePower, FreeZ, GroupExpression,
+                              KOPoint, KoPoint, PAdic, Pruefer,
+                              UnknownPTorsion, expr_evaluate, ext_dual,
                               fg_expression, hom_dual)
 from crystalk.crystal import (BadRankError, NotFreeError, NotPrimeError,
                               OddPrimeRequiredError, WrongOrderError,
@@ -194,21 +193,21 @@ def test_conjugated_matrix_not_canonical():
 
 def test_finite_subgroup_data():
     d = finite_subgroup_data(G31)
-    assert d.cokernel == FGAbelianGroup.cyclic(3)
+    assert d.cokernel == GroupExpression.elementary(3, 1)
     assert d.class_count == d.fixed_point_count == 3
     d2 = finite_subgroup_data(G21)
-    assert d2.cokernel == FGAbelianGroup.cyclic(2)
+    assert d2.cokernel == GroupExpression.elementary(2, 1)
     assert d2.class_count == 2
     d3 = finite_subgroup_data(G32)
-    assert d3.cokernel == FGAbelianGroup.elementary(3, 2)
+    assert d3.cokernel == GroupExpression.elementary(3, 2)
     assert d3.class_count == 9
 
 
 def test_abelianization():
-    assert crystal.abelianization(G31) == FGAbelianGroup.elementary(3, 2)
-    assert crystal.abelianization(G21) == FGAbelianGroup.elementary(2, 2)
+    assert crystal.abelianization(G31) == GroupExpression.elementary(3, 2)
+    assert crystal.abelianization(G21) == GroupExpression.elementary(2, 2)
     assert crystal.abelianization(canonical_gamma(5, 2)) \
-        == FGAbelianGroup.elementary(5, 3)
+        == GroupExpression.elementary(5, 3)
 
 
 def test_euler_characteristic():
@@ -455,9 +454,9 @@ def test_brute_force_small_grid():
 def test_uct_duality_small():
     for G in (G31, G32, G21):
         for m in range(G.n + 1):
-            hm = homology_bgamma(G, m).to_fg()
-            expect = direct_sum(hom_dual(cohomology_bgamma(G, m).to_fg()),
-                                ext_dual(cohomology_bgamma(G, m + 1).to_fg()))
+            hm = homology_bgamma(G, m)
+            expect = (hom_dual(cohomology_bgamma(G, m))
+                      + ext_dual(cohomology_bgamma(G, m + 1)))
             assert hm == expect
 
 
@@ -543,15 +542,13 @@ def test_assembly_matches_the_dual_route(p, k, seed):
     H = _seeded_conjugate(p, k, seed)
     dual = zpmod.dual(H.module())
     for m in range(H.n + 1):
-        free, torsion = 0, []
+        by_dual = GroupExpression.zero()
         for j in range(m + 1):
             ext = zpmod.exterior_power(dual, j)
             if j == m:
-                free += zpmod.fixed_rank(ext)
+                by_dual += GroupExpression.free(zpmod.fixed_rank(ext))
             else:
-                torsion.append(zpmod.tate(ext, m - j))
-        by_dual = (GroupExpression.free(free)
-                   + direct_sum(*torsion).to_expression())
+                by_dual += zpmod.tate(ext, m - j)
         assert brute_force_cohomology_bgamma(H, m) == by_dual, m
 
 
@@ -559,7 +556,7 @@ def test_cokernel_mismatch_guards_the_coinvariants(monkeypatch):
     # coker(rho - id) is read off the lattice module's coinvariants, and a
     # group other than (Z/p)^k is still refused
     monkeypatch.setattr(zpmod, "coinvariants",
-                        lambda m: FGAbelianGroup.elementary(3, 1))
+                        lambda m: GroupExpression.elementary(3, 1))
     with pytest.raises(crystal.CokernelMismatchError):
         finite_subgroup_data(canonical_gamma(3, 2))
 

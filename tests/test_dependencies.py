@@ -83,8 +83,6 @@ UNREFERENCED = {
     "crystal.TheoremReport.to_json_dict":
         "the reference that cli.render_report_json is tested against",
     "exact_linalg.rank_mod": "the checked public entry to prime-field ranks",
-    "abelian.GroupExpression.is_zero": "a value accessor",
-    "abelian.FGAbelianGroup.order": "a value accessor",
     "abelian.GroupExpression.pruefer_rank": "a value accessor",
     "repring.s_m": "the paper's s_m, next to r_m and a_j",
 }

@@ -1,13 +1,14 @@
 import warnings
+from collections import Counter
 from fractions import Fraction
-from itertools import groupby
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalk import exact_linalg as la
-from crystalk.abelian import FGAbelianGroup
+from crystalk.abelian import (CyclicPrimePower, FreeZ, GroupExpression,
+                              factorint)
 
 
 def mat(rows):
@@ -141,8 +142,8 @@ def test_empty_shapes():
     # a 2-D array without rows keeps its column count; rows without
     # columns are empty lists
     assert la.cokernel_structure(np.zeros((3, 0), dtype=object)) \
-        == la.cokernel_structure([[], [], []]) == FGAbelianGroup(3, [])
-    assert la.cokernel_structure(np.zeros((0, 3), dtype=object)).is_trivial()
+        == la.cokernel_structure([[], [], []]) == GroupExpression.free(3)
+    assert la.cokernel_structure(np.zeros((0, 3), dtype=object)).is_zero()
     assert la.kernel_basis(np.zeros((0, 3), dtype=object)) == la.identity(3)
     assert la.kernel_basis([[], [], []]) == []
     assert la.kernel_basis([[1, 0], [0, 1]]) == [[], []]
@@ -234,9 +235,11 @@ def test_snf_agrees_with_cokernel_diagonalization(rows):
     M = mat(rows)
     D, _, _ = la.smith_normal_form(M)
     nonzero = [D[i][i] for i in range(min(len(M), len(M[0]))) if D[i][i] != 0]
-    runs = [(d, len(list(g))) for d, g in groupby(d for d in nonzero if d != 1)]
-    assert tuple(runs) == la.cokernel_structure(M).torsion
-    assert len(M) - len(nonzero) == la.cokernel_structure(M).free_rank
+    powers = Counter((q, e) for d in nonzero for q, e in factorint(d).items())
+    got = la.cokernel_structure(M)
+    assert got.summands == tuple(
+        [FreeZ(len(M) - len(nonzero))] if len(M) > len(nonzero) else []) \
+        + tuple(CyclicPrimePower(q, e, c) for (q, e), c in sorted(powers.items()))
 
 
 # -- kernels -----------------------------------------------------------------
@@ -269,24 +272,25 @@ def test_kernel_properties(rows):
     assert not np.any(arr(M) @ arr(K) != 0)
     if K[0]:
         # saturated lattice: quotient by the kernel is torsion-free
-        assert la.cokernel_structure(K).torsion == ()
+        got = la.cokernel_structure(K)
+        assert got == GroupExpression.free(got.free_rank)
 
 
 # -- cokernels ---------------------------------------------------------------
 
 def test_cokernel_cyclic():
-    assert la.cokernel_structure([[3]]) == FGAbelianGroup.cyclic(3)
+    assert la.cokernel_structure([[3]]) == GroupExpression.elementary(3, 1)
 
 
 def test_cokernel_identity_trivial():
-    assert la.cokernel_structure([[1, 0], [0, 1]]).is_trivial()
+    assert la.cokernel_structure([[1, 0], [0, 1]]).is_zero()
 
 
 def test_cokernel_of_twist():
     rho = mat([[0, -1], [1, -1]])
     got = la.cokernel_structure(la.minus_identity(rho))
-    assert got == FGAbelianGroup.cyclic(3)
-    assert got.torsion == ((3, 1),)
+    assert got == GroupExpression.elementary(3, 1)
+    assert got.summands == (CyclicPrimePower(3, 1, 1),)
 
 
 @given(matrices())
@@ -347,7 +351,7 @@ def test_saturated_basis_quotient():
     B = la.identity(2)
     solver = la.SaturatedBasisSolver(B)
     got = solver.quotient_by(mat([[2, 0], [0, 3]]))
-    assert got == FGAbelianGroup.cyclic(6)
+    assert got == GroupExpression.elementary(2, 1) + GroupExpression.elementary(3, 1)
 
 
 class ForwardSubstitutionSolver:
@@ -407,7 +411,7 @@ def test_saturated_basis_solver_refuses_unsaturated_basis():
 
 def test_saturated_basis_solver_rejects_outside_saturated_span():
     solver = la.SaturatedBasisSolver([[1], [1], [0]])
-    assert solver.quotient_by([[3], [3], [0]]) == FGAbelianGroup.cyclic(3)
+    assert solver.quotient_by([[3], [3], [0]]) == GroupExpression.elementary(3, 1)
     with pytest.raises(ArithmeticError, match="outside"):
         solver.quotient_by([[1], [0], [0]])
 

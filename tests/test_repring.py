@@ -131,6 +131,17 @@ def test_non_prime_p_refused():
             call(*args)
 
 
+@pytest.mark.parametrize("k", [0, -2])
+def test_every_count_refuses_k_below_one(k):
+    # the lattice has k >= 1 blocks; every count refuses the others alike
+    for call, args in ((a_vector, (3, k)), (a_j, (3, k, 0)),
+                       (a_j_inclusion_exclusion, (3, k, 0)),
+                       (r_vector, (3, k)), (r_m, (3, k, 0)),
+                       (s_vector, (3, k)), (s_m, (3, k, 1))):
+        with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+            call(*args)
+
+
 @pytest.mark.parametrize("p,k", TABLE_GRID)
 def test_lambda_table_matches_per_degree_convolution(p, k):
     n = k * (p - 1)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from crystalk import crystal, exact_linalg as la, repring, verify, zpmod
-from crystalk.abelian import FGAbelianGroup, GroupExpression
+from crystalk.abelian import CyclicPrimePower, GroupExpression
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
@@ -53,10 +53,28 @@ def test_periodicity_and_duality_cells_compare_with_the_reference(monkeypatch):
     for name in names:
         cells[name]()
     monkeypatch.setattr(zpmod, "tate_reference",
-                        lambda m, i: FGAbelianGroup.cyclic(97))
+                        lambda m, i: GroupExpression.elementary(97, 1))
     for name in names:
         with pytest.raises(AssertionError):
             cells[name]()
+
+
+def test_five_term_cell_reads_each_group_whole(monkeypatch):
+    # one Z/3 of H^2(BGamma) = Z^4 (+) (Z/3)^3 swapped for Z/9 keeps the
+    # number of cyclic summands, so only a cell that reads the whole group
+    # as Z^r (+) (Z/p)^c sees it
+    name = "crystal: five-term sequence bookkeeping"
+    cells = {name: fn for name, fn, _repro in verify.all_checks(3, 2)}
+    cells[name]()
+    real = crystal.cohomology_bgamma
+    swapped = GroupExpression.free(4) + GroupExpression(
+        (CyclicPrimePower(3, 1, 2), CyclicPrimePower(3, 2, 1)))
+    assert real(crystal.canonical_gamma(3, 2), 2) \
+        == GroupExpression.free(4) + GroupExpression.elementary(3, 3)
+    monkeypatch.setattr(crystal, "cohomology_bgamma",
+                        lambda G, m: swapped if m == 2 else real(G, m))
+    with pytest.raises(AssertionError):
+        cells[name]()
 
 
 @pytest.mark.parametrize("p, k", [(5, 3), (3, 7), (11, 1), (13, 1), (3, 10),
