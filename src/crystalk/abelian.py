@@ -40,9 +40,11 @@ def factorint(n: int) -> dict[int, int]:
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality by trial division, stopping at the first divisor:
-    up to sqrt(n) of them for a prime n."""
-    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+    """Exact primality by trial division by 2 and then the odd d, stopping
+    at the first divisor: about sqrt(n) / 2 of them for a prime n."""
+    if n < 3:
+        return n == 2
+    return n % 2 == 1 and all(n % d for d in range(3, isqrt(n) + 1, 2))
 
 
 # KO_m(pt) for m = 0..7 (8-periodic) as (free rank, copies of Z/2)

@@ -64,10 +64,13 @@ class OddPrimeRequiredError(GammaError):
 @dataclass(frozen=True, eq=False)
 class Shape(zpmod.Memoized):
     """What every action of one shape (p, k) shares: the tables r and s,
-    the r-sums checked against r, and in `_cache` the KO point sums and the
-    report families over their default windows.  Every value is immutable,
-    so threads may share a shape: two threads that miss one memo entry at
-    once both compute it, and either equal result is kept."""
+    the r-sums checked against r, and in `_cache` the KO point sums, the
+    report families over their default windows and the cokernel of the
+    canonical action (see `finite_subgroup_data`).  It holds no module, no
+    rows and no exterior data, so its size does not grow with n.  Every
+    value is immutable, so threads may share a shape: two threads that
+    miss one memo entry at once both compute it, and either equal result
+    is kept."""
 
     p: int
     k: int
@@ -151,7 +154,7 @@ def validate_gamma(p: int, rho) -> GammaDescriptor:
     if rho == la.identity(n):
         raise WrongOrderError("matrix is the identity, order 1")
     # coker(rho - id) is finite exactly when no nonzero vector is fixed; the
-    # module keeps it, as the one Smith form `finite_subgroup_data` reads
+    # module keeps that one dense Smith form
     module = zpmod.ZpModule(p, rho, check=False)
     if zpmod.coinvariants(module).free_rank:
         vec = tuple(row[0] for row in la.kernel_basis(la.minus_identity(rho)))
@@ -159,13 +162,13 @@ def validate_gamma(p: int, rho) -> GammaDescriptor:
     if n % (p - 1):
         raise BadRankError(f"rank {n} is not divisible by p - 1 = {p - 1}")
     k = n // (p - 1)
-    canonical = rho == _canonical_action(p, k)
+    canonical = rho == _canonical_module(p, k).action
     return GammaDescriptor(p, n, k, rho, canonical, {"module": module})
 
 
-def _canonical_action(p: int, k: int) -> list[list[int]]:
-    """The k-fold sum of the cyclotomic twist."""
-    return zpmod.direct_sum(*[zpmod.make_cyclotomic(p)] * k).action
+def _canonical_module(p: int, k: int) -> zpmod.ZpModule:
+    """The k-fold sum of the cyclotomic twist, one block k times."""
+    return zpmod.direct_sum(*[zpmod.make_cyclotomic(p)] * k)
 
 
 def _bound_rank(n: int) -> None:
@@ -181,7 +184,9 @@ def canonical_gamma(p: int, k: int) -> GammaDescriptor:
 
     The action is valid by construction (order p, free away from the
     origin), so it skips `validate_gamma`; its rank n = k(p - 1) is
-    bounded as there (`_bound_rank`).
+    bounded as there (`_bound_rank`).  Its lattice module is the direct
+    sum itself, which keeps the one cyclotomic block as its summand, and
+    rho is that module's rows.
     """
     if k < 1:
         raise BadRankError(f"k = {k} must be >= 1")
@@ -189,7 +194,8 @@ def canonical_gamma(p: int, k: int) -> GammaDescriptor:
     _bound_rank(n)
     if not is_prime(p):
         raise NotPrimeError(f"p = {p} must be prime")
-    return GammaDescriptor(p, n, k, _canonical_action(p, k), True)
+    module = _canonical_module(p, k)
+    return GammaDescriptor(p, n, k, module.action, True, {"module": module})
 
 
 @dataclass(frozen=True)
@@ -202,9 +208,17 @@ class FiniteSubgroupData:
 def finite_subgroup_data(G: GammaDescriptor) -> FiniteSubgroupData:
     """Cokernel of (rho - id) and the finite-subgroup / fixed-point counts.
 
-    The cokernel is the lattice module's coinvariants, kept in its memo.
+    The cokernel is the lattice module's coinvariants.  A supplied action
+    reads its own, the dense Smith form `validate_gamma` ran.  A canonical
+    action reads its shape's: the first canonical descriptor of the shape
+    computes it, which from `canonical_gamma` is one Smith form of the
+    (p - 1)-wide cyclotomic block, scaled by k.  Either is still compared
+    with (Z/p)^k.
     """
-    cok = zpmod.coinvariants(G.module())
+    def compute():
+        return zpmod.coinvariants(G.module())
+    cok = (shape(G.p, G.k)._memo("cokernel", compute) if G.canonical
+           else compute())
     expected = GroupExpression.elementary(G.p, G.k)
     if cok != expected:
         raise CokernelMismatchError(
@@ -602,8 +616,9 @@ def build_report(G: GammaDescriptor,
                  window: tuple[int, int] | None = None) -> TheoremReport:
     """Evaluate every theorem family over its degree window.
 
-    The action is checked through the one Smith form of rho - id
-    (`finite_subgroup_data`); every family is a closed form in (p, k), so
+    The action is checked through its cokernel (`finite_subgroup_data`:
+    the one Smith form of rho - id, or of a canonical action's block once
+    per shape); every family is a closed form in (p, k), so
     a supplied action builds no exterior power, and over the default
     windows the families are evaluated once per shape and kept in
     `shape(p, k)`.  Each report holds its own copy of them.  `verify`

@@ -214,6 +214,10 @@ def checks_structure(G: crystal.GammaDescriptor, seed: int):
     def structure():
         data = crystal.finite_subgroup_data(G)
         assert data.cokernel == GroupExpression.elementary(p, k)
+        # a canonical action's cokernel comes from its block, once per
+        # shape: the dense Smith form of rho - id is the reference
+        dense = la.cokernel_structure(list(la.minus_identity(G.rho)))
+        assert data.cokernel == dense, f"block route {data.cokernel} != {dense}"
         assert data.class_count == p ** k
         assert data.fixed_point_count == p ** k
         assert _p_copies(data.cokernel, p) == k, "cyclic factor count != k"

@@ -14,12 +14,13 @@ diagonalizes T exactly (an independent SNF check of those ranks), and
 `tate_reference` keeps the kernel/cokernel route through the norm matrix
 as the slow reference that verify and the tests compare the ranks with.
 
-An exterior power is a list of Kronecker summands, one per way of
-spreading its degree over the diagonal blocks of the base action (see
-`ExteriorPower`); the functors rank or diagonalize each distinct summand
-once and scale by its multiplicity.  The dense compound `action` is
-built only when read.  `exterior_power` refuses every degree of a base
-whose widest summand or largest rank is too large, before any is built.
+A direct sum keeps its operands, and an exterior power is a list of
+Kronecker summands, one per way of spreading its degree over the
+diagonal blocks of the base action (see `ExteriorPower`); on either, the
+functors rank or diagonalize each distinct summand once and scale by its
+multiplicity.  The dense compound `action` is built only when read.
+`exterior_power` refuses every degree of a base whose widest summand or
+largest rank is too large, before any is built.
 
 Every matrix is a list of rows of Python ints (see `exact_linalg`).  Only
 input from outside is checked: `ZpModule(p, action)` reads its action
@@ -131,7 +132,9 @@ def make_cyclotomic(p: int) -> ZpModule:
 
 def direct_sum(*mods: ZpModule) -> ZpModule:
     """The block-diagonal sum of one or more modules, each block written
-    once."""
+    once.  The sum keeps its operands as `summands`, each distinct operand
+    (by identity) once with its count, so the functors work on each
+    distinct block once and scale by its count."""
     if not mods:
         raise ValueError("a direct sum needs at least one module")
     p = mods[0].p
@@ -139,10 +142,14 @@ def direct_sum(*mods: ZpModule) -> ZpModule:
         raise ValueError("mismatched primes in direct sum")
     n = sum(m.rank for m in mods)
     out = []
+    counts: dict[int, list] = {}
     for m in mods:
         left, right = [0] * len(out), [0] * (n - len(out) - m.rank)
         out += [left + row + right for row in m.action]
-    return ZpModule(p, out, check=False)
+        counts.setdefault(id(m), [0, m])[0] += 1
+    total = ZpModule(p, out, check=False)
+    total.summands = [(count, m) for count, m in counts.values()]
+    return total
 
 
 def tensor(m1: ZpModule, m2: ZpModule) -> ZpModule:

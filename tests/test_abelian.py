@@ -8,8 +8,8 @@ from crystalk import exact_linalg as la
 from crystalk.abelian import (CyclicPrimePower, FreeZ,
                               GroupExpression, KOPoint, KoPoint, PAdic,
                               Pruefer, UnknownPTorsion, _KINDS, _order_key,
-                              ext_dual, expr_evaluate, fg_expression,
-                              hom_dual, is_prime)
+                              ext_dual, expr_evaluate, factorint,
+                              fg_expression, hom_dual, is_prime)
 
 
 def _cyclic(p, e=1, copies=1):
@@ -64,16 +64,36 @@ def test_counts_are_never_written_out():
     assert (0 * big).is_zero()
 
 
+# Carmichael numbers: composites that every base prime to them passes
+# Fermat's test for
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
+              41041, 46657, 52633, 62745, 63973, 75361, 101101, 115921,
+              126217, 162401, 172081, 188461, 252601, 278545, 294409)
+
+
 def test_is_prime_matches_a_sieve():
-    bound = 5000
+    bound = 10 ** 4
     sieve = [False, False] + [True] * (bound - 2)
     for i in range(2, bound):
         if sieve[i]:
             sieve[i * i::i] = [False] * len(sieve[i * i::i])
     for n in range(-5, bound):
         assert is_prime(n) == (n >= 0 and sieve[n]), n
+    primes = [n for n in range(bound) if sieve[n]]
+    # a prime square's one divisor is its root, the last one tried
+    for q in primes[:40] + [9973, 999983, 1_000_003]:
+        assert not is_prime(q * q), q
+    for n in CARMICHAEL:
+        # Korselt: square-free, and q - 1 | n - 1 for every prime q | n
+        factors = factorint(n)
+        assert set(factors.values()) == {1} and len(factors) >= 3, n
+        assert all((n - 1) % (q - 1) == 0 for q in factors), n
+        assert not is_prime(n), n
     assert is_prime(1_000_003)
     assert not is_prime(1_000_001)   # 101 * 9901
+    assert is_prime(10 ** 12 + 39)   # 13 digits
+    assert not is_prime(1_000_003 * 1_000_033)
+    assert not is_prime(2 ** 61)
 
 
 def test_is_prime_stops_at_the_first_divisor():

@@ -192,6 +192,25 @@ def test_report_matrix_file(tmp_path, capsys):
     assert json.loads(out)["descriptor"]["canonical"] is True
 
 
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 2), (5, 2), (7, 1)])
+@pytest.mark.parametrize("matrix_first", [True, False])
+def test_matrix_file_of_the_canonical_rows_reports_the_same_bytes(
+        tmp_path, capsys, p, k, matrix_first, fresh_shapes):
+    # a supplied canonical action is validated densely; whichever report
+    # of the shape comes first fills its cokernel, and both read the same
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(
+        {"p": p, "matrix": crystal.canonical_gamma(p, k).rho_rows()}))
+    argvs = [["--matrix", str(path)], ["--p", str(p), "--k", str(k)]]
+    outs = []
+    for argv in argvs if matrix_first else argvs[::-1]:
+        code, out, err = run(capsys, "report", *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["descriptor"]["canonical"] is True
+
+
 def test_report_matrix_identity_exit2(tmp_path, capsys):
     path = tmp_path / "rho.json"
     path.write_text(json.dumps({"p": 3, "matrix": [[1, 0], [0, 1]]}))

@@ -505,7 +505,9 @@ def test_report_json_dict_shape():
     assert d["groups"]["H^*(BGamma)"]["2"] == "Z (+) (Z/3)^2"
 
 
-def test_one_smith_form_of_rho_minus_id(monkeypatch):
+def test_one_smith_form_of_rho_minus_id(monkeypatch, fresh_shapes):
+    # the first report of a fresh shape diagonalizes one (p - 1)-wide
+    # cyclotomic block; every later report of the shape reads its cokernel
     from crystalk import cli
     seen = []
     original = la.cokernel_structure
@@ -515,12 +517,14 @@ def test_one_smith_form_of_rho_minus_id(monkeypatch):
         seen.append((len(M), len(M[0])))
         return original(M)
     monkeypatch.setattr(la, "cokernel_structure", counting)
-    G = canonical_gamma(3, 2)
-    build_report(G)
-    crystal.abelianization(G)
-    payload = cli._oracle_payload(G)
-    assert seen == [(G.n, G.n)]
-    assert payload["coker_invariant_factors"] == [3, 3]
+    for p, k in ((3, 2), (5, 2)):
+        for _ in range(2):
+            G = canonical_gamma(p, k)
+            build_report(G)
+            crystal.abelianization(G)
+            payload = cli._oracle_payload(G)
+            assert payload["coker_invariant_factors"] == [p] * k
+    assert seen == [(2, 2), (4, 4)]
 
 
 def _seeded_conjugate(p, k, seed):
@@ -552,7 +556,7 @@ def test_assembly_matches_the_dual_route(p, k, seed):
         assert brute_force_cohomology_bgamma(H, m) == by_dual, m
 
 
-def test_cokernel_mismatch_guards_the_coinvariants(monkeypatch):
+def test_cokernel_mismatch_guards_the_coinvariants(monkeypatch, fresh_shapes):
     # coker(rho - id) is read off the lattice module's coinvariants, and a
     # group other than (Z/p)^k is still refused
     monkeypatch.setattr(zpmod, "coinvariants",
@@ -684,11 +688,51 @@ def test_a_wide_window_leaves_only_the_ko_point_sums(fresh_shapes):
     G = _seeded_conjugate(5, 2, 3)
     build_report(G)
     build_report(G, (-2000, 2000))
+    build_report(canonical_gamma(5, 2), (-2000, 2000))
     cache = crystal.shape(5, 2)._cache
     ko_keys = [key for key in cache
                if isinstance(key, tuple) and key[1] is KOPoint]
-    assert set(cache) == {"families", *ko_keys}
+    assert set(cache) == {"families", "cokernel", *ko_keys}
     assert len(ko_keys) <= 16
+
+
+def _reachable(value):
+    """Every object reachable from value through containers and dataclass
+    fields."""
+    import dataclasses
+    from collections.abc import Mapping
+    stack, out = [value], []
+    while stack:
+        x = stack.pop()
+        out.append(x)
+        if isinstance(x, Mapping):
+            stack += [*x.keys(), *x.values()]
+        elif isinstance(x, (tuple, list, set, frozenset)):
+            stack += list(x)
+        elif dataclasses.is_dataclass(x) and not isinstance(x, type):
+            stack += [getattr(x, f.name) for f in dataclasses.fields(x)]
+    return out
+
+
+@pytest.mark.parametrize("p, k", [(3, 2), (2, 4), (5, 1)])
+def test_the_shape_holds_no_module_rows_or_exterior_data(p, k, fresh_shapes):
+    # verify fills the descriptor with exterior powers and the report fills
+    # the shape; the shape keeps the cokernel as a group, and nothing whose
+    # size grows with n
+    from crystalk import cli, verify
+    G = canonical_gamma(p, k)
+    assert all(r.ok for r in verify.run_all(p, k, gamma=G))
+    text = cli.render_report_json(build_report(G))
+    assert any(key[0] == "ext" for key in G._cache if isinstance(key, tuple))
+    sh = crystal.shape(p, k)
+    assert sh._cache["cokernel"] == GroupExpression.elementary(p, k)
+    rho_text = text[text.index('"rho"'):text.index('"scalars"')]
+    for x in _reachable(sh._cache):
+        assert not isinstance(x, (zpmod.ZpModule, list)), type(x)
+        assert not (isinstance(x, str) and rho_text in x)
+    assert not [key for key in sh._cache if isinstance(key, tuple)
+                and key[0] in ("ext", "block_types", "block_compound",
+                               "summand")]
 
 
 def test_a_descriptor_memoizes_only_what_its_action_gives():

@@ -178,6 +178,19 @@ def test_direct_sum_of_many_blocks():
         zpmod.direct_sum()
 
 
+def test_direct_sum_keeps_each_distinct_operand_once():
+    a, b = make_cyclotomic(5), make_regular(5)
+    got = direct_sum(a, b, a)
+    # modules compare by identity
+    assert [(c, S) for c, S in got.summands] == [(2, a), (1, b)]
+    # by identity: an equal block built afresh is a summand of its own
+    again = direct_sum(a, make_cyclotomic(5))
+    assert [c for c, _S in again.summands] == [1, 1]
+    assert again.action == direct_sum(a, a).action
+    # the k-fold canonical sum is one block k times
+    assert [c for c, _S in direct_sum(*[a] * 7).summands] == [7]
+
+
 def test_exterior_degree_zero():
     got = exterior_power(make_cyclotomic(5), 0)
     assert got.action == [[1]]
@@ -594,3 +607,27 @@ def test_equal_blocks_give_one_summand_per_degree_multiset():
     single = exterior_power(make_cyclotomic(7), 3)
     [(c, S)] = single.summands
     assert c == 1 and S.action == single.action
+
+
+@given(st.sampled_from(PRIMES),
+       st.lists(st.sampled_from(sorted(_BLOCKS)), min_size=1, max_size=6),
+       st.lists(st.integers(0, 5), min_size=6, max_size=6))
+@settings(max_examples=40, deadline=None)
+@example(2, ["cyc", "cyc", "triv"], [0, 1, 2, 0, 0, 0])
+@example(3, ["cyc", "reg", "cyc"], [0, 0, 1, 0, 0, 0])
+def test_direct_sum_functors_match_its_rows(p, kinds, reuse):
+    # each operand is a fresh block or, by `reuse`, an earlier operand
+    # again, so distinct blocks repeat; the functors read per summand must
+    # give what the same rows give as one dense module
+    mods = []
+    for kind, back in zip(kinds, reuse):
+        mods.append(mods[-1 - back % len(mods)] if mods and back
+                    else _BLOCKS[kind](p))
+    total = direct_sum(*mods)
+    assert sum(c for c, _S in total.summands) == len(mods)
+    dense = ZpModule(p, total.action)
+    assert dense.summands is None
+    assert fixed_rank(total) == fixed_rank(dense)
+    assert coinvariants(total) == coinvariants(dense)
+    for i in (0, 1):
+        assert tate(total, i) == tate(dense, i), i
