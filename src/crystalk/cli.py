@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 
 from . import crystal, repring, verify, zpmod
@@ -88,15 +89,23 @@ def _enclose(items: list[str], indent: int, brackets: str) -> str:
     when the container starts `indent` spaces deep."""
     if not items:
         return brackets
+    # one join over the items and separators, so a large document is
+    # copied once here and not once per concatenation
     pad = "\n" + " " * (indent + 2)
-    return (brackets[0] + pad + ("," + pad).join(items)
-            + "\n" + " " * indent + brackets[1])
+    parts = ["," + pad] * (2 * len(items) + 1)
+    parts[1::2] = items
+    parts[0] = brackets[0] + pad
+    parts[-1] = "\n" + " " * indent + brackets[1]
+    return "".join(parts)
 
 
 def _layout(value, indent: int) -> str:
     """`value` as json.dumps(value, indent=2) writes it when it starts
     `indent` spaces deep: dicts with str keys, lists, str, int, bool and
-    None.  Anything else raises TypeError."""
+    None.  Anything else raises TypeError.  Each list item is laid out
+    by its own call: a matrix of Python ints, such as rho, goes through
+    `_layout_rows` instead, which falls back to this for any other
+    matrix."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -114,13 +123,46 @@ def _layout(value, indent: int) -> str:
                          + _layout(item, indent + 2))
         return _enclose(items, indent, "{}")
     if isinstance(value, list):
-        # a row of rho: n^2 entries in all, so no call per entry
-        if all(type(item) is int for item in value):
-            return _enclose(list(map(int.__repr__, value)), indent, "[]")
         return _enclose([_layout(item, indent + 2) for item in value],
                         indent, "[]")
     raise TypeError(f"Object of type {type(value).__name__} "
                     "is not JSON serializable")
+
+
+def _layout_rows(rows, indent: int) -> str:
+    """`_layout(rows, indent)` for a list of rows of Python ints, written
+    from each row's nonzero entries.
+
+    rho has n^2 entries but, for the canonical action, under 2 nonzero
+    ones per row.  One type check covers the whole matrix; any other
+    value (no entries at all, a bool, a float, a tuple row) goes to
+    `_layout`.  A sparse row writes each nonzero entry with the run of
+    zeros before it, the run as one string product; a row more than a
+    third nonzero, where that loop costs more than it saves, joins every
+    entry."""
+    if (type(rows) is not list or {*map(type, rows)} != {list}
+            or {*map(type, chain.from_iterable(rows))} != {int}):
+        return _layout(rows, indent)
+    sep = ",\n" + " " * (indent + 4)
+    zeros = "0" + sep
+    laid = []
+    for row in rows:
+        nonzero = list(compress(range(len(row)), row))
+        if 3 * len(nonzero) > len(row):
+            items = list(map(int.__repr__, row))
+        else:
+            # an item is the run of zeros before a nonzero entry and the
+            # entry, so _enclose's separators fall between entries; the
+            # zeros after the last one are one more item
+            items = []
+            start = 0
+            for j in nonzero:
+                items.append(zeros * (j - start) + int.__repr__(row[j]))
+                start = j + 1
+            if start < len(row):
+                items.append(zeros * (len(row) - start - 1) + "0")
+        laid.append(_enclose(items, indent + 2, "[]"))
+    return _enclose(laid, indent, "[]")
 
 
 def _groups_block(report: crystal.TheoremReport) -> str:
@@ -150,16 +192,22 @@ def _groups_block(report: crystal.TheoremReport) -> str:
 
 def render_report_json(report: crystal.TheoremReport) -> str:
     """The bytes of json.dumps(report.to_json_dict(), indent=2), laid out
-    here: rho puts its n^2 entries one per line, and the groups block of a
+    here.  rho puts its n^2 entries one per line; it is written from each
+    row's nonzero entries after one type check of the matrix, and a
+    matrix that is not all Python ints (a hand-built descriptor) takes
+    the generic `_layout` (`_layout_rows`).  The groups block of a
     default-window report is laid out once per shape (`_groups_block`)."""
     G = report.descriptor
-    descriptor = {"p": G.p, "n": G.n, "k": G.k, "canonical": G.canonical,
-                  "rho": G.rho}
-    fields = (("descriptor", _layout(descriptor, 2)),
-              ("scalars", _layout(report.scalars, 2)),
-              ("groups", _groups_block(report)),
-              ("warnings", _layout(report.warnings, 2)))
-    return _enclose([f'"{key}": {text}' for key, text in fields], 0, "{}")
+    head = {"p": G.p, "n": G.n, "k": G.k, "canonical": G.canonical}
+    # each laid-out value is prefixed with its key as a temporary, so no
+    # copy of rho's text outlives the next one
+    return _enclose(
+        ['"descriptor": ' + _enclose(
+            [f'"{key}": {_layout(value, 4)}' for key, value in head.items()]
+            + ['"rho": ' + _layout_rows(G.rho, 4)], 2, "{}"),
+         '"scalars": ' + _layout(report.scalars, 2),
+         '"groups": ' + _groups_block(report),
+         '"warnings": ' + _layout(report.warnings, 2)], 0, "{}")
 
 
 def render_report_text(report: crystal.TheoremReport) -> str:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -9,8 +10,9 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crystalk import crystal, exact_linalg as la, verify, zpmod
+from crystalk import cli, crystal, exact_linalg as la, verify, zpmod
 from crystalk.abelian import GroupExpression
 from crystalk.cli import main, render_report_json
 from crystalk.zpmod import MAX_EXTERIOR_RANK, MAX_SUMMAND_DIM
@@ -131,6 +133,60 @@ def test_render_report_json_is_json_dumps_on_edge_cases(make, fresh_shapes):
     # twice: the first render may store the block the second reads
     assert render_report_json(report) == expect
     assert render_report_json(report) == expect
+
+
+def _with_rho(rho):
+    """A report of (3, 1) whose descriptor is built by hand around `rho`,
+    which no validation has seen."""
+    report = crystal.build_report(crystal.canonical_gamma(3, 1))
+    G = crystal.GammaDescriptor(3, len(rho), 1, rho, False)
+    return dataclasses.replace(report, descriptor=G)
+
+
+HAND_BUILT_RHO = {
+    "bool entry": [[True, 0], [0, 1]],
+    "entry above 2^64": [[2**64 + 1, 0], [0, -(2**70)]],
+    "negative entries": [[-1, -3, 0, 0], [0, 0, 0, -12]],
+    "all-zero row": [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+    "fully dense row": [[1, -2, 3, 4], [0, 0, 5, 0], [0, 0, 0, 0], [7] * 4],
+    "empty row beside int rows": [[1, 0], [], [0, 0]],
+}
+
+
+@pytest.mark.parametrize("rho", HAND_BUILT_RHO.values(), ids=HAND_BUILT_RHO)
+def test_render_report_json_is_json_dumps_on_hand_built_rho(rho):
+    report = _with_rho(rho)
+    assert render_report_json(report) == json.dumps(report.to_json_dict(),
+                                                    indent=2)
+
+
+def test_render_report_json_is_json_dumps_on_the_1x1_action():
+    report = crystal.build_report(crystal.canonical_gamma(2, 1))
+    assert report.descriptor.rho == [[-1]]
+    assert render_report_json(report) == json.dumps(report.to_json_dict(),
+                                                    indent=2)
+
+
+@st.composite
+def int_matrices(draw):
+    """Rows of Python ints of any width (0 to 12), each with a drawn set of
+    nonzero positions, so rows run from all zeros to fully dense."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = [0] * draw(st.integers(0, 12))
+        for j in draw(st.sets(st.integers(0, max(len(row) - 1, 0)),
+                              max_size=len(row))):
+            row[j] = draw(st.integers(-2**70, 2**70).filter(bool))
+        rows.append(row)
+    return rows
+
+
+@given(int_matrices(), st.sampled_from((0, 2, 4, 6)))
+@settings(max_examples=200, deadline=None)
+def test_layout_rows_is_layout(rows, indent):
+    assert cli._layout_rows(rows, indent) == cli._layout(rows, indent)
+    if indent == 0:
+        assert cli._layout_rows(rows, 0) == json.dumps(rows, indent=2)
 
 
 def test_a_second_report_of_a_shape_renders_no_expression(monkeypatch,
