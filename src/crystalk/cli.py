@@ -136,10 +136,8 @@ def _layout_rows(rows, indent: int) -> str:
     rho has n^2 entries but, for the canonical action, under 2 nonzero
     ones per row.  One type check covers the whole matrix; any other
     value (no entries at all, a bool, a float, a tuple row) goes to
-    `_layout`.  A sparse row writes each nonzero entry with the run of
-    zeros before it, the run as one string product; a row more than a
-    third nonzero, where that loop costs more than it saves, joins every
-    entry."""
+    `_layout`.  Each row is written as its nonzero entries, each with the
+    run of zeros before it as one string product."""
     if (type(rows) is not list or {*map(type, rows)} != {list}
             or {*map(type, chain.from_iterable(rows))} != {int}):
         return _layout(rows, indent)
@@ -147,20 +145,16 @@ def _layout_rows(rows, indent: int) -> str:
     zeros = "0" + sep
     laid = []
     for row in rows:
-        nonzero = list(compress(range(len(row)), row))
-        if 3 * len(nonzero) > len(row):
-            items = list(map(int.__repr__, row))
-        else:
-            # an item is the run of zeros before a nonzero entry and the
-            # entry, so _enclose's separators fall between entries; the
-            # zeros after the last one are one more item
-            items = []
-            start = 0
-            for j in nonzero:
-                items.append(zeros * (j - start) + int.__repr__(row[j]))
-                start = j + 1
-            if start < len(row):
-                items.append(zeros * (len(row) - start - 1) + "0")
+        # an item is the run of zeros before a nonzero entry and the
+        # entry, so _enclose's separators fall between entries; the zeros
+        # after the last one are one more item
+        items = []
+        start = 0
+        for j in compress(range(len(row)), row):
+            items.append(zeros * (j - start) + int.__repr__(row[j]))
+            start = j + 1
+        if start < len(row):
+            items.append(zeros * (len(row) - start - 1) + "0")
         laid.append(_enclose(items, indent + 2, "[]"))
     return _enclose(laid, indent, "[]")
 

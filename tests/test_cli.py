@@ -119,10 +119,39 @@ def _conjugate_after_a_canonical_report():
     return crystal.build_report(_conjugate(5, 2, 7))
 
 
+def _the_1x1_action():
+    report = crystal.build_report(crystal.canonical_gamma(2, 1))
+    assert report.descriptor.rho == [[-1]]
+    return report
+
+
+def _with_rho(name, rho):
+    """A maker of a report of (3, 1) whose descriptor is built by hand
+    around `rho`, which no validation has seen."""
+    def make():
+        report = crystal.build_report(crystal.canonical_gamma(3, 1))
+        G = crystal.GammaDescriptor(3, len(rho), 1, rho, False)
+        return dataclasses.replace(report, descriptor=G)
+    make.__name__ = name
+    return make
+
+
+HAND_BUILT_RHO = {
+    "rho_with_a_bool": [[True, 0], [0, 1]],
+    "rho_above_2_64": [[2**64 + 1, 0], [0, -(2**70)]],
+    "rho_with_negative_entries": [[-1, -3, 0, 0], [0, 0, 0, -12]],
+    "rho_with_an_all_zero_row": [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+    "rho_with_a_dense_row": [[1, -2, 3, 4], [0, 0, 5, 0], [0, 0, 0, 0],
+                             [7] * 4],
+    "rho_with_an_empty_row": [[1, 0], [], [0, 0]],
+}
+
+
 EDGE_REPORTS = [_edited_after_the_block_was_stored,
                 _reordered_after_the_block_was_stored,
                 _window_with_empty_families, _p2,
-                _conjugate_after_a_canonical_report]
+                _conjugate_after_a_canonical_report, _the_1x1_action,
+                *(_with_rho(name, rho) for name, rho in HAND_BUILT_RHO.items())]
 
 
 @pytest.mark.parametrize("make", EDGE_REPORTS,
@@ -133,38 +162,6 @@ def test_render_report_json_is_json_dumps_on_edge_cases(make, fresh_shapes):
     # twice: the first render may store the block the second reads
     assert render_report_json(report) == expect
     assert render_report_json(report) == expect
-
-
-def _with_rho(rho):
-    """A report of (3, 1) whose descriptor is built by hand around `rho`,
-    which no validation has seen."""
-    report = crystal.build_report(crystal.canonical_gamma(3, 1))
-    G = crystal.GammaDescriptor(3, len(rho), 1, rho, False)
-    return dataclasses.replace(report, descriptor=G)
-
-
-HAND_BUILT_RHO = {
-    "bool entry": [[True, 0], [0, 1]],
-    "entry above 2^64": [[2**64 + 1, 0], [0, -(2**70)]],
-    "negative entries": [[-1, -3, 0, 0], [0, 0, 0, -12]],
-    "all-zero row": [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
-    "fully dense row": [[1, -2, 3, 4], [0, 0, 5, 0], [0, 0, 0, 0], [7] * 4],
-    "empty row beside int rows": [[1, 0], [], [0, 0]],
-}
-
-
-@pytest.mark.parametrize("rho", HAND_BUILT_RHO.values(), ids=HAND_BUILT_RHO)
-def test_render_report_json_is_json_dumps_on_hand_built_rho(rho):
-    report = _with_rho(rho)
-    assert render_report_json(report) == json.dumps(report.to_json_dict(),
-                                                    indent=2)
-
-
-def test_render_report_json_is_json_dumps_on_the_1x1_action():
-    report = crystal.build_report(crystal.canonical_gamma(2, 1))
-    assert report.descriptor.rho == [[-1]]
-    assert render_report_json(report) == json.dumps(report.to_json_dict(),
-                                                    indent=2)
 
 
 @st.composite
