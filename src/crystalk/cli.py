@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain, compress
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 
 from . import crystal, repring, verify, zpmod
@@ -103,9 +103,7 @@ def _layout(value, indent: int) -> str:
     """`value` as json.dumps(value, indent=2) writes it when it starts
     `indent` spaces deep: dicts with str keys, lists, str, int, bool and
     None.  Anything else raises TypeError.  Each list item is laid out
-    by its own call: a matrix of Python ints, such as rho, goes through
-    `_layout_rows` instead, which falls back to this for any other
-    matrix."""
+    by its own call; rho goes through `_layout_rows` instead."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -129,18 +127,15 @@ def _layout(value, indent: int) -> str:
                     "is not JSON serializable")
 
 
-def _layout_rows(rows, indent: int) -> str:
-    """`_layout(rows, indent)` for a list of rows of Python ints, written
-    from each row's nonzero entries.
+def _layout_rows(rows: list[list[int]], indent: int) -> str:
+    """`_layout(rows, indent)` for a list of rows of Python ints, such as
+    a descriptor's rho, written from each row's nonzero entries.
 
     rho has n^2 entries but, for the canonical action, under 2 nonzero
-    ones per row.  One type check covers the whole matrix; any other
-    value (no entries at all, a bool, a float, a tuple row) goes to
-    `_layout`.  Each row is written as its nonzero entries, each with the
+    ones per row.  Its entries are not checked again here: they passed
+    the checked reader `exact_linalg.intmat` or were built by the
+    library.  Each row is written as its nonzero entries, each with the
     run of zeros before it as one string product."""
-    if (type(rows) is not list or {*map(type, rows)} != {list}
-            or {*map(type, chain.from_iterable(rows))} != {int}):
-        return _layout(rows, indent)
     sep = ",\n" + " " * (indent + 4)
     zeros = "0" + sep
     laid = []
@@ -187,9 +182,7 @@ def _groups_block(report: crystal.TheoremReport) -> str:
 def render_report_json(report: crystal.TheoremReport) -> str:
     """The bytes of json.dumps(report.to_json_dict(), indent=2), laid out
     here.  rho puts its n^2 entries one per line; it is written from each
-    row's nonzero entries after one type check of the matrix, and a
-    matrix that is not all Python ints (a hand-built descriptor) takes
-    the generic `_layout` (`_layout_rows`).  The groups block of a
+    row's nonzero entries (`_layout_rows`).  The groups block of a
     default-window report is laid out once per shape (`_groups_block`)."""
     G = report.descriptor
     head = {"p": G.p, "n": G.n, "k": G.k, "canonical": G.canonical}
@@ -259,7 +252,7 @@ def _oracle_payload(G: GammaDescriptor) -> dict:
     mods = [G.exterior(j) for j in range(n + 1)]
     return {
         "descriptor": {"p": p, "n": n, "k": k, "canonical": G.canonical,
-                       "rho": G.rho_rows()},
+                       "rho": G.rho},
         "r_closed_form": list(G.r()),
         "r_fixed_rank_oracle": [zpmod.fixed_rank(mod) for mod in mods],
         "a": list(repring.a_vector(p, k)),

@@ -91,28 +91,27 @@ def shape(p: int, k: int) -> Shape:
 
 @dataclass(frozen=True, eq=False)
 class GammaDescriptor(zpmod.Memoized):
-    """A validated action.  Its memo holds what the action itself gives,
-    the lattice module and its exterior powers; the closed forms are read
-    from `shape(p, k)`.  rho is the action as rows of Python ints, owned
-    by the descriptor and its module: never mutate it, and read a copy
-    through `rho_rows`."""
+    """A validated action, held by its lattice module, whose rows passed
+    the checked reader `exact_linalg.intmat` or were built by the library.
+    Its memo holds the exterior powers; the closed forms are read from
+    `shape(p, k)`.  rho is the module's rows of Python ints: never mutate
+    it, and read a copy through `rho_rows`."""
 
     p: int
     n: int
     k: int
-    rho: list[list[int]]
+    module: zpmod.ZpModule
     canonical: bool
     _cache: dict = field(default_factory=dict, repr=False)
 
-    def module(self) -> zpmod.ZpModule:
-        """The lattice with its twist action as a module object."""
-        return self._memo("module", lambda: zpmod.ZpModule(
-            self.p, self.rho, check=False))
+    @property
+    def rho(self) -> list[list[int]]:
+        return self.module.action
 
     def exterior(self, j: int) -> zpmod.ZpModule:
         """j-th exterior power of the lattice module, kept per degree."""
         return self._memo(("ext", j), lambda: zpmod.exterior_power(
-            self.module(), j))
+            self.module, j))
 
     def r(self) -> tuple[int, ...]:
         return shape(self.p, self.k).r
@@ -163,7 +162,7 @@ def validate_gamma(p: int, rho) -> GammaDescriptor:
         raise BadRankError(f"rank {n} is not divisible by p - 1 = {p - 1}")
     k = n // (p - 1)
     canonical = rho == _canonical_module(p, k).action
-    return GammaDescriptor(p, n, k, rho, canonical, {"module": module})
+    return GammaDescriptor(p, n, k, module, canonical)
 
 
 def _canonical_module(p: int, k: int) -> zpmod.ZpModule:
@@ -194,8 +193,7 @@ def canonical_gamma(p: int, k: int) -> GammaDescriptor:
     _bound_rank(n)
     if not is_prime(p):
         raise NotPrimeError(f"p = {p} must be prime")
-    module = _canonical_module(p, k)
-    return GammaDescriptor(p, n, k, module.action, True, {"module": module})
+    return GammaDescriptor(p, n, k, _canonical_module(p, k), True)
 
 
 @dataclass(frozen=True)
@@ -216,7 +214,7 @@ def finite_subgroup_data(G: GammaDescriptor) -> FiniteSubgroupData:
     with (Z/p)^k.
     """
     def compute():
-        return zpmod.coinvariants(G.module())
+        return zpmod.coinvariants(G.module)
     cok = (shape(G.p, G.k)._memo("cokernel", compute) if G.canonical
            else compute())
     expected = GroupExpression.elementary(G.p, G.k)

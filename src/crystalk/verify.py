@@ -227,7 +227,7 @@ def checks_structure(G: crystal.GammaDescriptor, seed: int):
 
     def conjugated():
         rng = random.Random(f"{seed}:conjugate:{p}:{k}")
-        conj = zpmod.conjugate(G.module(), *_random_unimodular(rng, G.n))
+        conj = zpmod.conjugate(G.module, *_random_unimodular(rng, G.n))
         H = crystal.validate_gamma(p, conj.action)
         if G.canonical:
             assert not H.canonical or conj.action == G.rho

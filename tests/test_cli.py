@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import json
 import os
 import random
@@ -9,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -127,23 +129,23 @@ def _the_1x1_action():
 
 def _with_rho(name, rho):
     """A maker of a report of (3, 1) whose descriptor is built by hand
-    around `rho`, which no validation has seen."""
+    around the unchecked module of `rho`, which no validation has seen."""
     def make():
         report = crystal.build_report(crystal.canonical_gamma(3, 1))
-        G = crystal.GammaDescriptor(3, len(rho), 1, rho, False)
+        G = crystal.GammaDescriptor(3, len(rho), 1,
+                                    zpmod.ZpModule(3, rho, check=False), False)
         return dataclasses.replace(report, descriptor=G)
     make.__name__ = name
     return make
 
 
 HAND_BUILT_RHO = {
-    "rho_with_a_bool": [[True, 0], [0, 1]],
     "rho_above_2_64": [[2**64 + 1, 0], [0, -(2**70)]],
-    "rho_with_negative_entries": [[-1, -3, 0, 0], [0, 0, 0, -12]],
+    "rho_with_negative_entries": [[-1, -3, 0, 0], [0, 0, 0, -12],
+                                  [0, 0, 0, 0], [0, -5, 0, -1]],
     "rho_with_an_all_zero_row": [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
     "rho_with_a_dense_row": [[1, -2, 3, 4], [0, 0, 5, 0], [0, 0, 0, 0],
                              [7] * 4],
-    "rho_with_an_empty_row": [[1, 0], [], [0, 0]],
 }
 
 
@@ -162,6 +164,62 @@ def test_render_report_json_is_json_dumps_on_edge_cases(make, fresh_shapes):
     # twice: the first render may store the block the second reads
     assert render_report_json(report) == expect
     assert render_report_json(report) == expect
+
+
+class _Entry(enum.IntEnum):
+    MINUS_ONE = -1
+    ZERO = 0
+    ONE = 1
+
+
+_RHO_31 = ((0, -1), (1, -1))
+# the (3, 1) action conjugated by [[1, 2^40], [0, 1]]: one entry is
+# -(2^80 + 2^40 + 1)
+_RHO_31_WIDE = la.matmul(la.matmul([[1, 2**40], [0, 1]], _RHO_31),
+                         [[1, -2**40], [0, 1]])
+
+DESCRIPTOR_MAKERS = {
+    "validate_gamma_on_tuple_rows": lambda: crystal.validate_gamma(3, _RHO_31),
+    "validate_gamma_on_an_int64_array": lambda: crystal.validate_gamma(
+        3, np.array(_RHO_31, dtype=np.int64)),
+    "validate_gamma_on_intenum_entries": lambda: crystal.validate_gamma(
+        3, [[_Entry(x) for x in row] for row in _RHO_31]),
+    "validate_gamma_on_entries_near_2_80": lambda: crystal.validate_gamma(
+        3, _RHO_31_WIDE),
+    **{f"canonical_gamma_{p}_{k}": lambda p=p, k=k: crystal.canonical_gamma(p, k)
+       for p, k in ((2, 1), (3, 2), (61, 1))},
+}
+
+
+@pytest.mark.parametrize("make", DESCRIPTOR_MAKERS.values(),
+                         ids=DESCRIPTOR_MAKERS.keys())
+def test_every_descriptor_holds_rows_of_python_ints(make):
+    # `_layout_rows` writes rho without checking it, so every way the
+    # package makes a descriptor must leave exact ints in a list of lists
+    G = make()
+    assert type(G.rho) is list
+    assert all(type(row) is list and len(row) == G.n for row in G.rho)
+    assert all(type(x) is int for row in G.rho for x in row)
+    assert G.rho is G.module.action and len(G.rho) == G.n
+    report = crystal.build_report(G)
+    assert render_report_json(report) == json.dumps(report.to_json_dict(),
+                                                    indent=2)
+
+
+@pytest.mark.parametrize("rho, check, message", [
+    ([[True, 0], [0, 1]], True, "matrix entry True is not an integer"),
+    ([[1, 0], [], [0, 0]], True, "ragged rows in matrix input"),
+    ([[1, 0], [], [0, 0]], False, "action matrix must be square")],
+    ids=["rho_with_a_bool", "rho_with_an_empty_row",
+         "unchecked_rho_with_an_empty_row"])
+def test_a_module_refuses_rows_the_layout_would_misprint(rho, check, message):
+    # `_layout_rows` would write a bool as 1 and trusts every row to be n
+    # long; no descriptor's module holds such rows
+    with pytest.raises(ValueError, match=message):
+        zpmod.ZpModule(3, rho, check=check)
+    if check:
+        with pytest.raises(ValueError, match=message):
+            crystal.validate_gamma(3, rho)
 
 
 @st.composite

@@ -367,7 +367,7 @@ def test_scalars_match_the_papers_closed_forms(p, k, monkeypatch, fresh_shapes):
     monkeypatch.setattr(repring, "r_vector",
                         lambda p, k: (rv[0] + 1,) + rv[1:])
     crystal.shape.cache_clear()
-    fresh = crystal.GammaDescriptor(p, G.n, k, G.rho, True)
+    fresh = crystal.GammaDescriptor(p, G.n, k, G.module, True)
     with pytest.raises(ArithmeticError):
         d_even(fresh)
     with pytest.raises(ArithmeticError):
@@ -544,7 +544,7 @@ def test_assembly_matches_the_dual_route(p, k, seed):
     # reads Lambda^j of the supplied rho, which has the same Tate groups and
     # fixed ranks
     H = _seeded_conjugate(p, k, seed)
-    dual = zpmod.dual(H.module())
+    dual = zpmod.dual(H.module)
     for m in range(H.n + 1):
         by_dual = GroupExpression.zero()
         for j in range(m + 1):
@@ -738,10 +738,10 @@ def test_the_shape_holds_no_module_rows_or_exterior_data(p, k, fresh_shapes):
 def test_a_descriptor_memoizes_only_what_its_action_gives():
     H = _seeded_conjugate(3, 2, 5)
     build_report(H)
-    assert set(H._cache) == {"module"}
+    assert H._cache == {}
     for m in range(H.n + 1):
         brute_force_cohomology_bgamma(H, m)
-    assert all(key == "module" or key[0] == "ext" for key in H._cache)
+    assert all(key[0] == "ext" for key in H._cache)
     assert ("ext", H.n) in H._cache
 
 
@@ -818,7 +818,7 @@ def test_descriptor_keeps_no_alias_of_its_input():
     reference = [row[:] for row in rows]
     G = validate_gamma(3, rows)
     expected = cli.render_report_json(build_report(G))
-    module = G.module()
+    module = G.module
     rows[0][0] += 1
     rows[1].append(9)
     rows.pop()

@@ -486,7 +486,7 @@ def test_fixed_rank_matches_character_theory():
     from crystalk.crystal import canonical_gamma
     for p, k in ((3, 2), (5, 1), (7, 1)):
         G = canonical_gamma(p, k)
-        mod = G.module()
+        mod = G.module
         for m in range(G.n + 1):
             total = Fraction(0)
             for j in range(p):
