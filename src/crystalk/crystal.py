@@ -17,6 +17,7 @@ compares with the closed forms.
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import isqrt
@@ -61,12 +62,21 @@ class OddPrimeRequiredError(GammaError):
     code = "POdd"
 
 
+class BadWindowError(GammaError):
+    code = "BadWindow"
+
+
+# the widest degree window a report evaluates (see `build_report`)
+MAX_WINDOW = 4096
+
+
 @dataclass(frozen=True, eq=False)
 class Shape(zpmod.Memoized):
     """What every action of one shape (p, k) shares: the tables r and s,
     the r-sums checked against r, and in `_cache` the KO point sums, the
     report families over their default windows and the cokernel of the
-    canonical action (see `finite_subgroup_data`).  It holds no module, no
+    canonical action, read off two prime-field ranks of its cyclotomic
+    block (see `finite_subgroup_data`).  It holds no module, no
     rows and no exterior data, so its size does not grow with n.  Every
     value is immutable, so threads may share a shape: two threads that
     miss one memo entry at once both compute it, and either equal result
@@ -135,7 +145,21 @@ class GammaDescriptor(zpmod.Memoized):
 
 
 def validate_gamma(p: int, rho) -> GammaDescriptor:
-    """Check the defining data and derive k; raises GammaError subclasses."""
+    """Check the defining data and derive k; raises GammaError subclasses.
+
+    Freeness and the cokernel come from one elimination of T = rho - id
+    over F_l and F_p (l = 2, or 3 when p = 2; `zpmod.fixed_rank`), with
+    no integer Smith form:
+    - rank_Fl T = n makes T nonsingular over Q, since a rank mod l never
+      exceeds the rank over Q; so no nonzero vector is fixed.
+    - Then rho^p = I, checked exactly, gives Phi_p(rho) = 0.  Writing
+      Phi_p(x) - p = (x - 1)Q(x), p I = -T Q(rho), so p kills coker T, and
+      coker T = (Z/p)^(n - rank_Fp T) exactly (`finite_subgroup_data`).
+    Only a refused action takes an integer kernel, to name its fixed
+    vector.  The action is canonical when its rows are those of the
+    k-fold cyclotomic sum, compared row by row up to the first that
+    differs.
+    """
     # a copy, every entry checked, so the caller's rows are never shared
     rho = la.intmat(rho)
     n = len(rho)
@@ -152,22 +176,16 @@ def validate_gamma(p: int, rho) -> GammaDescriptor:
         raise WrongOrderError(f"matrix does not have order {p}: rho^{p} != id")
     if rho == la.identity(n):
         raise WrongOrderError("matrix is the identity, order 1")
-    # coker(rho - id) is finite exactly when no nonzero vector is fixed; the
-    # module keeps that one dense Smith form
     module = zpmod.ZpModule(p, rho, check=False)
-    if zpmod.coinvariants(module).free_rank:
+    if zpmod.fixed_rank(module):
         vec = tuple(row[0] for row in la.kernel_basis(la.minus_identity(rho)))
         raise NotFreeError(f"fixed vector {vec}")
     if n % (p - 1):
         raise BadRankError(f"rank {n} is not divisible by p - 1 = {p - 1}")
     k = n // (p - 1)
-    canonical = rho == _canonical_module(p, k).action
+    canonical = all(map(operator.eq, rho, zpmod.block_diagonal_rows(
+        [zpmod.make_cyclotomic(p)] * k)))
     return GammaDescriptor(p, n, k, module, canonical)
-
-
-def _canonical_module(p: int, k: int) -> zpmod.ZpModule:
-    """The k-fold sum of the cyclotomic twist, one block k times."""
-    return zpmod.direct_sum(*[zpmod.make_cyclotomic(p)] * k)
 
 
 def _bound_rank(n: int) -> None:
@@ -193,7 +211,8 @@ def canonical_gamma(p: int, k: int) -> GammaDescriptor:
     _bound_rank(n)
     if not is_prime(p):
         raise NotPrimeError(f"p = {p} must be prime")
-    return GammaDescriptor(p, n, k, _canonical_module(p, k), True)
+    return GammaDescriptor(p, n, k, zpmod.direct_sum(
+        *[zpmod.make_cyclotomic(p)] * k), True)
 
 
 @dataclass(frozen=True)
@@ -206,15 +225,18 @@ class FiniteSubgroupData:
 def finite_subgroup_data(G: GammaDescriptor) -> FiniteSubgroupData:
     """Cokernel of (rho - id) and the finite-subgroup / fixed-point counts.
 
-    The cokernel is the lattice module's coinvariants.  A supplied action
-    reads its own, the dense Smith form `validate_gamma` ran.  A canonical
-    action reads its shape's: the first canonical descriptor of the shape
-    computes it, which from `canonical_gamma` is one Smith form of the
-    (p - 1)-wide cyclotomic block, scaled by k.  Either is still compared
-    with (Z/p)^k.
+    The cokernel is read off the lattice module's two prime-field ranks
+    of T = rho - id, the ones validation took: Z^(fixed rank) (+) Tate^1
+    (`zpmod.fixed_rank`, `zpmod.tate`), which is (Z/p)^(n - rank_Fp T)
+    when no vector is fixed (see `validate_gamma`).  A canonical action
+    reads its shape's copy: the first canonical descriptor of the shape
+    computes it, which from `canonical_gamma` ranks the (p - 1)-wide
+    cyclotomic block once, scaled by k.  Either is still compared with
+    (Z/p)^k.
     """
     def compute():
-        return zpmod.coinvariants(G.module)
+        return (GroupExpression.free(zpmod.fixed_rank(G.module))
+                + zpmod.tate(G.module, 1))
     cok = (shape(G.p, G.k)._memo("cokernel", compute) if G.canonical
            else compute())
     expected = GroupExpression.elementary(G.p, G.k)
@@ -615,13 +637,20 @@ def build_report(G: GammaDescriptor,
     """Evaluate every theorem family over its degree window.
 
     The action is checked through its cokernel (`finite_subgroup_data`:
-    the one Smith form of rho - id, or of a canonical action's block once
-    per shape); every family is a closed form in (p, k), so
-    a supplied action builds no exterior power, and over the default
-    windows the families are evaluated once per shape and kept in
-    `shape(p, k)`.  Each report holds its own copy of them.  `verify`
-    compares the closed forms with the spectral assembly.
+    the prime-field ranks of rho - id that validation took, or of a
+    canonical action's block once per shape), with no integer row
+    reduction; every family is a closed form in (p, k), so a supplied
+    action builds no exterior power, and over the default windows the
+    families are evaluated once per shape and kept in `shape(p, k)`.
+    Each report holds its own copy of them.  `verify` compares the
+    closed forms with the spectral assembly.  A window wider than
+    MAX_WINDOW degrees is refused (BadWindowError) before anything is
+    evaluated, since the cost and the report grow with its width.
     """
+    if window is not None and window[1] - window[0] >= MAX_WINDOW:
+        raise BadWindowError(
+            f"degree window {tuple(window)} spans {window[1] - window[0] + 1}"
+            f" degrees; the limit is {MAX_WINDOW}")
     fsd = finite_subgroup_data(G)
     scalars = {
         "d_ev": d_even(G),

@@ -199,9 +199,12 @@ def checks_r_oracle(G: crystal.GammaDescriptor, seed: int):
             rank = zpmod.fixed_rank(G.exterior(m))
             expect = repring.r_m(p, k, m)
             assert rank == expect, f"fixed rank {rank} != r_{m} = {expect}"
+            # the Smith form: Z^(r_m) (+) the odd Tate group, (Z/p)^(a_m)
+            # for odd m and 0 for even m
             co = zpmod.coinvariants(G.exterior(m))
-            assert co.free_rank == expect, \
-                f"coinvariant free rank {co.free_rank} != r_{m} = {expect}"
+            whole = GroupExpression.free(expect) + GroupExpression.elementary(
+                p, repring.a_j(p, k, m) if m % 2 else 0)
+            assert co == whole, f"coinvariants {co} != {whole}"
         return check
     for m in range(n + 1):
         yield (f"r-oracle: wedge^{m} fixed rank = r_{m}", make(m),
@@ -214,10 +217,11 @@ def checks_structure(G: crystal.GammaDescriptor, seed: int):
     def structure():
         data = crystal.finite_subgroup_data(G)
         assert data.cokernel == GroupExpression.elementary(p, k)
-        # a canonical action's cokernel comes from its block, once per
-        # shape: the dense Smith form of rho - id is the reference
+        # the cokernel is read off prime-field ranks (of a canonical
+        # action's block, once per shape): the dense Smith form of
+        # rho - id is the reference
         dense = la.cokernel_structure(list(la.minus_identity(G.rho)))
-        assert data.cokernel == dense, f"block route {data.cokernel} != {dense}"
+        assert data.cokernel == dense, f"rank route {data.cokernel} != {dense}"
         assert data.class_count == p ** k
         assert data.fixed_point_count == p ** k
         assert _p_copies(data.cokernel, p) == k, "cyclic factor count != k"
@@ -233,6 +237,8 @@ def checks_structure(G: crystal.GammaDescriptor, seed: int):
             assert not H.canonical or conj.action == G.rho
         data = crystal.finite_subgroup_data(H)
         assert data.cokernel == GroupExpression.elementary(p, k)
+        dense = la.cokernel_structure(list(la.minus_identity(H.rho)))
+        assert data.cokernel == dense, f"rank route {data.cokernel} != {dense}"
     yield "structure: invariance under base change", conjugated, f"p={p} k={k}"
 
 

@@ -9,10 +9,13 @@ fixed rank, the coinvariants, the norm map and 2-periodic Tate cohomology.
 Two oracles compute the homological functors.  `fixed_rank` and `tate`
 read two ranks over prime fields of T = action - id and the Herbrand
 quotient (see `tate`): eliminations over F_2 or F_3 and F_p, with no
-norm matrix, no matrix power and no integer kernel.  `coinvariants`
-diagonalizes T exactly (an independent SNF check of those ranks), and
-`tate_reference` keeps the kernel/cokernel route through the norm matrix
-as the slow reference that verify and the tests compare the ranks with.
+norm matrix, no matrix power and no integer kernel.  The same two ranks
+give the cokernel of T, Z^(fixed rank) (+) Tate^1, which is how a report
+reads coker(rho - id) (see `crystal.validate_gamma`).  `coinvariants`
+diagonalizes T exactly by its integer Smith form, an independent check
+of those ranks that no report calls, and `tate_reference` keeps the
+kernel/cokernel route through the norm matrix as the slow reference;
+verify and the tests compare the ranks with both.
 
 A direct sum keeps its operands, and an exterior power is a list of
 Kronecker summands, one per way of spreading its degree over the
@@ -140,16 +143,24 @@ def direct_sum(*mods: ZpModule) -> ZpModule:
     p = mods[0].p
     if any(m.p != p for m in mods):
         raise ValueError("mismatched primes in direct sum")
-    n = sum(m.rank for m in mods)
-    out = []
     counts: dict[int, list] = {}
     for m in mods:
-        left, right = [0] * len(out), [0] * (n - len(out) - m.rank)
-        out += [left + row + right for row in m.action]
         counts.setdefault(id(m), [0, m])[0] += 1
-    total = ZpModule(p, out, check=False)
+    total = ZpModule(p, list(block_diagonal_rows(mods)), check=False)
     total.summands = [(count, m) for count, m in counts.values()]
     return total
+
+
+def block_diagonal_rows(mods):
+    """The rows of the block-diagonal sum of the modules' actions, one at a
+    time: each block's rows padded once with zeros."""
+    n = sum(m.rank for m in mods)
+    done = 0
+    for m in mods:
+        left, right = [0] * done, [0] * (n - done - m.rank)
+        for row in m.action:
+            yield left + row + right
+        done += m.rank
 
 
 def tensor(m1: ZpModule, m2: ZpModule) -> ZpModule:
@@ -379,6 +390,8 @@ def coinvariants(m: ZpModule) -> GroupExpression:
 
     Exact: one Smith-form diagonalization per distinct summand, its counts
     scaled by its multiplicity (coinvariants commute with direct sums).
+    It is the reference for the rank route, Z^(fixed rank) (+) Tate^1
+    (see `tate`): verify compares the two, and no report calls it.
     """
     def compute():
         if m.summands is None:
@@ -404,7 +417,9 @@ def tate(m: ZpModule, i: int) -> GroupExpression:
     n - rank_Q N containing im T (TN = 0).  If a pure sublattice K contains
     a sublattice L of the same rank with K / L = (Z/p)^d, then L maps onto
     a subspace of codimension d in K / pK, which embeds in F_p^n; so
-    rank_Fp T = n - rank_Q N - dim Tate^1.
+    rank_Fp T = n - rank_Q N - dim Tate^1.  As rank_Q T = n - rank_Q N,
+    ker N is the saturation of im T, so Tate^1 is the torsion of coker T:
+    coker T = Z^(rank_Q N) (+) Tate^1.
 
     Tate^0 follows from the Herbrand quotient h(M) = |Tate^0| / |Tate^1|
     (Serre, Local Fields, VIII section 4).  h is multiplicative on short

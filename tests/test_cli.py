@@ -491,6 +491,14 @@ def test_report_inverted_window_exit2(capsys):
     assert "empty degree window" in err
 
 
+def test_report_window_over_the_limit_exit2(capsys):
+    code, out, err = run(capsys, "report", "--p", "3", "--k", "1",
+                         "--degree-window", "0", "40000")
+    assert (code, out) == (2, "")
+    assert err == ("BadWindow: degree window (0, 40000) spans 40001 "
+                   "degrees; the limit is 4096\n")
+
+
 def test_report_negative_window(capsys):
     # periodic families may dip below zero; graded ones clamp at zero
     code, out, _ = run(capsys, "report", "--p", "3", "--k", "1",

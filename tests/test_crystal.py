@@ -52,28 +52,50 @@ def test_validate_not_free():
     assert str(err.value) == "NotFree: fixed vector (0, 0, 1)"
 
 
-def test_validation_keeps_its_smith_form(tmp_path, monkeypatch, capsys):
-    # validation reads freeness off coker(rho - id) and hands the module
-    # over, so a --matrix report takes no second Smith form and no kernel
+def test_validation_keeps_its_field_ranks(tmp_path, monkeypatch, capsys):
+    # validation reads freeness off two prime-field ranks of rho - id and
+    # hands the module over, so a --matrix report reads its cokernel off
+    # the same ranks: one elimination, no Smith form and no kernel
     import json
     from crystalk import cli
     seen = []
-    original = la.cokernel_structure
+    original = la.ranks_mod_rows
 
-    def counting(M):
-        M = list(M)
-        seen.append((len(M), len(M[0])))
-        return original(M)
+    def counting(rows, moduli):
+        rows = list(rows)
+        seen.append((len(rows), tuple(moduli)))
+        return original(rows, moduli)
 
-    def refuse(M):
-        raise AssertionError("kernel_basis on a valid action")
-    monkeypatch.setattr(la, "cokernel_structure", counting)
-    monkeypatch.setattr(la, "kernel_basis", refuse)
+    def refuse(name):
+        def refused(M):
+            raise AssertionError(f"{name} on a valid action")
+        return refused
+    monkeypatch.setattr(la, "ranks_mod_rows", counting)
+    monkeypatch.setattr(la, "cokernel_structure", refuse("cokernel_structure"))
+    monkeypatch.setattr(la, "kernel_basis", refuse("kernel_basis"))
     path = tmp_path / "rho.json"
     path.write_text(json.dumps({"p": 3, "matrix": [[2, -7], [1, -3]]}))
     assert cli.main(["report", "--matrix", str(path), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["descriptor"]["canonical"] is False
-    assert seen == [(2, 2)]
+    assert seen == [(2, (2, 3))]
+
+
+@pytest.mark.parametrize("p, seed", [(2, 1), (3, 1), (5, 2), (7, 3)])
+def test_a_refused_action_names_a_vector_it_fixes(p, seed):
+    # the ranks refuse a conjugated cyclotomic (+) trivial action, and the
+    # integer kernel names a nonzero vector that rho really fixes
+    import ast
+    import random
+    from crystalk.verify import _random_unimodular
+    mod = zpmod.direct_sum(zpmod.make_cyclotomic(p), zpmod.make_trivial(p, 1))
+    rho = zpmod.conjugate(mod, *_random_unimodular(random.Random(seed),
+                                                    mod.rank)).action
+    with pytest.raises(NotFreeError) as err:
+        validate_gamma(p, rho)
+    text = str(err.value)
+    assert text.startswith("NotFree: fixed vector (")
+    vec = [[x] for x in ast.literal_eval(text.split("vector ")[1])]
+    assert any(x for [x] in vec) and la.matmul(rho, vec) == vec
 
 
 def test_validate_checks_every_entry_of_an_array():
@@ -505,26 +527,31 @@ def test_report_json_dict_shape():
     assert d["groups"]["H^*(BGamma)"]["2"] == "Z (+) (Z/3)^2"
 
 
-def test_one_smith_form_of_rho_minus_id(monkeypatch, fresh_shapes):
-    # the first report of a fresh shape diagonalizes one (p - 1)-wide
-    # cyclotomic block; every later report of the shape reads its cokernel
+def test_one_rank_elimination_of_rho_minus_id(monkeypatch, fresh_shapes):
+    # the first report of a fresh shape ranks one (p - 1)-wide cyclotomic
+    # block over F_l and F_p; every later report of the shape reads its
+    # cokernel, and none takes a Smith form
     from crystalk import cli
     seen = []
-    original = la.cokernel_structure
+    original = la.ranks_mod_rows
 
-    def counting(M):
-        M = list(M)
-        seen.append((len(M), len(M[0])))
-        return original(M)
-    monkeypatch.setattr(la, "cokernel_structure", counting)
+    def counting(rows, moduli):
+        rows = list(rows)
+        seen.append((len(rows), tuple(moduli)))
+        return original(rows, moduli)
+
+    def refuse(M):
+        raise AssertionError("Smith form in a report")
+    monkeypatch.setattr(la, "ranks_mod_rows", counting)
+    monkeypatch.setattr(la, "cokernel_structure", refuse)
     for p, k in ((3, 2), (5, 2)):
         for _ in range(2):
             G = canonical_gamma(p, k)
             build_report(G)
             crystal.abelianization(G)
-            payload = cli._oracle_payload(G)
-            assert payload["coker_invariant_factors"] == [p] * k
-    assert seen == [(2, 2), (4, 4)]
+    assert seen == [(2, (2, 3)), (4, (2, 5))]
+    payload = cli._oracle_payload(canonical_gamma(5, 2))
+    assert payload["coker_invariant_factors"] == [5, 5]
 
 
 def _seeded_conjugate(p, k, seed):
@@ -557,12 +584,47 @@ def test_assembly_matches_the_dual_route(p, k, seed):
 
 
 def test_cokernel_mismatch_guards_the_coinvariants(monkeypatch, fresh_shapes):
-    # coker(rho - id) is read off the lattice module's coinvariants, and a
-    # group other than (Z/p)^k is still refused
-    monkeypatch.setattr(zpmod, "coinvariants",
-                        lambda m: GroupExpression.elementary(3, 1))
-    with pytest.raises(crystal.CokernelMismatchError):
+    # coker(rho - id) is read off the F_p rank of rho - id, and a group
+    # other than (Z/p)^k is still refused: here a wrong rank, one too low
+    original = la.ranks_mod_rows
+
+    def wrong(rows, moduli):
+        rank_l, rank_p = original(rows, moduli)
+        return rank_l, rank_p - 1
+    monkeypatch.setattr(la, "ranks_mod_rows", wrong)
+    with pytest.raises(crystal.CokernelMismatchError, match=r"\(Z/3\)\^4"):
         finite_subgroup_data(canonical_gamma(3, 2))
+    H = _seeded_conjugate(3, 2, 5)
+    with pytest.raises(crystal.CokernelMismatchError, match=r"\(Z/3\)\^3"):
+        build_report(H)
+
+
+def test_the_cokernel_keeps_its_free_part():
+    # the rank route reads Z^(fixed rank) (+) Tate^1, exact on any module:
+    # a hand-built descriptor whose torsion is (Z/p)^k but whose module
+    # fixes a plane is still refused
+    mod = zpmod.direct_sum(zpmod.make_cyclotomic(3), zpmod.make_trivial(3, 2))
+    G = crystal.GammaDescriptor(3, 4, 1, mod, False)
+    with pytest.raises(crystal.CokernelMismatchError,
+                       match=r"= Z\^2 \(\+\) Z/3, expected Z/3$"):
+        finite_subgroup_data(G)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
+                        (7, 1)]), st.integers(0, 2 ** 32))
+def test_the_rank_route_cokernel_is_the_smith_form(shape_pk, seed):
+    # on seeded conjugates of the canonical action, the cokernel read off
+    # the prime-field ranks is the dense Smith form of rho - id
+    import random
+    from crystalk.verify import _random_unimodular
+    p, k = shape_pk
+    G = canonical_gamma(p, k)
+    g, g_inv = _random_unimodular(random.Random(seed), G.n)
+    H = validate_gamma(p, la.matmul(la.matmul(g, G.rho), g_inv))
+    dense = la.cokernel_structure(list(la.minus_identity(H.rho)))
+    assert finite_subgroup_data(H).cokernel == dense
+    assert dense == GroupExpression.elementary(p, k)
 
 
 @pytest.mark.parametrize("p, k, seed", [(3, 2, 5), (5, 2, 3)])
@@ -694,6 +756,31 @@ def test_a_wide_window_leaves_only_the_ko_point_sums(fresh_shapes):
                if isinstance(key, tuple) and key[1] is KOPoint]
     assert set(cache) == {"families", "cokernel", *ko_keys}
     assert len(ko_keys) <= 16
+
+
+def test_a_window_over_the_limit_is_refused_before_any_work(monkeypatch):
+    # the cost and the report grow with the width: a window of more than
+    # MAX_WINDOW degrees is refused by name before the cokernel or any
+    # family is evaluated; the widest admitted window is evaluated
+    def refuse(*args):
+        raise AssertionError("evaluated")
+    fsd = crystal.finite_subgroup_data
+    monkeypatch.setattr(crystal, "finite_subgroup_data", refuse)
+    monkeypatch.setattr(crystal, "_evaluate_families", refuse)
+    limit = crystal.MAX_WINDOW
+    for window in ((0, limit), (-limit, 0), (-3000, 3000), (0, 10 ** 12)):
+        with pytest.raises(crystal.BadWindowError, match=(
+                rf"^BadWindow: degree window \({window[0]}, {window[1]}\) "
+                rf"spans {window[1] - window[0] + 1} degrees; "
+                rf"the limit is {limit}$")):
+            build_report(G31, window)
+    seen = []
+    monkeypatch.setattr(crystal, "finite_subgroup_data", fsd)
+    monkeypatch.setattr(crystal, "_evaluate_families",
+                        lambda G, window: seen.append(window) or ())
+    for window in ((0, limit - 1), (-2000, 2000)):
+        build_report(G31, window)
+    assert seen == [(0, limit - 1), (-2000, 2000)]
 
 
 def _reachable(value):

@@ -250,11 +250,14 @@ def test_assembly_mismatch_fails_a_verify_cell(monkeypatch):
 def test_rank_errors_are_not_reported_as_the_guardrail(monkeypatch):
     # the bound refuses a grid before its first cell, so any exception
     # inside a cell, a refusal included, is a bug: a HardError
+    # validation reads fixed_rank too, so the conjugate is built first
+    H = _connected_conjugate(3, 2, 5)
+
     def broken(m):
         raise ValueError("negative free rank")
     monkeypatch.setattr(zpmod, "fixed_rank", broken)
     with pytest.raises(verify.HardError, match="negative free rank"):
-        verify.run_all(3, 2, gamma=_connected_conjugate(3, 2, 5))
+        verify.run_all(3, 2, gamma=H)
 
     def refused(m):
         raise zpmod.ExteriorGuardrailError("refused mid-grid")
