@@ -79,7 +79,10 @@ def _load_descriptor(args: argparse.Namespace) -> GammaDescriptor:
 
 
 def _emit(text: str) -> None:
-    sys.stdout.write(text)
+    # in slices of a mebibyte, so a large report is never encoded whole
+    # next to its text
+    for start in range(0, len(text), 1 << 20):
+        sys.stdout.write(text[start:start + (1 << 20)])
     if not text.endswith("\n"):
         sys.stdout.write("\n")
 

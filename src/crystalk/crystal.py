@@ -93,9 +93,10 @@ class Shape(zpmod.Memoized):
 @functools.lru_cache(maxsize=16)
 def shape(p: int, k: int) -> Shape:
     """The closed-form memo of the shape (p, k), one per process; the 16
-    shapes used last are kept."""
-    r = repring.r_vector(p, k)
-    return Shape(p, k, r, repring.s_vector(p, k),
+    shapes used last are kept.  r and s come from one a_vector table."""
+    av = repring.a_vector(p, k)
+    r = repring.r_vector(p, k, av)
+    return Shape(p, k, r, repring.s_vector(p, k, av),
                  MappingProxyType(repring.r_sum_identities(p, k, r)))
 
 
@@ -168,13 +169,13 @@ def validate_gamma(p: int, rho) -> GammaDescriptor:
     _bound_rank(n)
     # trial division by 2, ..., n + 1 first: a p with no divisor there is
     # a prime of at most n + 1 or has no prime factor that small, so
-    # `power_is_identity` forms rho^p only for p <= n + 1, and a p that
+    # `power_is_identity` follows orbits only for p <= n + 1, and a p that
     # passes both order checks is a prime
     if p < 2 or any(p % d == 0 for d in range(2, min(n + 1, isqrt(p)) + 1)):
         raise NotPrimeError(f"p = {p} must be prime")
     if not la.power_is_identity(rho, p):
         raise WrongOrderError(f"matrix does not have order {p}: rho^{p} != id")
-    if rho == la.identity(n):
+    if not any(map(any, la.minus_identity(rho))):
         raise WrongOrderError("matrix is the identity, order 1")
     module = zpmod.ZpModule(p, rho, check=False)
     if zpmod.fixed_rank(module):
@@ -227,22 +228,26 @@ def finite_subgroup_data(G: GammaDescriptor) -> FiniteSubgroupData:
 
     The cokernel is read off the lattice module's two prime-field ranks
     of T = rho - id, the ones validation took: Z^(fixed rank) (+) Tate^1
-    (`zpmod.fixed_rank`, `zpmod.tate`), which is (Z/p)^(n - rank_Fp T)
-    when no vector is fixed (see `validate_gamma`).  A canonical action
-    reads its shape's copy: the first canonical descriptor of the shape
-    computes it, which from `canonical_gamma` ranks the (p - 1)-wide
-    cyclotomic block once, scaled by k.  Either is still compared with
-    (Z/p)^k.
+    (`zpmod.fixed_rank`, `zpmod.tate_dim`), which is (Z/p)^(n - rank_Fp T)
+    when no vector is fixed (see `validate_gamma`).  Its two counts are
+    compared with those of (Z/p)^k, and only a mismatch builds the group
+    it names.  A canonical action reads its shape's copy: the first
+    canonical descriptor of the shape checks it, which from
+    `canonical_gamma` ranks the (p - 1)-wide cyclotomic block once,
+    scaled by k.
     """
     def compute():
-        return (GroupExpression.free(zpmod.fixed_rank(G.module))
-                + zpmod.tate(G.module, 1))
+        free, torsion = (zpmod.fixed_rank(G.module),
+                         zpmod.tate_dim(G.module, 1))
+        expected = GroupExpression.elementary(G.p, G.k)
+        if (free, torsion) != (0, G.k):
+            cok = (GroupExpression.free(free)
+                   + GroupExpression.elementary(G.p, torsion))
+            raise CokernelMismatchError(
+                f"coker(rho - id) = {cok}, expected {expected}")
+        return expected
     cok = (shape(G.p, G.k)._memo("cokernel", compute) if G.canonical
            else compute())
-    expected = GroupExpression.elementary(G.p, G.k)
-    if cok != expected:
-        raise CokernelMismatchError(
-            f"coker(rho - id) = {cok}, expected {expected}")
     count = G.p ** G.k
     return FiniteSubgroupData(cok, count, count)
 

@@ -9,14 +9,15 @@ and the Smith normal form with its transforms.
 A matrix from outside is read by one checked reader, `_rows`, in front
 of every routine that takes one; every routine returns new rows.  The
 row helpers (`identity`, `transpose`, `minus_identity`, `matmul`,
-`matrix_power`, `power_is_identity`, `kron`, `ranks_mod_rows`) take rows
-as those return them, unchecked; `minus_identity` yields its rows one at
-a time, so T = A - I is never held twice.
+`power_is_identity`, `kron`, `ranks_mod_rows`) take rows as those return
+them, unchecked; `minus_identity` yields its rows one at a time, so
+T = A - I is never held twice.  No helper forms a power of a matrix:
+`power_is_identity` certifies A^e = I on the orbits of basis vectors.
 
 Two routines stay apart on purpose: `ranks_mod_rows` (behind `ranks_mod`
 and `rank_mod`, which refuse a modulus that is not prime) eliminates
-over prime fields F_q, and `determinant` (Bareiss elimination) is an
-independent check.
+over prime fields F_q on sparse rows, F_2 as XOR on int bitsets, and
+`determinant` (Bareiss elimination) is an independent check.
 """
 
 from __future__ import annotations
@@ -127,34 +128,65 @@ def matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def matrix_power(A: list[list[int]], e: int) -> list[list[int]]:
-    """A^e for a square A and e >= 0, by repeated squaring: O(log e)
-    products, none of them with the identity."""
-    if e < 0:
-        raise ValueError(f"negative exponent {e}")
-    result = None
-    square = A
-    while e:
-        if e & 1:
-            result = square if result is None else matmul(result, square)
-        e >>= 1
-        if e:
-            square = matmul(square, square)
-    if result is None:
-        return identity(len(A))
-    return [row[:] for row in A] if result is A else result
+def _add_mod2(pivots: dict[int, int], v: int) -> bool:
+    """Add v, a vector over F_2 held as an int bitset, to the echelon basis
+    `pivots` (highest bit -> basis vector) unless it lies in their span;
+    whether it was added.  Each step XORs away v's highest bit."""
+    while v:
+        top = v.bit_length() - 1
+        b = pivots.get(top)
+        if b is None:
+            pivots[top] = v
+            return True
+        v ^= b
+    return False
 
 
 def power_is_identity(A: list[list[int]], e: int) -> bool:
     """Whether A^e = I, for a square A (n x n) and an e >= 1 that is a
-    prime of at most n + 1 or has no prime factor that small.  A^e is
-    formed only for e <= n + 1: an A of finite order m != 1 has, for each
-    prime l | m, a primitive l-th root of unity among its eigenvalues, of
-    degree l - 1 <= n, so a larger such e has A^e = I only for A = I."""
-    ident = identity(len(A))
-    if e > len(A) + 1:
-        return A == ident
-    return matrix_power(A, e) == ident
+    prime of at most n + 1 or has no prime factor that small.
+
+    A larger such e has A^e = I only for A = I (an A of finite order
+    m != 1 has, for each prime l | m, a primitive l-th root of unity among
+    its eigenvalues, of degree l - 1 <= n), so that case is one
+    comparison.  Otherwise no power of A is formed; A^e = I is certified
+    on orbits.  The basis vectors e_i are taken in order, skipping each
+    one already in the F_2-span of the vectors collected so far.  For the
+    others the orbit e_i, A e_i, ..., A^e e_i is computed as sparse
+    combinations of the columns of A, A^e e_i = e_i is checked, and the
+    orbit, which A^e fixes as it commutes with A, joins an F_2 echelon
+    basis (`_add_mod2`).  Every e_i ends in that span, so its rank reaches
+    n; then A^e fixes n vectors whose determinant is odd, hence nonzero:
+    a basis of Q^n, so A^e = I.
+    """
+    n = len(A)
+    if e > n + 1:
+        return not any(map(any, minus_identity(A)))
+    # column j of A as the (row, entry) pairs of its nonzero entries
+    cols = [[] for _ in range(n)]
+    for i, row in enumerate(A):
+        for j in compress(range(n), row):
+            cols[j].append((i, row[j]))
+    basis: dict[int, int] = {}
+    for i in range(n):
+        if not _add_mod2(basis, 1 << i):
+            continue
+        orbit = []   # A e_i, ..., A^e e_i, each as {row: nonzero entry}
+        x = {i: 1}
+        for _ in range(e):
+            y: dict[int, int] = {}
+            for j, c in x.items():
+                for r, a in cols[j]:
+                    y[r] = y.get(r, 0) + c * a
+            x = {r: c for r, c in y.items() if c}
+            orbit.append(x)
+        if orbit.pop() != {i: 1}:
+            return False
+        for x in orbit:
+            _add_mod2(basis, sum(1 << r for r, c in x.items() if c & 1))
+            if len(basis) == n:
+                return True
+    return True
 
 
 def kron(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
@@ -197,10 +229,14 @@ def ranks_mod_rows(rows, moduli) -> tuple[int, ...]:
     """Ranks over the prime fields F_q, q in moduli (taken to be prime),
     of the rows of Python ints that `rows` yields, each read once as its
     nonzero entries; rows with fewer come first, as they fill in less.
-    For each q, Gaussian elimination on the residues in [0, q) pivots on
-    the first row left with a nonzero entry in the column; a row update
-    subtracts the pivot row times the quotient of the two entries there
-    (by `pow(x, -1, q)`), reading only the pivot row's nonzero entries."""
+    For each q every row is reduced by the pivot rows kept so far, each
+    keyed by its leading position and held sparse, and becomes one more
+    pivot when anything is left.  Over F_2 a row is an int bitset,
+    reduced by XOR (`_add_mod2`).  Over an odd q the one row being
+    reduced is a list of residues, and a pivot row, scaled to lead with
+    1, is the columns and residues of its other nonzero entries: a
+    reduction subtracts it times the row's entry in its leading column,
+    reading only those entries."""
     sparse = []
     n = 0
     for row in rows:
@@ -209,23 +245,30 @@ def ranks_mod_rows(rows, moduli) -> tuple[int, ...]:
     sparse.sort(key=len)
     ranks = []
     for q in moduli:
-        left = [[0] * n for _ in sparse]   # the residue rows not yet a pivot
-        for w, entries in zip(left, sparse):
-            for j, x in entries.items():
-                w[j] = x % q
-        for c in range(n):
-            nz = [i for i, w in enumerate(left) if w[c]]
-            if not nz:
-                continue
-            row = left.pop(nz[0])
-            inv = pow(row[c], -1, q)
-            support = list(compress(range(c, n), row[c:]))
-            for i in nz[1:]:
-                w = left[i - 1]   # one place up, past the popped pivot
-                f = w[c] * inv % q
-                for j in support:
-                    w[j] = (w[j] - f * row[j]) % q
-        ranks.append(len(sparse) - len(left))   # one row popped per pivot
+        pivots: dict = {}
+        if q == 2:
+            for entries in sparse:
+                _add_mod2(pivots, sum(1 << j for j, x in entries.items()
+                                      if x & 1))
+        else:
+            for entries in sparse:
+                w = [0] * n
+                for j, x in entries.items():
+                    w[j] = x % q
+                for c in range(min(entries, default=n), n):
+                    f = w[c]
+                    if not f:
+                        continue
+                    pivot = pivots.get(c)
+                    if pivot is None:
+                        inv = pow(f, -1, q)
+                        cols = list(compress(range(c + 1, n), w[c + 1:]))
+                        pivots[c] = (cols, [w[j] * inv % q for j in cols])
+                        break
+                    cols, vals = pivot
+                    for j, x in zip(cols, vals):
+                        w[j] = (w[j] - f * x) % q
+        ranks.append(len(pivots))
     return tuple(ranks)
 
 

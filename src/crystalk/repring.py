@@ -47,18 +47,20 @@ def lambda_class(p: int, l: int) -> tuple[int, int]:
     return (sign, _exact(comb(p - 1, l) - sign, p, f"C(p-1, {l}) - (-1)^{l}"))
 
 
-def r_vector(p: int, k: int) -> tuple[int, ...]:
+def r_vector(p: int, k: int,
+             av: tuple[int, ...] | None = None) -> tuple[int, ...]:
     """(r_0, ..., r_n) for n = k(p-1); r vanishes above n.
 
     A fixed rank is the average of the character.  The identity gives
     C(n, m); every other element has each primitive p-th root of unity as
     an eigenvalue k times, so det(1 + t*g) = (sum_{l<p} (-t)^l)^k, whose
     t^m coefficient is (-1)^m a_m.  Hence p*r_m = C(n, m) + (-1)^m (p-1) a_m.
+    `av` is a_vector(p, k) when the caller already holds it.
     """
     _require_prime(p)
     n = k * (p - 1)
     rv, binom, sign = [], 1, p - 1
-    for m, a in enumerate(a_vector(p, k)):
+    for m, a in enumerate(a_vector(p, k) if av is None else av):
         r = _exact(binom + sign * a, p, f"character sum of degree {m}")
         if r < 0:
             raise ArithmeticError(f"fixed rank {r} is negative")
@@ -109,10 +111,12 @@ def a_j_inclusion_exclusion(p: int, k: int, j: int) -> int:
     return total
 
 
-def s_vector(p: int, k: int) -> tuple[int, ...]:
-    """(s_0, ..., s_{n+1}): prefix sums of the a_j, from 0 up to p^k."""
+def s_vector(p: int, k: int,
+             av: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """(s_0, ..., s_{n+1}): prefix sums of the a_j, from 0 up to p^k; `av`
+    is a_vector(p, k) when the caller already holds it."""
     out = [0]
-    for a in a_vector(p, k):
+    for a in a_vector(p, k) if av is None else av:
         out.append(out[-1] + a)
     return tuple(out)
 

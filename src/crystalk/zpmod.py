@@ -40,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect
 from collections import Counter
 from itertools import (chain, combinations, combinations_with_replacement,
-                       compress, product)
+                       compress, islice, product)
 from math import comb, factorial, prod
 
 from . import exact_linalg as la
@@ -85,17 +85,27 @@ class ZpModule(Memoized):
         if not la.power_is_identity(self.action, self.p):
             raise ValueError("action does not have order dividing p")
 
+    def _powers(self):
+        """The action matrices of the generator powers 0, 1, ..., p - 1,
+        each the product of the one before and the action."""
+        out = la.identity(self.rank)
+        yield out
+        for _ in range(1, self.p):
+            out = la.matmul(out, self.action)
+            yield out
+
     def power(self, j: int) -> list[list[int]]:
-        """Action matrix of the j-th power of the generator (not stored)."""
-        return la.matrix_power(self.action, j % self.p)
+        """Action matrix of the j-th power of the generator (not stored),
+        the (j mod p)-th running product of `_powers`."""
+        return next(islice(self._powers(), j % self.p, None))
 
     def norm_matrix(self) -> list[list[int]]:
         """Matrix of the norm element, the sum of all generator powers."""
         def compute():
-            out = la.identity(self.rank)
-            for j in range(1, self.p):
-                out = [[a + b for a, b in zip(r, s)]
-                       for r, s in zip(out, self.power(j))]
+            powers = self._powers()
+            out = next(powers)
+            for P in powers:
+                out = [[a + b for a, b in zip(r, s)] for r, s in zip(out, P)]
             return out
         return self._memo("norm", compute)
 
@@ -436,10 +446,14 @@ def tate(m: ZpModule, i: int) -> GroupExpression:
     l-ranks equal their rational ranks.  No norm matrix and no matrix power
     are built; an exterior power needs only its Kronecker summands.
     """
+    return GroupExpression.elementary(m.p, tate_dim(m, i))
+
+
+def tate_dim(m: ZpModule, i: int) -> int:
+    """d for Tate^i = (Z/p)^d, from the two field ranks (see `tate`)."""
     rank_q_n, rank_p_t = _field_ranks(m)
     h1 = m.rank - rank_q_n - rank_p_t
-    h0 = h1 + (m.p * rank_q_n - m.rank) // (m.p - 1)
-    return GroupExpression.elementary(m.p, h1 if i % 2 else h0)
+    return h1 if i % 2 else h1 + (m.p * rank_q_n - m.rank) // (m.p - 1)
 
 
 def tate_reference(m: ZpModule, i: int) -> GroupExpression:

@@ -194,12 +194,37 @@ def test_canonical_gamma_passes_validation(p, k):
 
 
 def test_canonical_gamma_skips_validation(monkeypatch):
+    # each step of validation is refused, so the guard cannot pass by a
+    # check that goes around validate_gamma
     def boom(*args, **kwargs):
         raise AssertionError("the canonical action was checked")
     monkeypatch.setattr(crystal, "validate_gamma", boom)
-    monkeypatch.setattr(la, "matrix_power", boom)
+    monkeypatch.setattr(la, "power_is_identity", boom)
+    monkeypatch.setattr(zpmod, "fixed_rank", boom)
     G = canonical_gamma(61, 1)
     assert (G.p, G.n, G.k, G.canonical) == (61, 60, 1, True)
+
+
+def test_validation_of_the_canonical_1009_rows_forms_no_product(monkeypatch):
+    # rho^p = I is certified on orbits of basis vectors, so checking the
+    # 1008-wide action runs no matrix product, and still checks the order
+    rows = canonical_gamma(1009, 1).rho_rows()
+    checked = []
+    original = la.power_is_identity
+
+    def spy(A, e):
+        checked.append(e)
+        return original(A, e)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a matrix product in validation")
+    monkeypatch.setattr(la, "matmul", boom)
+    monkeypatch.setattr(la, "power_is_identity", spy)
+    G = validate_gamma(1009, rows)
+    assert (G.n, G.k, G.canonical, checked) == (1008, 1, True, [1009])
+    rows[0][0] += 1
+    with pytest.raises(WrongOrderError):
+        validate_gamma(1009, rows)
 
 
 def test_conjugated_matrix_not_canonical():
@@ -387,7 +412,7 @@ def test_scalars_match_the_papers_closed_forms(p, k, monkeypatch, fresh_shapes):
     # the scalars are only as good as the check of the r-sums behind them
     rv = G.r()
     monkeypatch.setattr(repring, "r_vector",
-                        lambda p, k: (rv[0] + 1,) + rv[1:])
+                        lambda p, k, av=None: (rv[0] + 1,) + rv[1:])
     crystal.shape.cache_clear()
     fresh = crystal.GammaDescriptor(p, G.n, k, G.module, True)
     with pytest.raises(ArithmeticError):

@@ -85,6 +85,7 @@ UNREFERENCED = {
     "exact_linalg.rank_mod": "the checked public entry to prime-field ranks",
     "abelian.GroupExpression.pruefer_rank": "a value accessor",
     "repring.s_m": "the paper's s_m, next to r_m and a_j",
+    "zpmod.ZpModule.power": "perfbench/tracer.py wraps it by name",
 }
 
 

@@ -522,7 +522,58 @@ def test_ranks_mod_match_the_int64_reference(m, n, data):
     assert la.ranks_mod_rows(small, (2 ** 61 - 1,)) == (rational_rank(small),)
 
 
+def dense_rank_mod_reference(rows, q) -> int:
+    """Rank over F_q by textbook Gaussian elimination on dense rows of
+    Python ints, for any prime q (2^61 - 1 too)."""
+    W = [[x % q for x in row] for row in rows]
+    rank = 0
+    for c in range(len(W[0]) if W else 0):
+        piv = next((r for r in range(rank, len(W)) if W[r][c]), None)
+        if piv is None:
+            continue
+        W[rank], W[piv] = W[piv], W[rank]
+        inv = pow(W[rank][c], -1, q)
+        for r in range(rank + 1, len(W)):
+            f = W[r][c] * inv % q
+            W[r] = [(x - f * y) % q for x, y in zip(W[r], W[rank])]
+        rank += 1
+    return rank
+
+
+near_2_80 = st.integers(2 ** 80 - 2 ** 8, 2 ** 80 + 2 ** 8).flatmap(
+    lambda x: st.sampled_from((x, -x)))
+
+
+@given(st.integers(0, 8), st.integers(1, 8), st.data())
+@settings(max_examples=80, deadline=None)
+def test_ranks_mod_rows_match_the_references(m, n, data):
+    # sparse rows keyed by their leading column (odd q) and int bitsets
+    # (q = 2) against the int64 and the dense references, on zero rows,
+    # entries near 2^80 and rows that depend on others
+    entry = st.just(0) | small_entries | near_2_80
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=m, max_size=m))
+    for i in range(1, m):
+        how = data.draw(st.sampled_from(("keep", "zero", "sum", "double")))
+        if how == "zero":
+            rows[i] = [0] * n
+        elif how == "sum":
+            rows[i] = [a - 5 * b for a, b in zip(rows[i - 1], rows[0])]
+        elif how == "double":
+            rows[i] = [2 * a for a in rows[i - 1]]
+    qs = (2, 3, 5, 13, 2 ** 31 - 1)
+    got = la.ranks_mod_rows(iter(rows), qs + (2 ** 61 - 1,))
+    assert got[:-1] == int64_ranks_mod_reference(rows, qs)
+    assert got == tuple(dense_rank_mod_reference(rows, q)
+                        for q in qs + (2 ** 61 - 1,))
+
+
 # -- row helpers against numpy object arrays ---------------------------------
+
+def numpy_power(A, e):
+    """A^e by numpy's matrix_power of the object array: the reference."""
+    return np.linalg.matrix_power(arr(A), e).tolist()
+
 
 def test_power_is_identity_matches_the_power():
     c3 = [[0, -1], [1, -1]]   # order 3
@@ -535,7 +586,7 @@ def test_power_is_identity_matches_the_power():
         for e in range(1, 60):
             if e <= n + 1 or all(e % d for d in range(2, n + 2)):
                 assert la.power_is_identity(A, e) \
-                    == (la.matrix_power(A, e) == la.identity(n)), (A, e)
+                    == (numpy_power(A, e) == la.identity(n)), (A, e)
     # a huge exponent is one comparison, whatever the order of A
     huge = 10 ** 18 + 3
     for A in ([[2]], c3, [[2, 1], [1, 1]]):
@@ -563,14 +614,45 @@ def test_matmul_transpose_and_kron_match_numpy(m, k, n, data):
     assert A + B == before
 
 
-@given(st.integers(1, 8), st.sampled_from((2, 3, 5, 7)), st.data())
-@settings(max_examples=40, deadline=None)
-def test_matrix_power_matches_numpy(n, p, data):
-    A = data.draw(wide_matrices(n, n))
-    for e in (0, 1, p):
-        got = la.matrix_power(A, e)
-        assert got == np.linalg.matrix_power(arr(A), e).tolist()
-        assert all(got_row is not row for got_row, row in zip(got, A))
+def _order_check_inputs(p, data):
+    """Actions to judge at exponent p: a seeded conjugate of a sum of
+    cyclotomic, regular and trivial blocks, -rho (order 2p) and a one-entry
+    bump, or -I (for p = 2), whose orbits are degenerate mod 2."""
+    import random
+    from crystalk import zpmod
+    from crystalk.verify import _random_unimodular
+    kind = data.draw(st.sampled_from(("sum", "negated", "bumped", "minus_I")))
+    if kind == "minus_I":
+        n = data.draw(st.integers(1, 6))
+        return [[-int(i == j) for j in range(n)] for i in range(n)], 2
+    blocks = data.draw(st.lists(st.sampled_from(
+        (zpmod.make_cyclotomic(p), zpmod.make_regular(p),
+         zpmod.make_trivial(p, 1))), min_size=1, max_size=3))
+    rho = zpmod.direct_sum(*blocks).action
+    n = len(rho)
+    if data.draw(st.booleans()):
+        g, g_inv = _random_unimodular(random.Random(data.draw(
+            st.integers(0, 10 ** 6))), n, data.draw(st.integers(1, 3 * n)))
+        rho = la.matmul(la.matmul(g, rho), g_inv)
+    if kind == "negated":
+        rho = [[-x for x in row] for row in rho]
+    elif kind == "bumped":
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        rho[i][j] += data.draw(st.sampled_from((-2, -1, 1, 2)))
+    return rho, p
+
+
+@given(st.sampled_from((2, 3, 5, 7)), st.data())
+@settings(max_examples=120, deadline=None)
+def test_power_is_identity_matches_numpy(p, data):
+    A, p = _order_check_inputs(p, data)
+    n = len(A)
+    before = [row[:] for row in A]
+    # e = 1 and e = p are prime; the orbit check runs for e <= n + 1
+    for e in (1, p):
+        assert la.power_is_identity(A, e) \
+            == (numpy_power(A, e) == la.identity(n)), (A, e)
+    assert A == before
     assert list(la.minus_identity(A)) \
         == (arr(A) - np.eye(n, dtype=int)).tolist()
 

@@ -109,7 +109,7 @@ def test_five_term_cell_catches_a_shifted_s_table(monkeypatch, fresh_shapes):
     cells[name]()
     real = repring.s_vector
     monkeypatch.setattr(repring, "s_vector",
-                        lambda p, k: real(p, k)[1:] + (p ** k,))
+                        lambda p, k, av=None: real(p, k)[1:] + (p ** k,))
     crystal.shape.cache_clear()
     cells = {n: fn for n, fn, _repro in verify.all_checks(3, 2)}
     with pytest.raises(AssertionError, match="five-term count"):

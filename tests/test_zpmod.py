@@ -91,18 +91,27 @@ def test_wrong_order_rejected():
         ZpModule(61, [[-x for x in row] for row in make_cyclotomic(61).action])
 
 
+def _power(A, j):
+    """A^j by numpy's matrix_power of the object array (by squaring): the
+    tests' reference for powers of an action."""
+    return np.linalg.matrix_power(np.array(A, dtype=object), j).tolist()
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_squared_power_matches_repeated_product(seed):
-    # the order checks square rows; the entries must stay exact
+    # the module's powers and norm are running products; numpy's squared
+    # powers must match them exactly, also for an action of infinite order
     rng = random.Random(seed)
     p = rng.choice(PRIMES)
-    conj = random_order_p_module(rng, p).action
-    for A in (conj, [[2, 1], [1, 1]]):
-        naive = np.eye(len(A), dtype=int).astype(object)
-        for e in range(2 * p + 2):
-            assert la.matrix_power(A, e) == naive.tolist(), (p, e)
-            naive = naive @ np.array(A, dtype=object)
-    assert la.matrix_power(conj, p) == la.identity(len(conj))
+    conj = random_order_p_module(rng, p)
+    for mod in (conj, ZpModule(p, [[2, 1], [1, 1]], check=False)):
+        for j in range(p):
+            assert mod.power(j) == _power(mod.action, j), (p, j)
+        norm = sum((np.array(_power(mod.action, j), dtype=object)
+                    for j in range(p)), np.zeros((mod.rank,) * 2, dtype=int))
+        assert mod.norm_matrix() == norm.tolist()
+    assert _power(conj.action, p) == la.identity(conj.rank)
+    assert conj.power(p) == conj.power(0) == la.identity(conj.rank)
 
 
 # -- combinators -------------------------------------------------------------
@@ -414,7 +423,8 @@ def test_dual_conventions_equivalent():
         for _ in range(4):
             mod = random_order_p_module(rng, p, max_rank=6)
             plain = dual(mod)
-            inv_t = ZpModule(p, la.transpose(mod.power(p - 1)), check=False)
+            inv_t = ZpModule(p, la.transpose(_power(mod.action, p - 1)),
+                             check=False)
             assert fixed_rank(plain) == fixed_rank(inv_t)
             for i in (0, 1):
                 assert tate(plain, i) == tate(inv_t, i)
@@ -490,7 +500,8 @@ def test_fixed_rank_matches_character_theory():
         for m in range(G.n + 1):
             total = Fraction(0)
             for j in range(p):
-                s = [int(np.trace(np.array(mod.power(j * i), dtype=object)))
+                s = [int(np.trace(np.array(_power(mod.action, j * i % p),
+                                           dtype=object)))
                      for i in range(m + 1)]
                 e = [Fraction(1)] + [Fraction(0)] * m
                 for d in range(1, m + 1):
