@@ -265,6 +265,8 @@ def _normalize(summands) -> tuple:
             _refuse(s, "negative count")
         if count and (s := kind.canon(s)) is not None:
             kept.append(s)
+    if len(kept) < 2:
+        return tuple(kept)
     out: list = []
     for s in sorted(kept, key=_order_key):
         if out and _order_key(out[-1]) == _order_key(s):

@@ -159,7 +159,7 @@ def validate_gamma(p: int, rho) -> GammaDescriptor:
     Only a refused action takes an integer kernel, to name its fixed
     vector.  The action is canonical when its rows are those of the
     k-fold cyclotomic sum, compared row by row up to the first that
-    differs.
+    differs; the cyclotomic block is built only when the first row matches.
     """
     # a copy, every entry checked, so the caller's rows are never shared
     rho = la.intmat(rho)
@@ -184,8 +184,11 @@ def validate_gamma(p: int, rho) -> GammaDescriptor:
     if n % (p - 1):
         raise BadRankError(f"rank {n} is not divisible by p - 1 = {p - 1}")
     k = n // (p - 1)
-    canonical = all(map(operator.eq, rho, zpmod.block_diagonal_rows(
-        [zpmod.make_cyclotomic(p)] * k)))
+    # the first row of the k-fold cyclotomic sum, the companion matrix's
+    # (0, ..., 0, -1) then zeros, before any block is built
+    canonical = rho[0] == [0] * (p - 2) + [-1] + [0] * (n - p + 1) and all(
+        map(operator.eq, rho, zpmod.block_diagonal_rows(
+            [zpmod.make_cyclotomic(p)] * k)))
     return GammaDescriptor(p, n, k, module, canonical)
 
 

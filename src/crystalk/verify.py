@@ -191,19 +191,24 @@ def checks_repring(G: crystal.GammaDescriptor, seed: int):
         yield "repring: k=1 closed form for r_m", k1_closed_form, f"p={p} k={k}"
 
 
+def _a_at(G: crystal.GammaDescriptor, m: int) -> int:
+    """a_m = s_(m+1) - s_m, read off the shape's checked s table."""
+    return G.s(m + 1) - G.s(m)
+
+
 def checks_r_oracle(G: crystal.GammaDescriptor, seed: int):
     p, k, n = G.p, G.k, G.n
 
     def make(m):
         def check():
             rank = zpmod.fixed_rank(G.exterior(m))
-            expect = repring.r_m(p, k, m)
+            expect = G.r()[m]
             assert rank == expect, f"fixed rank {rank} != r_{m} = {expect}"
             # the Smith form: Z^(r_m) (+) the odd Tate group, (Z/p)^(a_m)
             # for odd m and 0 for even m
             co = zpmod.coinvariants(G.exterior(m))
             whole = GroupExpression.free(expect) + GroupExpression.elementary(
-                p, repring.a_j(p, k, m) if m % 2 else 0)
+                p, _a_at(G, m) if m % 2 else 0)
             assert co == whole, f"coinvariants {co} != {whole}"
         return check
     for m in range(n + 1):
@@ -248,7 +253,7 @@ def checks_tate(G: crystal.GammaDescriptor, seed: int):
     def make_checkerboard(j):
         def check():
             mod = G.exterior(j)
-            aj = repring.a_j(p, k, j)
+            aj = _a_at(G, j)
             for i in (0, 1, 2, 3):
                 got = zpmod.tate(mod, i)
                 if (i + j) % 2 == 0:

@@ -18,10 +18,13 @@ kernel/cokernel route through the norm matrix as the slow reference;
 verify and the tests compare the ranks with both.
 
 A direct sum keeps its operands, and an exterior power is a list of
-Kronecker summands, one per way of spreading its degree over the
-diagonal blocks of the base action (see `ExteriorPower`); on either, the
-functors rank or diagonalize each distinct summand once and scale by its
-multiplicity.  The dense compound `action` is built only when read.
+Kronecker summands of the compounds of the diagonal blocks of the base
+action, each distinct product once: a 1 x 1 factor (the full-degree
+compound [det B], which is [[1]] for every block of odd order p) is
+folded into a sign, and equal products are merged, their multiplicities
+added (see `ExteriorPower`).  On either, the functors rank or
+diagonalize each distinct summand once and scale by its multiplicity.
+The dense compound `action` is built only when read.
 `exterior_power` refuses every degree of a base whose widest summand or
 largest rank is too large, before any is built.
 
@@ -241,9 +244,14 @@ class ExteriorPower(ZpModule):
     cokernel and every Tate group.  Equal blocks form a type; spreading the
     degree over the copies of a type in different orders gives summands
     that differ by a permutation of equal factors, so each multiset of
-    degrees per type is one summand whose multiplicity is the product of
-    the multinomials.  A base with one block gives one summand, its full
-    compound.
+    degrees per type is one product whose multiplicity is the product of
+    the multinomials.  A 1 x 1 factor is Lambda^|B| B = [det B] (or a
+    1 x 1 block), and (det B)^p = 1, so it is [[1]] for odd p and [[1]] or
+    [[-1]] for p = 2.  Each product keeps its wider factors and the sign
+    of its 1 x 1 ones, and products with equal sign and factors are
+    merged, their multiplicities added: each distinct summand is listed
+    once, and every degree of the base shares it.  A base with one block
+    gives one summand, its full compound.
 
     The dense compound `action` (entry (I, J) the deg x deg minor with rows
     I and columns J, in lexicographic order) is built only when read.
@@ -308,32 +316,44 @@ def _arrangements(degs: tuple[int, ...]) -> int:
 
 
 def _wedge_summands(m: ZpModule, deg: int) -> list[tuple[int, ZpModule]]:
-    """(multiplicity, summand) pairs of Lambda^deg m; see `ExteriorPower`."""
+    """(multiplicity, summand) pairs of Lambda^deg m, each distinct
+    product once; see `ExteriorPower`."""
     # per block type: every multiset of exterior degrees of its copies
     choices = [list(combinations_with_replacement(range(len(B) + 1), count))
                for B, count in _block_types(m)]
-    out = []
+    counts: dict[tuple, int] = {}
     for pick in product(*choices):
         if sum(map(sum, pick)) == deg:
-            factors = tuple((t, d) for t, degs in enumerate(pick)
-                            for d in degs if d)
-            out.append((prod(map(_arrangements, pick)),
-                        _kron_summand(m, factors)))
-    return out
+            sign, factors = 1, []
+            for t, degs in enumerate(pick):
+                for d in filter(None, degs):
+                    C = _block_compound(m, t, d)
+                    if len(C) == 1:
+                        sign *= C[0][0]
+                    else:
+                        factors.append((t, d))
+            key = (sign, tuple(factors))
+            counts[key] = counts.get(key, 0) + prod(map(_arrangements, pick))
+    return [(c, _kron_summand(m, *key)) for key, c in counts.items()]
 
 
-def _kron_summand(m: ZpModule, factors: tuple) -> ZpModule:
-    """Kronecker product of the compounds Lambda^d of block type t, for
-    (t, d) in factors; memoized on m, so every degree shares it."""
+def _block_compound(m: ZpModule, t: int, d: int) -> list[list[int]]:
+    """Lambda^d of block type t, memoized on m."""
+    return m._memo(("block_compound", t, d), lambda: compound_matrix(
+        _block_types(m)[t][0], d))
+
+
+def _kron_summand(m: ZpModule, sign: int, factors: tuple) -> ZpModule:
+    """sign times the Kronecker product of the compounds Lambda^d of block
+    type t, for (t, d) in factors; memoized on m, so every degree shares
+    it."""
     def compute():
-        out = None
+        out = [[sign]]
         for t, d in factors:
-            C = m._memo(("block_compound", t, d), lambda t=t, d=d:
-                        compound_matrix(_block_types(m)[t][0], d))
-            out = C if out is None else la.kron(out, C)
-        return ZpModule(m.p, la.identity(1) if out is None else out,
-                        check=False)
-    return m._memo(("summand", factors), compute)
+            C = _block_compound(m, t, d)
+            out = C if out == [[1]] else la.kron(out, C)  # [[1]] (x) C = C
+        return ZpModule(m.p, out, check=False)
+    return m._memo(("summand", sign, factors), compute)
 
 
 def compound_matrix(A, deg: int) -> list[list[int]]:

@@ -85,6 +85,8 @@ UNREFERENCED = {
     "exact_linalg.rank_mod": "the checked public entry to prime-field ranks",
     "abelian.GroupExpression.pruefer_rank": "a value accessor",
     "repring.s_m": "the paper's s_m, next to r_m and a_j",
+    "repring.r_m": "the paper's r_m/a_j, public in `__init__`",
+    "repring.a_j": "the paper's r_m/a_j, public in `__init__`",
     "zpmod.ZpModule.power": "perfbench/tracer.py wraps it by name",
 }
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -142,6 +143,27 @@ def test_aj_cell_catches_a_wrong_a_table(monkeypatch, fresh_shapes):
     result = verify._cell(name, *cells[name])
     assert result.name == name and not result.ok, result
     assert "inclusion-exclusion" in result.detail
+
+
+@pytest.mark.parametrize("field, bumped", [
+    ("r", {"r-oracle: wedge^1 fixed rank = r_1"}),
+    # s_2 one more: a_1 = s_2 - s_1 and a_2 = s_3 - s_2 are both off
+    ("s", {"r-oracle: wedge^1 fixed rank = r_1", "tate: checkerboard wedge^1",
+           "tate: checkerboard wedge^2"})])
+def test_oracle_cells_compare_with_the_shape_tables(monkeypatch, field, bumped):
+    # the r-oracle and checkerboard cells read r and a_m = s_(m+1) - s_m
+    # from crystal.shape: a wrong table there fails them, and only in the
+    # degrees it changes
+    real = crystal.shape(3, 2)
+    table = list(getattr(real, field))
+    table[1 if field == "r" else 2] += 1
+    wrong = dataclasses.replace(real, _cache={}, **{field: tuple(table)})
+    monkeypatch.setattr(crystal, "shape", lambda p, k: wrong)
+    cells = [verify._cell(name, fn, repro)
+             for name, fn, repro in verify.all_checks(3, 2)
+             if name.startswith(("r-oracle", "tate: checkerboard"))]
+    assert len(cells) == 10
+    assert {c.name for c in cells if not c.ok} == bumped
 
 
 def _guarded_compound(monkeypatch, limit):

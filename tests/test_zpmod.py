@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -618,6 +619,52 @@ def test_equal_blocks_give_one_summand_per_degree_multiset():
     single = exterior_power(make_cyclotomic(7), 3)
     [(c, S)] = single.summands
     assert c == 1 and S.action == single.action
+
+
+def _permuted_p2_base():
+    """A p = 2 base with -1 blocks of both kinds and a trivial block, its
+    basis shuffled so the blocks are not contiguous."""
+    base = direct_sum(make_cyclotomic(2), make_regular(2), make_trivial(2, 1),
+                      make_cyclotomic(2), make_regular(2))
+    order = list(range(base.rank))
+    random.Random(5).shuffle(order)
+    ident = la.identity(base.rank)
+    perm = [ident[i] for i in order]
+    return zpmod.conjugate(base, perm, la.transpose(perm))
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda p=p, k=k: direct_sum(*[make_cyclotomic(p)] * k)
+      for p, k in ((3, 6), (5, 2), (7, 1), (2, 10))),
+    _permuted_p2_base], ids=["3-6", "5-2", "7-1", "2-10", "permuted-p2"])
+def test_each_distinct_summand_is_listed_once(make):
+    # a 1 x 1 factor (Lambda^|B| B = [det B], or a 1 x 1 block) is folded
+    # into a sign and equal products merged, so no summand of a degree
+    # repeats another's matrix, and across degrees one matrix is one
+    # summand module; the functors still give what the literal compound
+    # gives
+    base = make()
+    built = {}
+    for d in range(base.rank + 1):
+        ext = exterior_power(base, d)
+        rows = [S.action for _c, S in ext.summands]
+        assert all(a != b for a, b in combinations(rows, 2)), d
+        for _c, S in ext.summands:
+            assert built.setdefault(repr(S.action), S) is S, d
+        assert sum(c * S.rank for c, S in ext.summands) == comb(base.rank, d)
+        T = list(la.minus_identity(compound_matrix(base.action, d)))
+        assert fixed_rank(ext) == len(la.kernel_basis(T)[0])
+        assert coinvariants(ext) == la.cokernel_structure(T)
+
+
+def test_a_top_compound_minus_one_stays_a_factor():
+    # Lambda^2 of the p = 2 regular block is [det] = [[-1]], not [[1]]
+    [(c, S)] = exterior_power(make_regular(2), 2).summands
+    assert (c, S.action) == (1, [[-1]])
+    # beside a trivial block, the -1 stays and the trivial [[1]] goes
+    base = direct_sum(make_regular(2), make_trivial(2, 1))
+    got = sorted((c, S.action) for c, S in exterior_power(base, 2).summands)
+    assert got == [(1, [[-1]]), (1, [[0, 1], [1, 0]])]
 
 
 @given(st.sampled_from(PRIMES),
