@@ -328,7 +328,7 @@ def _wedge_summands(m: ZpModule, deg: int) -> list[tuple[int, ZpModule]]:
             for t, degs in enumerate(pick):
                 for d in filter(None, degs):
                     C = _block_compound(m, t, d)
-                    if len(C) == 1:
+                    if len(C) == 1:   # [det B] or a 1 x 1 block: +-1
                         sign *= C[0][0]
                     else:
                         factors.append((t, d))
