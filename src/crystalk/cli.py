@@ -19,7 +19,7 @@ import sys
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 
-from . import crystal, repring, verify, zpmod
+from . import crystal, verify, zpmod
 from .crystal import GammaDescriptor, GammaError
 
 
@@ -253,13 +253,14 @@ def run_verify(args: argparse.Namespace) -> int:
 def _oracle_payload(G: GammaDescriptor) -> dict:
     p, k, n = G.p, G.k, G.n
     mods = [G.exterior(j) for j in range(n + 1)]
+    sh = crystal.shape(p, k)
     return {
         "descriptor": {"p": p, "n": n, "k": k, "canonical": G.canonical,
                        "rho": G.rho},
         "r_closed_form": list(G.r()),
         "r_fixed_rank_oracle": [zpmod.fixed_rank(mod) for mod in mods],
-        "a": list(repring.a_vector(p, k)),
-        "s": list(repring.s_vector(p, k)),
+        "a": list(sh.a),
+        "s": list(sh.s),
         "tate": {str(j): {str(i): str(zpmod.tate(mod, i)) for i in (0, 1)}
                  for j, mod in enumerate(mods)},
         # (Z/p)^k, or refused: its invariant factors are its summands

@@ -72,8 +72,8 @@ MAX_WINDOW = 4096
 
 @dataclass(frozen=True, eq=False)
 class Shape(zpmod.Memoized):
-    """What every action of one shape (p, k) shares: the tables r and s,
-    the r-sums checked against r, and in `_cache` the KO point sums, the
+    """What every action of one shape (p, k) shares: the tables a, r and
+    s, the r-sums checked against r, and in `_cache` the KO point sums, the
     report families over their default windows and the cokernel of the
     canonical action, read off two prime-field ranks of its cyclotomic
     block (see `finite_subgroup_data`).  It holds no module, no
@@ -84,6 +84,7 @@ class Shape(zpmod.Memoized):
 
     p: int
     k: int
+    a: tuple[int, ...]
     r: tuple[int, ...]
     s: tuple[int, ...]
     r_sums: Mapping[str, int]
@@ -93,36 +94,35 @@ class Shape(zpmod.Memoized):
 @functools.lru_cache(maxsize=16)
 def shape(p: int, k: int) -> Shape:
     """The closed-form memo of the shape (p, k), one per process; the 16
-    shapes used last are kept.  r and s come from one a_vector table."""
-    av = repring.a_vector(p, k)
-    r = repring.r_vector(p, k, av)
-    return Shape(p, k, r, repring.s_vector(p, k, av),
+    shapes used last are kept.  r and s come from its a_vector table a."""
+    a = repring.a_vector(p, k)
+    r = repring.r_vector(p, k, a)
+    return Shape(p, k, a, r, repring.s_vector(p, k, a),
                  MappingProxyType(repring.r_sum_identities(p, k, r)))
 
 
 @dataclass(frozen=True, eq=False)
-class GammaDescriptor(zpmod.Memoized):
+class GammaDescriptor:
     """A validated action, held by its lattice module, whose rows passed
     the checked reader `exact_linalg.intmat` or were built by the library.
-    Its memo holds the exterior powers; the closed forms are read from
-    `shape(p, k)`.  rho is the module's rows of Python ints: never mutate
-    it, and read a copy through `rho_rows`."""
+    It keeps no memo: what is derived from the action (its ranks and
+    exterior powers) is kept by the module, and the closed forms are read
+    from `shape(p, k)`.  rho is the module's rows of Python ints: never
+    mutate it, and read a copy through `rho_rows`."""
 
     p: int
     n: int
     k: int
     module: zpmod.ZpModule
     canonical: bool
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def rho(self) -> list[list[int]]:
         return self.module.action
 
-    def exterior(self, j: int) -> zpmod.ZpModule:
-        """j-th exterior power of the lattice module, kept per degree."""
-        return self._memo(("ext", j), lambda: zpmod.exterior_power(
-            self.module, j))
+    def exterior(self, j: int) -> zpmod.ExteriorPower:
+        """j-th exterior power of the lattice module, kept by the module."""
+        return zpmod.exterior_power(self.module, j)
 
     def r(self) -> tuple[int, ...]:
         return shape(self.p, self.k).r
@@ -653,12 +653,15 @@ def build_report(G: GammaDescriptor,
     Each report holds its own copy of them.  `verify` compares the
     closed forms with the spectral assembly.  A window wider than
     MAX_WINDOW degrees is refused (BadWindowError) before anything is
-    evaluated, since the cost and the report grow with its width.
+    evaluated, since the cost and the report grow with its width, and so
+    is an empty window (ValueError).
     """
     if window is not None and window[1] - window[0] >= MAX_WINDOW:
         raise BadWindowError(
             f"degree window {tuple(window)} spans {window[1] - window[0] + 1}"
             f" degrees; the limit is {MAX_WINDOW}")
+    if window is not None and window[0] > window[1]:
+        raise ValueError(f"empty degree window {window}")
     fsd = finite_subgroup_data(G)
     scalars = {
         "d_ev": d_even(G),
@@ -670,8 +673,6 @@ def build_report(G: GammaDescriptor,
     if window is None:
         families = shape(G.p, G.k)._memo(
             "families", lambda: _evaluate_families(G, None))
-    elif window[0] > window[1]:
-        raise ValueError(f"empty degree window {window}")
     else:
         families = _evaluate_families(G, window)
     groups = {name: dict(table) for name, table in families}

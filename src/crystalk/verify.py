@@ -191,11 +191,6 @@ def checks_repring(G: crystal.GammaDescriptor, seed: int):
         yield "repring: k=1 closed form for r_m", k1_closed_form, f"p={p} k={k}"
 
 
-def _a_at(G: crystal.GammaDescriptor, m: int) -> int:
-    """a_m = s_(m+1) - s_m, read off the shape's checked s table."""
-    return G.s(m + 1) - G.s(m)
-
-
 def checks_r_oracle(G: crystal.GammaDescriptor, seed: int):
     p, k, n = G.p, G.k, G.n
 
@@ -208,7 +203,7 @@ def checks_r_oracle(G: crystal.GammaDescriptor, seed: int):
             # for odd m and 0 for even m
             co = zpmod.coinvariants(G.exterior(m))
             whole = GroupExpression.free(expect) + GroupExpression.elementary(
-                p, _a_at(G, m) if m % 2 else 0)
+                p, crystal.shape(p, k).a[m] if m % 2 else 0)
             assert co == whole, f"coinvariants {co} != {whole}"
         return check
     for m in range(n + 1):
@@ -253,7 +248,7 @@ def checks_tate(G: crystal.GammaDescriptor, seed: int):
     def make_checkerboard(j):
         def check():
             mod = G.exterior(j)
-            aj = _a_at(G, j)
+            aj = crystal.shape(p, k).a[j]
             for i in (0, 1, 2, 3):
                 got = zpmod.tate(mod, i)
                 if (i + j) % 2 == 0:
@@ -383,7 +378,8 @@ def all_checks(p: int, k: int, seed: int = 20240801,
 
     The cells that take an action run on `gamma`, a validated descriptor
     for (p, k), or on the canonical action when it is None.  Every suite
-    shares that one descriptor, so each exterior power is built once.
+    shares that one descriptor, whose module keeps each exterior power, so
+    each is built once.
     Every randomized cell derives its own generator, so results do not
     depend on execution order.
     """

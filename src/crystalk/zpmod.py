@@ -24,9 +24,10 @@ compound [det B], which is [[1]] for every block of odd order p) is
 folded into a sign, and equal products are merged, their multiplicities
 added (see `ExteriorPower`).  On either, the functors rank or
 diagonalize each distinct summand once and scale by its multiplicity.
-The dense compound `action` is built only when read.
-`exterior_power` refuses every degree of a base whose widest summand or
-largest rank is too large, before any is built.
+An exterior power is only its summands: it has no dense action, and
+the base module keeps it per degree.  `exterior_power` refuses every
+degree of a base whose widest summand or largest rank is too large,
+before any is built.
 
 Every matrix is a list of rows of Python ints (see `exact_linalg`).  Only
 input from outside is checked: `ZpModule(p, action)` reads its action
@@ -35,7 +36,8 @@ it by default, while the standard modules and the combinators' results
 are valid by construction and keep the rows they are given.  Powers are
 never stored; a module memoizes only its derived results (norm, field
 ranks, coinvariants, reference Tate groups, and for a base of exterior
-powers its blocks, their compounds and the Kronecker summands).
+powers its blocks, their compounds, the Kronecker summands and the
+exterior powers themselves).
 """
 
 from __future__ import annotations
@@ -210,28 +212,33 @@ class ExteriorGuardrailError(ValueError):
 
 
 def exterior_power(m: ZpModule, deg: int) -> ExteriorPower:
-    """deg-th exterior power, held as Kronecker summands (see `ExteriorPower`).
+    """deg-th exterior power, held as Kronecker summands (see `ExteriorPower`)
+    and memoized on m under ("ext", deg).
 
     Every degree of m is refused alike, before anything is built, when the
     widest summand of any degree (the product over block types of
     C(|B|, |B| // 2)^count) exceeds MAX_SUMMAND_DIM, or the largest rank
     C(rank, rank // 2) exceeds MAX_EXTERIOR_RANK, which bounds the rank,
     and so the cell count of a grid, where every summand is 1 x 1 (p = 2):
-    ExteriorGuardrailError.
+    ExteriorGuardrailError.  The bound runs when a degree is first built;
+    a refused degree stores nothing, so it is refused again on every call.
     """
-    if deg < 0 or deg > m.rank:
-        raise ValueError(f"exterior degree {deg} outside [0, {m.rank}]")
-    widest = prod(comb(len(B), len(B) // 2) ** count
-                  for B, count in _block_types(m))
-    largest = comb(m.rank, m.rank // 2)
-    if widest > MAX_SUMMAND_DIM or largest > MAX_EXTERIOR_RANK:
-        raise ExteriorGuardrailError(
-            f"exterior powers refused: widest summand {widest} (limit "
-            f"{MAX_SUMMAND_DIM}), rank {largest} (limit {MAX_EXTERIOR_RANK})")
-    return ExteriorPower(m, deg)
+    def build():
+        if deg < 0 or deg > m.rank:
+            raise ValueError(f"exterior degree {deg} outside [0, {m.rank}]")
+        widest = prod(comb(len(B), len(B) // 2) ** count
+                      for B, count in _block_types(m))
+        largest = comb(m.rank, m.rank // 2)
+        if widest > MAX_SUMMAND_DIM or largest > MAX_EXTERIOR_RANK:
+            raise ExteriorGuardrailError(
+                f"exterior powers refused: widest summand {widest} (limit "
+                f"{MAX_SUMMAND_DIM}), rank {largest} (limit "
+                f"{MAX_EXTERIOR_RANK})")
+        return ExteriorPower(m, deg)
+    return m._memo(("ext", deg), build)
 
 
-class ExteriorPower(ZpModule):
+class ExteriorPower(Memoized):
     """Exterior power of a base module, as a direct sum of Kronecker products.
 
     Split the base action into diagonal blocks B_1, ..., B_k (the connected
@@ -253,28 +260,17 @@ class ExteriorPower(ZpModule):
     once, and every degree of the base shares it.  A base with one block
     gives one summand, its full compound.
 
-    The dense compound `action` (entry (I, J) the deg x deg minor with rows
-    I and columns J, in lexicographic order) is built only when read.
+    It is not a ZpModule and has no action, only its summands: the dense
+    compound that `tate_reference` needs is ZpModule(p,
+    compound_matrix(base.action, deg), check=False).  It keeps no
+    reference to the base, whose memo keeps it (see `exterior_power`), so
+    the two form no reference cycle and are freed with the base.
     """
 
     def __init__(self, base: ZpModule, deg: int):
-        self.p = base.p
-        self.rank = comb(base.rank, deg)
-        self.base, self.deg = base, deg
+        self.p, self.rank, self.deg = base.p, comb(base.rank, deg), deg
+        self.summands = _wedge_summands(base, deg)
         self._cache: dict = {}
-
-    @property
-    def action(self) -> list[list[int]]:
-        if self.rank > MAX_SUMMAND_DIM:
-            raise ExteriorGuardrailError(f"dense compound of dimension "
-                                         f"{self.rank} over {MAX_SUMMAND_DIM}")
-        return self._memo("action", lambda: compound_matrix(
-            self.base.action, self.deg))
-
-    @property
-    def summands(self) -> list[tuple[int, ZpModule]]:
-        return self._memo("summands", lambda: _wedge_summands(
-            self.base, self.deg))
 
 
 def _components(A: list[list[int]]) -> list[list[int]]:
@@ -482,9 +478,8 @@ def tate_reference(m: ZpModule, i: int) -> GroupExpression:
     Builds the norm matrix, takes a saturated basis of ker T (even
     degrees) or ker N (odd degrees), expresses the generators of im N or
     im T in it and reads the quotient off the cokernel of the coefficient
-    matrix.  It reads the dense action (for an exterior power, the literal
-    compound matrix), not the Kronecker summands.  `tate` must agree with
-    it on every module.
+    matrix.  It reads the dense action, so it takes a ZpModule, not an
+    `ExteriorPower`.  `tate` must agree with it on every module.
     """
     def compute():
         # lists, which perfbench/tracer.py can size

@@ -700,7 +700,7 @@ def test_conjugate_report_ignores_the_guardrail():
     assert rep.groups == build_report(canonical_gamma(3, 10)).groups
     G = canonical_gamma(17, 1)
     assert build_report(G).warnings == []
-    assert not [key for key in G._cache if key[0] == "ext"]
+    assert not [key for key in G.module._cache if key[0] == "ext"]
     with pytest.raises(zpmod.ExteriorGuardrailError):
         G.exterior(0)
 
@@ -808,6 +808,19 @@ def test_a_window_over_the_limit_is_refused_before_any_work(monkeypatch):
     assert seen == [(0, limit - 1), (-2000, 2000)]
 
 
+def test_an_empty_window_is_refused_before_any_work(monkeypatch):
+    # as a window over the limit, an empty window is refused before the
+    # cokernel or any family is evaluated
+    def refuse(*args):
+        raise AssertionError("evaluated")
+    monkeypatch.setattr(crystal, "finite_subgroup_data", refuse)
+    monkeypatch.setattr(crystal, "_evaluate_families", refuse)
+    for window in ((1, 0), (3, -1), (0, -10 ** 12)):
+        with pytest.raises(ValueError, match=(
+                rf"^empty degree window \({window[0]}, {window[1]}\)$")):
+            build_report(G31, window)
+
+
 def _reachable(value):
     """Every object reachable from value through containers and dataclass
     fields."""
@@ -828,19 +841,21 @@ def _reachable(value):
 
 @pytest.mark.parametrize("p, k", [(3, 2), (2, 4), (5, 1)])
 def test_the_shape_holds_no_module_rows_or_exterior_data(p, k, fresh_shapes):
-    # verify fills the descriptor with exterior powers and the report fills
+    # verify fills the module with exterior powers and the report fills
     # the shape; the shape keeps the cokernel as a group, and nothing whose
     # size grows with n
     from crystalk import cli, verify
     G = canonical_gamma(p, k)
     assert all(r.ok for r in verify.run_all(p, k, gamma=G))
     text = cli.render_report_json(build_report(G))
-    assert any(key[0] == "ext" for key in G._cache if isinstance(key, tuple))
+    assert any(key[0] == "ext" for key in G.module._cache
+               if isinstance(key, tuple))
     sh = crystal.shape(p, k)
     assert sh._cache["cokernel"] == GroupExpression.elementary(p, k)
     rho_text = text[text.index('"rho"'):text.index('"scalars"')]
     for x in _reachable(sh._cache):
-        assert not isinstance(x, (zpmod.ZpModule, list)), type(x)
+        assert not isinstance(
+            x, (zpmod.ZpModule, zpmod.ExteriorPower, list)), type(x)
         assert not (isinstance(x, str) and rho_text in x)
     assert not [key for key in sh._cache if isinstance(key, tuple)
                 and key[0] in ("ext", "block_types", "block_compound",
@@ -848,13 +863,15 @@ def test_the_shape_holds_no_module_rows_or_exterior_data(p, k, fresh_shapes):
 
 
 def test_a_descriptor_memoizes_only_what_its_action_gives():
+    # the descriptor keeps no memo: a report leaves its module the field
+    # ranks of validation, and the spectral assembly its exterior powers
     H = _seeded_conjugate(3, 2, 5)
     build_report(H)
-    assert H._cache == {}
+    assert not hasattr(H, "_cache")
+    assert set(H.module._cache) == {"field_ranks"}
     for m in range(H.n + 1):
         brute_force_cohomology_bgamma(H, m)
-    assert all(key[0] == "ext" for key in H._cache)
-    assert ("ext", H.n) in H._cache
+    assert ("ext", H.n) in H.module._cache
 
 
 def test_threads_share_the_shape_memo(fresh_shapes):

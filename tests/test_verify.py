@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -147,16 +149,15 @@ def test_aj_cell_catches_a_wrong_a_table(monkeypatch, fresh_shapes):
 
 @pytest.mark.parametrize("field, bumped", [
     ("r", {"r-oracle: wedge^1 fixed rank = r_1"}),
-    # s_2 one more: a_1 = s_2 - s_1 and a_2 = s_3 - s_2 are both off
-    ("s", {"r-oracle: wedge^1 fixed rank = r_1", "tate: checkerboard wedge^1",
-           "tate: checkerboard wedge^2"})])
+    # a_1 one more: the odd coinvariants and the checkerboard of degree 1
+    ("a", {"r-oracle: wedge^1 fixed rank = r_1",
+           "tate: checkerboard wedge^1"})])
 def test_oracle_cells_compare_with_the_shape_tables(monkeypatch, field, bumped):
-    # the r-oracle and checkerboard cells read r and a_m = s_(m+1) - s_m
-    # from crystal.shape: a wrong table there fails them, and only in the
-    # degrees it changes
+    # the r-oracle and checkerboard cells read r and a from crystal.shape:
+    # a wrong table there fails them, and only in the degrees it changes
     real = crystal.shape(3, 2)
     table = list(getattr(real, field))
-    table[1 if field == "r" else 2] += 1
+    table[1] += 1
     wrong = dataclasses.replace(real, _cache={}, **{field: tuple(table)})
     monkeypatch.setattr(crystal, "shape", lambda p, k: wrong)
     cells = [verify._cell(name, fn, repro)
@@ -183,14 +184,30 @@ def _guarded_compound(monkeypatch, limit):
 
 def test_canonical_grid_runs_the_block_route(monkeypatch):
     # canonical (3,6) is six 2x2 blocks: every compound is of one block,
-    # and no exterior power builds its dense compound action
+    # so no dense compound of an exterior power is built
     shapes = _guarded_compound(monkeypatch, 2)
-
-    def refuse(self):
-        raise AssertionError("dense compound of an exterior power built")
-    monkeypatch.setattr(zpmod.ExteriorPower, "action", property(refuse))
     assert all(r.ok for r in verify.run_all(3, 6))
     assert shapes and set(shapes) == {(2, 2)}
+
+
+def test_the_module_keeps_the_exterior_powers_of_the_grid():
+    # the descriptor keeps no memo: every exterior power the grid reads is
+    # kept by the lattice module, once per degree
+    G = crystal.canonical_gamma(3, 2)
+    assert all(r.ok for r in verify.run_all(3, 2, gamma=G))
+    assert not hasattr(G, "_cache")
+    for j in range(G.n + 1):
+        assert ("ext", j) in G.module._cache
+        assert zpmod.exterior_power(G.module, j) is G.exterior(j)
+    # an exterior power keeps no reference to its base, so the module and
+    # its memo are freed with the descriptor, with no cycle to collect
+    module = weakref.ref(G.module)
+    gc.disable()
+    try:
+        del G
+        assert module() is None
+    finally:
+        gc.enable()
 
 
 def _connected_conjugate(p, k, seed):
