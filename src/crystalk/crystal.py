@@ -73,14 +73,14 @@ MAX_WINDOW = 4096
 @dataclass(frozen=True, eq=False)
 class Shape(zpmod.Memoized):
     """What every action of one shape (p, k) shares: the tables a, r and
-    s, the r-sums checked against r, and in `_cache` the KO point sums, the
-    report families over their default windows and the cokernel of the
-    canonical action, read off two prime-field ranks of its cyclotomic
-    block (see `finite_subgroup_data`).  It holds no module, no
-    rows and no exterior data, so its size does not grow with n.  Every
-    value is immutable, so threads may share a shape: two threads that
-    miss one memo entry at once both compute it, and either equal result
-    is kept."""
+    s, the r-sums checked against r, r_mod8 (the sums of the r_l over the
+    classes of l mod 8, the counts of every KO point sum), and in `_cache`
+    the report families over their default windows and the cokernel of
+    the canonical action, read off two prime-field ranks of its cyclotomic
+    block (see `finite_subgroup_data`).  It holds no module, no rows and
+    no exterior data, so its size does not grow with n.  Every value is
+    immutable, so threads may share a shape: two threads that miss one
+    memo entry at once both compute it, and either equal result is kept."""
 
     p: int
     k: int
@@ -88,6 +88,7 @@ class Shape(zpmod.Memoized):
     r: tuple[int, ...]
     s: tuple[int, ...]
     r_sums: Mapping[str, int]
+    r_mod8: tuple[int, ...]
     _cache: dict = field(default_factory=dict, repr=False)
 
 
@@ -98,7 +99,8 @@ def shape(p: int, k: int) -> Shape:
     a = repring.a_vector(p, k)
     r = repring.r_vector(p, k, a)
     return Shape(p, k, a, r, repring.s_vector(p, k, a),
-                 MappingProxyType(repring.r_sum_identities(p, k, r)))
+                 MappingProxyType(repring.r_sum_identities(p, k, r)),
+                 tuple(sum(r[c::8]) for c in range(8)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,25 +379,18 @@ def _require_odd(G: GammaDescriptor) -> None:
 def _point_sum(G: GammaDescriptor, point, m: int,
                sign: int = 1) -> GroupExpression:
     """Sum over l of r_l copies of the point group `point` (KOPoint or
-    KoPoint) in degree sign * (m - l); cohomology takes sign = -1.  A KO
-    sum depends on m mod 8 only, so every KO family reads the same 16 sums,
-    kept in the shape's memo; a ko sum is built when asked for, so a wide
-    window leaves no entry per degree there."""
+    KoPoint) in degree sign * (m - l); cohomology takes sign = -1.  KO_*(pt)
+    is 8-periodic (Bott), so the r_l with l in one class c mod 8 give one
+    summand, counted by the shape's r_mod8[c]: 8 summands, whatever n is.
+    A ko sum has one summand per degree, built when asked for."""
     sh = shape(G.p, G.k)
     if point is KoPoint:
         # connective: negative degrees vanish, the others are distinct
         return GroupExpression(tuple(
             KoPoint(sign * (m - l), r) for l, r in enumerate(sh.r)
             if r and sign * (m - l) >= 0))
-    m %= 8
-
-    def compute():
-        # one summand per degree class mod 8
-        counts = [0] * 8
-        for l, r in enumerate(sh.r):
-            counts[sign * (m - l) % 8] += r
-        return GroupExpression(tuple(KOPoint(d, c) for d, c in enumerate(counts)))
-    return sh._memo(("point_sum", KOPoint, m, sign), compute)
+    return GroupExpression(tuple(
+        KOPoint(sign * (m - c), rc) for c, rc in enumerate(sh.r_mod8)))
 
 
 def _to_unknown(G: GammaDescriptor, degree: int) -> GroupExpression:
@@ -625,18 +620,21 @@ REPORT_FAMILIES = (
 def _evaluate_families(G: GammaDescriptor,
                        window: tuple[int, int] | None) -> tuple:
     """(name, ((m, group), ...)) for every report family of G, in report
-    order, over `window` or each family's default window."""
-    # window kind -> (degree window, whether degrees start at 0)
-    windows = {"H": (window or (0, G.n), True), "K": (window or (0, 1), False),
-               "KO": (window or (0, 7), False), "ko": (window or (0, 7), True)}
+    order, over `window` or each family's default window.  K and KO repeat
+    with period 2 and 8 (Bott), so they evaluate one period; H (periodic
+    only above n) and ko (not periodic) are evaluated in every degree."""
+    # window kind -> (degree window, whether degrees start at 0, period)
+    windows = {"H": (window or (0, G.n), True, None), "K": (window or (0, 1), False, 2),
+               "KO": (window or (0, 7), False, 8), "ko": (window or (0, 7), True, None)}
     families = []
     for name, evaluate, kind, odd_only in REPORT_FAMILIES:
         if odd_only and G.p == 2:
             continue
-        (lo, hi), from_zero = windows[kind]
+        (lo, hi), from_zero, period = windows[kind]
+        degrees = range(max(lo, 0) if from_zero else lo, hi + 1)
+        groups = [expr_evaluate(evaluate(G, m)) for m in degrees[:period]]
         families.append((name, tuple(
-            (m, expr_evaluate(evaluate(G, m)))
-            for m in range(max(lo, 0) if from_zero else lo, hi + 1))))
+            (m, groups[i % len(groups)]) for i, m in enumerate(degrees))))
     return tuple(families)
 
 
@@ -650,11 +648,11 @@ def build_report(G: GammaDescriptor,
     reduction; every family is a closed form in (p, k), so a supplied
     action builds no exterior power, and over the default windows the
     families are evaluated once per shape and kept in `shape(p, k)`.
-    Each report holds its own copy of them.  `verify` compares the
-    closed forms with the spectral assembly.  A window wider than
-    MAX_WINDOW degrees is refused (BadWindowError) before anything is
-    evaluated, since the cost and the report grow with its width, and so
-    is an empty window (ValueError).
+    Each report holds its own copy of them.  A K or KO family evaluates
+    one Bott period of a window and repeats it, but (co)homology and ko
+    take every degree, so the cost and the report grow with the width:
+    a window wider than MAX_WINDOW degrees is refused (BadWindowError)
+    before anything is evaluated, and so is an empty window (ValueError).
     """
     if window is not None and window[1] - window[0] >= MAX_WINDOW:
         raise BadWindowError(

@@ -268,7 +268,7 @@ class ExteriorPower(Memoized):
     """
 
     def __init__(self, base: ZpModule, deg: int):
-        self.p, self.rank, self.deg = base.p, comb(base.rank, deg), deg
+        self.p, self.rank = base.p, comb(base.rank, deg)
         self.summands = _wedge_summands(base, deg)
         self._cache: dict = {}
 

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -755,6 +757,7 @@ def test_a_windowed_report_is_evaluated_directly(window, fresh_shapes):
     G = _seeded_conjugate(5, 2, 3)
     default = build_report(G)
     table = crystal.shape(5, 2)._cache["families"]
+    keys = set(crystal.shape(5, 2)._cache)
     windowed = build_report(G, window)
     lo, hi = window
     for name, evaluate, kind, _odd in crystal.REPORT_FAMILIES:
@@ -764,23 +767,69 @@ def test_a_windowed_report_is_evaluated_directly(window, fresh_shapes):
             m: expr_evaluate(evaluate(G, m)) for m in degrees}, name
     assert crystal.shape(5, 2)._cache["families"] is table
     assert build_report(G).groups == default.groups
-    # a KO point sum depends on the degree mod 8, so any window keeps 16
-    assert len([key for key in crystal.shape(5, 2)._cache
-                if isinstance(key, tuple) and key[1] is KOPoint]) == 16
+    # a window is evaluated directly: the shape gains no entry from it
+    assert set(crystal.shape(5, 2)._cache) == keys
 
 
-def test_a_wide_window_leaves_only_the_ko_point_sums(fresh_shapes):
-    # a connective sum is built on demand, so a window does not leave one
-    # memo entry per degree in the shape
+def test_a_wide_window_leaves_only_the_default_memo(fresh_shapes):
+    # the point sums are read off the shape's r_mod8, so after any mix of
+    # default and windowed reports the shape keeps only the default
+    # families and the canonical cokernel
     G = _seeded_conjugate(5, 2, 3)
     build_report(G)
     build_report(G, (-2000, 2000))
     build_report(canonical_gamma(5, 2), (-2000, 2000))
-    cache = crystal.shape(5, 2)._cache
-    ko_keys = [key for key in cache
-               if isinstance(key, tuple) and key[1] is KOPoint]
-    assert set(cache) == {"families", "cokernel", *ko_keys}
-    assert len(ko_keys) <= 16
+    build_report(canonical_gamma(5, 2))
+    assert set(crystal.shape(5, 2)._cache) == {"families", "cokernel"}
+
+
+def test_k_and_ko_families_evaluate_one_period(monkeypatch):
+    # K and KO are 2- and 8-periodic (Bott), so a wide window evaluates
+    # each K family in at most 2 degrees and each KO family in at most 8;
+    # (co)homology and ko are evaluated once in each of their degrees
+    calls = collections.Counter()
+
+    def counted(name):
+        evaluate = getattr(crystal, name)
+
+        def wrapper(G, m, *args):
+            calls[name, args] += 1
+            return evaluate(G, m, *args)
+        return wrapper
+    periodic = {"k_theory_bgamma": 2, "k_theory_quotient": 2,
+                "equivariant_k": 2, "ko_theory": 8, "equivariant_ko": 8}
+    every_degree = ("cohomology_bgamma", "homology_bgamma",
+                    "cohomology_quotient", "homology_quotient",
+                    "connective_ko")
+    for name in (*periodic, *every_degree, "cstar_k_theory"):
+        monkeypatch.setattr(crystal, name, counted(name))
+    G = _seeded_conjugate(5, 2, 3)
+    report = build_report(G, (-2000, 2000))
+    assert len(report.groups["KO_*(CstarR)"]) == 4001
+    for (name, args), count in calls.items():
+        if name == "cstar_k_theory":
+            assert count <= (2 if args == ("complex",) else 8), args
+        elif name in periodic:
+            assert count <= periodic[name], (name, args)
+        else:
+            assert count == 2001, (name, args)
+    assert len(calls) == 18
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 2), (7, 3)])
+def test_a_ko_point_sum_is_read_off_r_by_residue(p, k):
+    # r_mod8[c] sums the r_l with l = c mod 8; the point sum read off it
+    # is the one counted class by class over r
+    G = canonical_gamma(p, k)
+    sh = crystal.shape(p, k)
+    assert sum(sh.r_mod8) == sh.r_sums["sum_all"]
+    for sign in (1, -1):
+        for m in range(-16, 17):
+            counts = [0] * 8
+            for l, r in enumerate(sh.r):
+                counts[sign * (m - l) % 8] += r
+            assert crystal._point_sum(G, KOPoint, m, sign) == GroupExpression(
+                tuple(KOPoint(d, c) for d, c in enumerate(counts))), (sign, m)
 
 
 def test_a_window_over_the_limit_is_refused_before_any_work(monkeypatch):
